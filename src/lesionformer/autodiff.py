@@ -29,13 +29,9 @@ _ALLOWED = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor:
-    """A dense array plus autodiff metadata.
+    """A dense array plus autodiff metadata."""
 
-    ``node_id`` is assigned when the tensor joins the active tape; it is
-    meaningless once that tape is discarded.
-    """
-
-    __slots__ = ("data", "requires_grad", "node_id")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -43,7 +39,6 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = requires_grad
-        self.node_id = None
 
     @property
     def shape(self):
@@ -73,7 +68,6 @@ class Tape:
 
     def __init__(self):
         self._records = []  # (out, inputs, backward_fn)
-        self._next_id = 0
         self._output_ids = set()
         self._grads = None
 
@@ -91,17 +85,7 @@ class Tape:
         Tape._active = None
         return False
 
-    def _assign_id(self, t):
-        if t.node_id is None or t.node_id >= self._next_id:
-            t.node_id = self._next_id
-            self._next_id += 1
-        return t.node_id
-
     def _record(self, out, inputs, backward_fn):
-        for t in inputs:
-            self._assign_id(t)
-        out.node_id = self._next_id
-        self._next_id += 1
         self._output_ids.add(id(out))
         self._records.append((out, inputs, backward_fn))
 
@@ -141,7 +125,9 @@ class Tape:
 
 
 def _finite_or_raise(arr, op):
-    if not np.all(np.isfinite(arr)):
+    # a finite sum proves every element finite; only a non-finite sum
+    # (NaN/Inf present, or finite values that overflow) needs the full scan
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by {op}")
 
 
@@ -149,7 +135,9 @@ def custom_op(out_data, inputs, backward_fn, name):
     """Register an op result on the active tape (if any) and return it.
 
     ``backward_fn(grad_out)`` must return one gradient array (or None)
-    per input, in order.
+    per input, in order. Every output is checked: any NaN or +/-Inf
+    element raises ``NumericError`` naming the op. Finite values whose
+    sum overflows are allowed.
     """
     _finite_or_raise(out_data, name)
     requires = any(t.requires_grad for t in inputs)
@@ -412,12 +400,12 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU."""
     xd = x.data
-    inner = _GELU_C * (xd + 0.044715 * xd ** 3)
+    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
     t = np.tanh(inner)
     out = 0.5 * xd * (1.0 + t)
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * xd ** 2)
+        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
         grad = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
         return (g * grad,)
 

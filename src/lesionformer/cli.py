@@ -121,7 +121,10 @@ def _print_report(rep):
 def cmd_train(args):
     model_cfg, train_cfg = parse_configs(args.config)
     model_cfg.validate()
-    train_cfg.validate()
+    try:
+        train_cfg.validate()
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     if args.dump_config:
         _dump_config(model_cfg, train_cfg)
     samples = load_samples(args.data, (model_cfg.image_h, model_cfg.image_w),

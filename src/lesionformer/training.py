@@ -261,10 +261,15 @@ def save_checkpoint(path, ckpt: Checkpoint):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    raw = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if raw[:8] != MAGIC:
         raise CheckpointError(f"bad magic {raw[:8]!r}, expected {MAGIC!r}")
+    if len(raw) < 12:
+        raise CheckpointError(f"truncated checkpoint: {len(raw)} bytes, preamble needs 12")
     (hlen,) = struct.unpack_from("<I", raw, 8)
+    if 12 + hlen > len(raw):
+        raise CheckpointError(f"truncated header: need {hlen} bytes")
     header = raw[12:12 + hlen].decode("utf-8")
     kv = {}
     for line in header.splitlines():
@@ -278,18 +283,24 @@ def load_checkpoint(path) -> Checkpoint:
     dtype = np.dtype(train_cfg.np_dtype).newbyteorder("<")
     pos = 12 + hlen
     arrays = {}
-    for _ in range(int(kv["n_arrays"])):
-        (nlen,) = struct.unpack_from("<I", raw, pos)
-        pos += 4
-        name = raw[pos:pos + nlen].decode("utf-8")
-        pos += nlen
-        (count,) = struct.unpack_from("<Q", raw, pos)
-        pos += 8
-        nbytes = count * dtype.itemsize
-        if pos + nbytes > len(raw):
-            raise CheckpointError(f"truncated array {name}: need {nbytes} bytes")
-        arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=pos).copy()
-        pos += nbytes
+    try:
+        for _ in range(int(kv["n_arrays"])):
+            (nlen,) = struct.unpack_from("<I", raw, pos)
+            pos += 4
+            name = raw[pos:pos + nlen].decode("utf-8")
+            pos += nlen
+            (count,) = struct.unpack_from("<Q", raw, pos)
+            pos += 8
+            nbytes = count * dtype.itemsize
+            if pos + nbytes > len(raw):
+                raise CheckpointError(f"truncated array {name}: need {nbytes} bytes")
+            arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=pos).copy()
+            pos += nbytes
+    except struct.error:
+        # a cut inside a name length, a name or a count leaves a field short
+        raise CheckpointError(f"truncated checkpoint: ends inside an array field at byte {len(raw)}") from None
+    if pos != len(raw):
+        raise CheckpointError(f"{len(raw) - pos} trailing bytes after the last array")
 
     # shapes come from the config, counts are validated against it
     template = init_params(model_cfg, dtype=train_cfg.np_dtype)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -300,3 +302,54 @@ class TestStructuralOps:
 
                 x = t(rng.standard_normal((m, n)))
                 assert finite_difference_check(f, x) < 1e-5
+
+
+def no_grad(g):
+    return ()
+
+
+# the guard's fast path sums the output, and NumPy warns when that sum
+# overflows or meets +Inf and -Inf together
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestFiniteGuard:
+    @pytest.mark.parametrize("values", [[[np.nan, 1.0]], [[np.inf, 1.0]],
+                                        [[-np.inf, 1.0]], [[np.inf, -np.inf]]])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_raises_naming_the_op(self, values, dtype):
+        with pytest.raises(NumericError, match="probe_op"):
+            ad.custom_op(np.array(values, dtype=dtype), (), no_grad, "probe_op")
+
+    @pytest.mark.parametrize("values, dtype", [([[1e308, 1e308]], np.float64),
+                                               ([[3e38, 3e38]], np.float32)])
+    def test_finite_values_whose_sum_overflows_pass(self, values, dtype):
+        arr = np.array(values, dtype=dtype)
+        assert not np.isfinite(arr.sum())
+        out = ad.custom_op(arr, (), no_grad, "probe_op")
+        np.testing.assert_array_equal(out.data, arr)
+        assert out.dtype == dtype
+
+
+class TestGeluReference:
+    GRID = np.concatenate([np.linspace(-12.0, 12.0, 481),
+                           [-100.0, -30.0, -10.0, 10.0, 30.0, 100.0]]).reshape(1, -1)
+
+    @staticmethod
+    def reference(x):
+        c = math.sqrt(2.0 / math.pi)
+        return 0.5 * x * (1 + np.tanh(c * (x + 0.044715 * x ** 3)))
+
+    def test_float64_matches_reference(self):
+        x = self.GRID.astype(np.float64)
+        out = ad.gelu(t(x)).data
+        assert out.dtype == np.float64
+        np.testing.assert_allclose(out, self.reference(x), rtol=1e-14, atol=0)
+
+    def test_float32_matches_reference_and_keeps_dtype(self):
+        x = self.GRID.astype(np.float32)
+        out = ad.gelu(Tensor(x, requires_grad=True)).data
+        ref = self.reference(x)
+        assert out.dtype == np.float32 and ref.dtype == np.float32
+        # for x < 0 the factor (1 + tanh) cancels, so one float32 ulp of
+        # difference in the cube shows up as an absolute error near eps
+        np.testing.assert_allclose(out, ref, rtol=1e-6,
+                                   atol=np.finfo(np.float32).eps)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -187,3 +189,54 @@ class TestParsing:
         code, _, err = run(capsys, "train", "--data", "x", "--out", "y",
                            "--config", "epochs=soon")
         assert code == 1 and "epochs" in err
+
+
+def assert_one_line_error(code, err, expected_code, prefix):
+    assert code == expected_code
+    assert err.startswith(prefix)
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+class TestMalformedCheckpoint:
+    def eval_ckpt(self, capsys, dataset, path):
+        return run(capsys, "eval", "--data", str(dataset / "manifest.csv"),
+                   "--ckpt", str(path))
+
+    def test_shorter_than_preamble(self, dataset, tmp_path, capsys):
+        bad = tmp_path / "short.ckpt"
+        bad.write_bytes(b"LSNFRMT1\x01\x00")
+        code, _, err = self.eval_ckpt(capsys, dataset, bad)
+        assert_one_line_error(code, err, 2, "data error")
+
+    @pytest.mark.parametrize("field", ["name_length", "name", "count"])
+    def test_cut_inside_array_field(self, dataset, trained, tmp_path, capsys,
+                                    field):
+        raw = trained.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 8)
+        first = 12 + hlen  # start of the first array's name length
+        (nlen,) = struct.unpack_from("<I", raw, first)
+        cut = {"name_length": first + 2, "name": first + 4 + nlen - 1,
+               "count": first + 4 + nlen + 3}[field]
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes(raw[:cut])
+        code, _, err = self.eval_ckpt(capsys, dataset, bad)
+        assert_one_line_error(code, err, 2, "data error")
+
+    def test_trailing_bytes_rejected(self, dataset, trained, tmp_path, capsys):
+        bad = tmp_path / "trailing.ckpt"
+        bad.write_bytes(trained.read_bytes() + b"garbage")
+        code, _, err = self.eval_ckpt(capsys, dataset, bad)
+        assert_one_line_error(code, err, 2, "data error")
+        assert "trailing" in err
+
+
+class TestInvalidTrainConfig:
+    def test_zero_batch_size_is_usage_error(self, dataset, tmp_path, capsys):
+        code, _, err = run(capsys, "train", "--data",
+                           str(dataset / "manifest.csv"), "--out",
+                           str(tmp_path / "m.ckpt"), *SMALL,
+                           "--config", "batch_size=0")
+        assert_one_line_error(code, err, 1, "usage error")
+        assert "batch_size" in err
+        assert not (tmp_path / "m.ckpt").exists()

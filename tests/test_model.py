@@ -329,3 +329,29 @@ class TestConfigValidation:
     def test_indivisible_heads(self):
         with pytest.raises(DimensionError):
             tiny_config(embed_dim=8, heads=3).validate()
+
+
+class TestOpCensus:
+    # tape ops of one forward on the default config; every kind must stay
+    # present, since the traced benchmark reports a count per kind
+    DEFAULT_FORWARD = {"matmul": 46, "transpose": 22, "add": 16, "scale": 17,
+                       "scale_by": 16, "div_by": 1, "add_rowvec": 6,
+                       "slice_rows": 37, "slice_cols": 44, "concat_rows": 17,
+                       "concat_cols": 2, "sum_all": 1, "softmax_rows": 19,
+                       "layer_norm": 5, "gelu": 2, "pool_grid": 16}
+
+    def test_default_forward_op_counts(self, monkeypatch, rng):
+        counts = {}
+        original = ad.custom_op
+
+        def counting_custom_op(out_data, inputs, backward_fn, name):
+            counts[name] = counts.get(name, 0) + 1
+            return original(out_data, inputs, backward_fn, name)
+
+        monkeypatch.setattr(ad, "custom_op", counting_custom_op)
+        cfg = ModelConfig()
+        params = init_params(cfg)
+        forward(params, rng.random((cfg.image_h, cfg.image_w, cfg.channels)),
+                cfg, want_record=False)
+        assert sum(counts.values()) == 267
+        assert counts == self.DEFAULT_FORWARD
