@@ -12,15 +12,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data as dat
 from .autodiff import DimensionError, NumericError
 from .data import (ManifestError, NetpbmError, SynthConfig, load_image,
                    load_samples, split_samples, synth_generate, write_manifest,
                    write_netpbm)
 from .metrics import UndefinedMetricError
 from .model import ModelConfig, grad_cam, init_params
-from .training import (Checkpoint, CheckpointError, TrainConfig, evaluate,
-                       init_adam, load_checkpoint, save_checkpoint, train)
+from .training import (Checkpoint, CheckpointError, TrainConfig, config_lines,
+                       evaluate, init_adam, load_checkpoint, save_checkpoint,
+                       set_field, train)
 
 
 class UsageError(ValueError):
@@ -58,59 +58,29 @@ def cmd_synth(args):
     return 0
 
 
-_CONFIG_CLASSES = (ModelConfig, TrainConfig)
-
-
-def _valid_keys():
-    keys = []
-    for cls in _CONFIG_CLASSES:
-        keys += [f.name for f in dataclasses.fields(cls)]
-    return sorted(set(keys))
-
-
-def _coerce(default, raw, key):
-    try:
-        if isinstance(default, bool):
-            if raw not in ("true", "false"):
-                raise ValueError
-            return raw == "true"
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return raw
-    except ValueError:
-        raise UsageError(f"bad value {raw!r} for config key {key}") from None
-
-
 def parse_configs(pairs):
-    """Resolve repeated KEY=VAL flags against both config dataclasses.
+    """Resolve repeated KEY=VAL flags against the fields of both config
+    dataclasses.
 
-    ``seed`` is shared and applies to both.
+    ``seed`` is a field of both and applies to both.
     """
     model_cfg, train_cfg = ModelConfig(), TrainConfig()
-    valid = _valid_keys()
+    configs = [(cfg, {f.name for f in dataclasses.fields(cfg)})
+               for cfg in (model_cfg, train_cfg)]
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         if not sep:
             raise UsageError(f"config flag {pair!r} is not KEY=VAL")
-        matched = False
-        for cfg in (model_cfg, train_cfg):
-            if hasattr(cfg, key):
-                setattr(cfg, key, _coerce(getattr(cfg, key), raw, key))
-                matched = True
-        if not matched:
+        owners = [cfg for cfg, names in configs if key in names]
+        if not owners:
+            valid = sorted(set().union(*(names for _, names in configs)))
             raise UsageError(f"unknown config key {key!r}; valid keys: {', '.join(valid)}")
+        for cfg in owners:
+            try:
+                set_field(cfg, key, raw)
+            except ValueError as e:
+                raise UsageError(str(e)) from None
     return model_cfg, train_cfg
-
-
-def _dump_config(model_cfg, train_cfg):
-    for prefix, cfg in (("model", model_cfg), ("train", train_cfg)):
-        for f in dataclasses.fields(cfg):
-            v = getattr(cfg, f.name)
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            print(f"{prefix}.{f.name}={v}")
 
 
 def _print_report(rep):
@@ -120,13 +90,13 @@ def _print_report(rep):
 
 def cmd_train(args):
     model_cfg, train_cfg = parse_configs(args.config)
-    model_cfg.validate()
     try:
+        model_cfg.validate()
         train_cfg.validate()
     except ValueError as e:
         raise UsageError(str(e)) from None
     if args.dump_config:
-        _dump_config(model_cfg, train_cfg)
+        print("\n".join(config_lines("model", model_cfg) + config_lines("train", train_cfg)))
     samples = load_samples(args.data, (model_cfg.image_h, model_cfg.image_w),
                            model_cfg.channels)
     train_set, eval_set = split_samples(samples, train_cfg.eval_fraction,

@@ -9,15 +9,14 @@ MLP per pre-norm encoder block, attention-map extraction, and Grad-CAM.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import (DimensionError, NumericError, Tape, Tensor, add,
                        add_rowvec, concat_cols, concat_rows, div_by, gelu,
-                       layer_norm, matmul, mul, pool_grid, scale, scale_by,
-                       slice_cols, slice_rows, softmax_rows, sub, sum_all,
+                       layer_norm, matmul, pool_grid, scale, scale_by,
+                       slice_cols, slice_rows, softmax_rows, sum_all,
                        transpose)
 
 
@@ -73,7 +72,7 @@ class ModelConfig:
 class AttentionRecord:
     """Per-layer, per-head, per-scale attention matrices and the focus map.
 
-    ``attn[layer][head][scale]`` is the softmaxed score matrix (numpy copy);
+    ``attn[layer][head][scale]`` is the softmaxed score matrix (not a copy);
     ``focus_map`` is the head-mean class-token-to-patch attention of the
     final layer at the unpooled scale, renormalized to sum to 1, reshaped
     to the patch grid.
@@ -108,17 +107,10 @@ class ModelParams:
     def names(self):
         return list(self.tensors)
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.data for k, v in self.tensors.items()}
-
     def check_finite(self):
         for name, t in self.tensors.items():
             if not np.all(np.isfinite(t.data)):
                 raise NumericError(f"non-finite values in parameter {name}")
-
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams({k: Tensor(v.data.astype(dtype), requires_grad=True)
-                            for k, v in self.tensors.items()})
 
 
 def init_params(cfg: ModelConfig, dtype=np.float64) -> ModelParams:
@@ -208,8 +200,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 
 def multi_scale_attention(params: ModelParams, layer: int, x: Tensor,
-                          cfg: ModelConfig, record: AttentionRecord | None = None,
-                          keep_s1=False):
+                          cfg: ModelConfig):
     """Multi-head attention fused over scales.
 
     For scale s, key/value patch rows (class token excluded) are
@@ -218,7 +209,7 @@ def multi_scale_attention(params: ModelParams, layer: int, x: Tensor,
     concatenated and projected. With ``literal_multiscale`` every scale
     uses the unpooled keys/values.
 
-    Returns (output, s1_attention_tensors_per_head).
+    Returns (output, attention tensors indexed ``[head][scale]``).
     """
     pre = f"layer{layer}."
     h, dk, S = cfg.heads, cfg.head_dim, cfg.scales
@@ -231,8 +222,7 @@ def multi_scale_attention(params: ModelParams, layer: int, x: Tensor,
     w = softmax_rows(params[pre + "scale_logits"])  # 1 x S
 
     head_outs = []
-    s1_attns = []
-    rec_layer = [] if record is not None else None
+    attns = []
     for i in range(h):
         qh = slice_cols(q_full, i * dk, (i + 1) * dk)
         kh = slice_cols(k_full, i * dk, (i + 1) * dk)
@@ -240,7 +230,7 @@ def multi_scale_attention(params: ModelParams, layer: int, x: Tensor,
         kh_cls, kh_pat = slice_rows(kh, 0, 1), slice_rows(kh, 1, n)
         vh_cls, vh_pat = slice_rows(vh, 0, 1), slice_rows(vh, 1, n)
         combined = None
-        rec_head = [] if rec_layer is not None else None
+        head_attns = []
         for s in range(S):
             if cfg.literal_multiscale or s == 0:
                 ks, vs = kh, vh
@@ -250,33 +240,29 @@ def multi_scale_attention(params: ModelParams, layer: int, x: Tensor,
                 vs = concat_rows([vh_cls, pool_grid(vh_pat, G, win)])
             scores = scale(matmul(qh, transpose(ks)), 1.0 / math.sqrt(dk))
             attn = softmax_rows(scores)
-            if rec_head is not None:
-                rec_head.append(attn.data.copy())
-            if s == 0 and keep_s1:
-                s1_attns.append(attn)
+            head_attns.append(attn)
             out_s = scale_by(matmul(attn, vs), slice_cols(w, s, s + 1))
             combined = out_s if combined is None else add(combined, out_s)
         head_outs.append(combined)
-        if rec_layer is not None:
-            rec_layer.append(rec_head)
-    if rec_layer is not None:
-        record.attn.append(rec_layer)
-    return matmul(concat_cols(head_outs), params[pre + "wo"]), s1_attns
+        attns.append(head_attns)
+    return matmul(concat_cols(head_outs), params[pre + "wo"]), attns
 
 
-def encoder_block(params: ModelParams, layer: int, z: Tensor, cfg: ModelConfig,
-                  record: AttentionRecord | None = None, keep_s1=False):
-    """Pre-norm block: z + MSAttn(LN(z)), then + MLP(LN(.))."""
+def encoder_block(params: ModelParams, layer: int, z: Tensor, cfg: ModelConfig):
+    """Pre-norm block: z + MSAttn(LN(z)), then + MLP(LN(.)).
+
+    Returns (output, the attention tensors of :func:`multi_scale_attention`).
+    """
     pre = f"layer{layer}."
     a = layer_norm(z, params[pre + "ln1.g"], params[pre + "ln1.b"])
-    attn_out, s1_attns = multi_scale_attention(params, layer, a, cfg, record, keep_s1)
+    attn_out, attns = multi_scale_attention(params, layer, a, cfg)
     z = add(z, attn_out)
     b = layer_norm(z, params[pre + "ln2.g"], params[pre + "ln2.b"])
     hidden = gelu(add_rowvec(matmul(b, transpose(params[pre + "mlp.w1"])),
                              params[pre + "mlp.b1"]))
     mlp_out = add_rowvec(matmul(hidden, transpose(params[pre + "mlp.w2"])),
                          params[pre + "mlp.b2"])
-    return add(z, mlp_out), s1_attns
+    return add(z, mlp_out), attns
 
 
 def forward(params: ModelParams, image: np.ndarray, cfg: ModelConfig,
@@ -285,24 +271,25 @@ def forward(params: ModelParams, image: np.ndarray, cfg: ModelConfig,
     dtype = params["pos"].dtype
     patches = patchify(np.asarray(image, dtype=dtype), cfg)
     z = embed(params, Tensor(patches), cfg)
-    record = AttentionRecord(attn=[]) if want_record else None
-    last_s1 = []
+    attns = []
     tokens = z
     for i in range(cfg.layers):
-        keep = i == cfg.layers - 1
-        if keep:
-            tokens = z
-        z, s1 = encoder_block(params, i, z, cfg, record, keep_s1=keep)
-        if keep:
-            last_s1 = s1
+        tokens = z
+        z, layer_attns = encoder_block(params, i, z, cfg)
+        attns.append(layer_attns)
     z = layer_norm(z, params["final_ln.g"], params["final_ln.b"])
     cls_row = slice_rows(z, 0, 1)
     logits = add_rowvec(matmul(cls_row, transpose(params["head.w"])), params["head.b"])
     probs = softmax_rows(logits)
 
-    focus = focus_from_attention(last_s1, cfg)
-    if record is not None and focus is not None:
-        record.focus_map = focus.data.reshape(cfg.grid_side, cfg.grid_side).copy()
+    last = attns[-1] if attns else []
+    focus = focus_from_attention([head[0] for head in last], cfg)
+    record = None
+    if want_record:
+        record = AttentionRecord(attn=[[[a.data for a in head] for head in layer]
+                                       for layer in attns])
+        if focus is not None:
+            record.focus_map = focus.data.reshape(cfg.grid_side, cfg.grid_side)
     return ForwardResult(logits=logits, probs=probs, record=record,
                          focus=focus, tokens=tokens)
 

@@ -33,10 +33,8 @@ class TrainConfig:
     attn_mode: str = "focusing"
     weight_epsilon: float = 1e-6
     seed: int = 0
-    eval_every: int = 0          # 0 disables mid-run evaluation
     eval_fraction: float = 0.2
     dtype: str = "float64"
-    dynamic_weights: bool = False
     cosine_decay: bool = False
 
     def validate(self):
@@ -124,11 +122,6 @@ def train(params: ModelParams, model_cfg: ModelConfig, train_cfg: TrainConfig,
         if epoch != perm_epoch:
             perm = _epoch_permutation(train_cfg.seed, epoch, n)
             perm_epoch = epoch
-            if train_cfg.dynamic_weights:
-                epoch_samples = [samples[i] for i in perm]
-                weights = losses.class_weights(
-                    class_frequencies(epoch_samples, model_cfg.classes),
-                    train_cfg.weight_epsilon)
         batch = [samples[i] for i in perm[pos * b:(pos + 1) * b]]
         lr = train_cfg.learning_rate
         if train_cfg.cosine_decay:
@@ -198,7 +191,9 @@ class Checkpoint:
     step: int
 
 
-def _cfg_lines(prefix, cfg):
+def config_lines(prefix, cfg):
+    """One ``prefix.field=value`` line per dataclass field of ``cfg``:
+    booleans as ``true``/``false``, floats by repr, the rest by str."""
     out = []
     for f in dataclasses.fields(cfg):
         v = getattr(cfg, f.name)
@@ -209,24 +204,22 @@ def _cfg_lines(prefix, cfg):
         out.append(f"{prefix}.{f.name}={v}")
     return out
 
-def _cfg_from(prefix, kv, cls):
-    defaults = cls()
-    kwargs = {}
-    for f in dataclasses.fields(cls):
-        key = f"{prefix}.{f.name}"
-        if key not in kv:
-            raise CheckpointError(f"checkpoint header missing {key}")
-        raw = kv[key]
-        default = getattr(defaults, f.name)
-        if isinstance(default, bool):
-            kwargs[f.name] = raw == "true"
-        elif isinstance(default, int):
-            kwargs[f.name] = int(raw)
-        elif isinstance(default, float):
-            kwargs[f.name] = float(raw)
+
+def set_field(cfg, name, raw):
+    """Set field ``name`` of ``cfg`` from text written by :func:`config_lines`.
+
+    ``raw`` is parsed as the type of the field's current value; a boolean
+    accepts only ``true`` or ``false``. Malformed text raises ValueError.
+    """
+    old = getattr(cfg, name)
+    try:
+        if isinstance(old, bool):
+            value = {"true": True, "false": False}[raw]
         else:
-            kwargs[f.name] = raw
-    return cls(**kwargs)
+            value = type(old)(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"bad value {raw!r} for config key {name}") from None
+    setattr(cfg, name, value)
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
@@ -246,8 +239,8 @@ def save_checkpoint(path, ckpt: Checkpoint):
         f"opt_t={ckpt.opt.t if ckpt.opt is not None else -1}",
         f"n_arrays={len(arrays)}",
     ]
-    header_lines += _cfg_lines("model", ckpt.model_config)
-    header_lines += _cfg_lines("train", ckpt.train_config)
+    header_lines += config_lines("model", ckpt.model_config)
+    header_lines += config_lines("train", ckpt.train_config)
     header = ("\n".join(header_lines) + "\n").encode("utf-8")
     parts = [MAGIC, struct.pack("<I", len(header)), header]
     for name, arr in arrays:
@@ -270,21 +263,30 @@ def load_checkpoint(path) -> Checkpoint:
     (hlen,) = struct.unpack_from("<I", raw, 8)
     if 12 + hlen > len(raw):
         raise CheckpointError(f"truncated header: need {hlen} bytes")
-    header = raw[12:12 + hlen].decode("utf-8")
-    kv = {}
-    for line in header.splitlines():
-        if line:
-            k, _, v = line.partition("=")
-            kv[k] = v
-    if int(kv.get("format_version", -1)) != FORMAT_VERSION:
-        raise CheckpointError(f"unknown format version {kv.get('format_version')!r}")
-    model_cfg = _cfg_from("model", kv, ModelConfig)
-    train_cfg = _cfg_from("train", kv, TrainConfig)
+    # unknown keys are ignored, so a checkpoint that still carries a
+    # since-removed config field loads; a missing key is an error
+    try:
+        kv = {}
+        for line in raw[12:12 + hlen].decode("utf-8").splitlines():
+            if line:
+                k, _, v = line.partition("=")
+                kv[k] = v
+        if int(kv["format_version"]) != FORMAT_VERSION:
+            raise ValueError(f"unknown format version {kv['format_version']!r}")
+        model_cfg, train_cfg = ModelConfig(), TrainConfig()
+        for prefix, cfg in (("model", model_cfg), ("train", train_cfg)):
+            for f in dataclasses.fields(cfg):
+                set_field(cfg, f.name, kv[f"{prefix}.{f.name}"])
+        step, opt_t, n_arrays = int(kv["step"]), int(kv["opt_t"]), int(kv["n_arrays"])
+    except KeyError as e:
+        raise CheckpointError(f"checkpoint header missing {e.args[0]}") from None
+    except ValueError as e:  # also a header that is not UTF-8
+        raise CheckpointError(f"bad checkpoint header: {e}") from None
     dtype = np.dtype(train_cfg.np_dtype).newbyteorder("<")
     pos = 12 + hlen
     arrays = {}
     try:
-        for _ in range(int(kv["n_arrays"])):
+        for _ in range(n_arrays):
             (nlen,) = struct.unpack_from("<I", raw, pos)
             pos += 4
             name = raw[pos:pos + nlen].decode("utf-8")
@@ -316,7 +318,6 @@ def load_checkpoint(path) -> Checkpoint:
                                requires_grad=True)
     params = ModelParams(tensors)
     opt = None
-    opt_t = int(kv.get("opt_t", -1))
     if opt_t >= 0:
         opt = AdamState(m={}, v={}, t=opt_t)
         for name, t in template.items():
@@ -326,4 +327,4 @@ def load_checkpoint(path) -> Checkpoint:
                     raise CheckpointError(f"checkpoint missing optimizer array {key}")
                 store[name] = arrays[key].reshape(t.data.shape).astype(train_cfg.np_dtype)
     return Checkpoint(model_config=model_cfg, train_config=train_cfg,
-                      params=params, opt=opt, step=int(kv["step"]))
+                      params=params, opt=opt, step=step)

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 
 from lesionformer.cli import main, parse_configs
 from lesionformer.data import read_manifest, read_netpbm
+from lesionformer.model import ModelConfig
+from lesionformer.training import TrainConfig
 
 
 def run(capsys, *argv):
@@ -240,3 +244,72 @@ class TestInvalidTrainConfig:
         assert_one_line_error(code, err, 1, "usage error")
         assert "batch_size" in err
         assert not (tmp_path / "m.ckpt").exists()
+
+
+class TestInvalidModelConfig:
+    def test_indivisible_embed_dim_is_usage_error(self, dataset, tmp_path,
+                                                  capsys):
+        code, _, err = run(capsys, "train", "--data",
+                           str(dataset / "manifest.csv"), "--out",
+                           str(tmp_path / "m.ckpt"), "--config", "embed_dim=30")
+        assert_one_line_error(code, err, 1, "usage error")
+        assert "embed_dim" in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("pair", ["grid_side=3", "np_dtype=x", "validate=1",
+                                      "num_patches=4", "mlp_hidden=8"])
+    def test_property_or_method_is_unknown_key(self, dataset, tmp_path, capsys,
+                                               pair):
+        code, _, err = run(capsys, "train", "--data",
+                           str(dataset / "manifest.csv"), "--out",
+                           str(tmp_path / "m.ckpt"), *SMALL, "--config", pair)
+        assert_one_line_error(code, err, 1, "usage error")
+        assert "unknown config key" in err and "valid keys" in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+
+def with_header(raw, edit):
+    """``raw`` checkpoint bytes with the header replaced by ``edit(header)``."""
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    header = edit(raw[12:12 + hlen])
+    return raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + hlen:]
+
+
+def drop_line(key):
+    return lambda h: re.sub(rb"(?m)^" + key + rb"=.*\n", b"", h)
+
+
+class TestMalformedHeader:
+    @pytest.mark.parametrize("edit", [
+        lambda h: b"\xff\xfe" + h,
+        lambda h: h.replace(b"format_version=1\n", b"format_version=x\n"),
+        lambda h: h.replace(b"model.image_h=8\n", b"model.image_h=x\n"),
+        drop_line(b"step"),
+        drop_line(b"n_arrays"),
+    ], ids=["non_utf8", "format_version", "image_h", "no_step", "no_n_arrays"])
+    def test_eval_exits_with_data_error(self, dataset, trained, tmp_path, capsys,
+                                        edit):
+        raw = trained.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(with_header(raw, edit))
+        assert bad.read_bytes() != raw
+        code, _, err = run(capsys, "eval", "--data",
+                           str(dataset / "manifest.csv"), "--ckpt", str(bad))
+        assert_one_line_error(code, err, 2, "data error")
+
+
+class TestDumpConfig:
+    def test_prints_the_checkpoint_config_lines(self, dataset, tmp_path, capsys):
+        ckpt = tmp_path / "m.ckpt"
+        code, out, _ = run(capsys, "train", "--data",
+                           str(dataset / "manifest.csv"), "--out", str(ckpt),
+                           "--dump-config", *SMALL, "--config", "cosine_decay=true",
+                           "--config", "learning_rate=0.1")
+        assert code == 0
+        raw = ckpt.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 8)
+        header = raw[12:12 + hlen].decode("utf-8").splitlines()
+        config = [l for l in header if l.startswith(("model.", "train."))]
+        assert len(config) == (len(dataclasses.fields(ModelConfig))
+                               + len(dataclasses.fields(TrainConfig)))
+        assert out.splitlines()[:len(config)] == config

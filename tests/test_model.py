@@ -355,3 +355,21 @@ class TestOpCensus:
                 cfg, want_record=False)
         assert sum(counts.values()) == 267
         assert counts == self.DEFAULT_FORWARD
+
+
+class TestAttentionRecord:
+    def test_focus_map_is_head_mean_of_last_layer_scale0_cls_row(self, rng):
+        cfg = tiny_config(layers=2, scales=2)
+        res = forward(init_params(cfg), rng.random((8, 8, 1)), cfg)
+        assert [[len(head) for head in layer] for layer in res.record.attn] == \
+               [[cfg.scales] * cfg.heads] * cfg.layers
+        row = np.mean([head[0][0, 1:] for head in res.record.attn[-1]], axis=0)
+        np.testing.assert_allclose(res.record.focus_map.ravel(), row / row.sum(),
+                                   rtol=1e-12)
+        assert np.array_equal(res.focus.data.ravel(), res.record.focus_map.ravel())
+
+    def test_no_layers_means_no_focus(self, rng):
+        cfg = tiny_config(layers=0)
+        res = forward(init_params(cfg), rng.random((8, 8, 1)), cfg)
+        assert res.focus is None
+        assert res.record.attn == [] and res.record.focus_map is None

@@ -1,7 +1,11 @@
 import copy
+import dataclasses
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lesionformer.autodiff import NumericError, Tensor
 from lesionformer.data import SynthConfig, Sample, synth_generate
@@ -10,6 +14,7 @@ from lesionformer.training import (AdamState, Checkpoint, CheckpointError,
                                    MAGIC, TrainConfig, adam_step, evaluate,
                                    init_adam, load_checkpoint, save_checkpoint,
                                    train, train_step)
+from lesionformer.training import config_lines, set_field
 
 
 def tiny_samples(n, seed=1, grayscale=True):
@@ -240,3 +245,60 @@ class TestResume:
         train(ck.params, ck.model_config, ck.train_config, samples,
               state=ck.opt, start_step=ck.step)
         assert params_equal(ck.params, clone_params(params_a))
+
+
+class TestConfigCodec:
+    def test_removed_fields_in_old_header_are_ignored(self, tmp_path,
+                                                      tiny_config):
+        params, mc, tc, _ = fresh(tiny_config)
+        path = tmp_path / "new.ckpt"
+        save_checkpoint(path, Checkpoint(mc, tc, params, init_adam(params), step=0))
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 8)
+        header = raw[12:12 + hlen].replace(
+            b"train.eval_fraction=",
+            b"train.eval_every=0\ntrain.dynamic_weights=true\ntrain.eval_fraction=")
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header
+                        + raw[12 + hlen:])
+        back = load_checkpoint(old)
+        assert back.train_config == tc and back.model_config == mc
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(again, back)
+        assert b"eval_every" not in again.read_bytes()
+        assert b"dynamic_weights" not in again.read_bytes()
+        assert again.read_bytes() == raw
+
+    @staticmethod
+    def field_values(cls):
+        strategy = {
+            bool: st.booleans(),
+            int: st.integers(-2 ** 63, 2 ** 63),
+            float: st.one_of(st.sampled_from([0.1, 1e-300, 5e-324, -0.0]),
+                             st.floats(allow_nan=False)),
+            # a line break would end the header line
+            str: st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"))),
+        }
+        return st.fixed_dictionaries(
+            {f.name: strategy[type(f.default)] for f in dataclasses.fields(cls)})
+
+    @given(model=field_values(ModelConfig), train=field_values(TrainConfig))
+    @settings(max_examples=100, deadline=None)
+    def test_config_lines_set_field_round_trip(self, model, train):
+        for prefix, cls, values in (("model", ModelConfig, model),
+                                    ("train", TrainConfig, train)):
+            cfg, back = cls(**values), cls()
+            for line in config_lines(prefix, cfg):
+                key, _, raw = line.partition("=")
+                set_field(back, key[len(prefix) + 1:], raw)
+            for f in dataclasses.fields(cls):
+                want, got = getattr(cfg, f.name), getattr(back, f.name)
+                assert type(got) is type(want) and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("name, raw", [("epochs", "2.5"), ("epochs", ""),
+                                           ("learning_rate", "fast"),
+                                           ("cosine_decay", "1"),
+                                           ("cosine_decay", "True")])
+    def test_set_field_rejects_malformed_text(self, name, raw):
+        with pytest.raises(ValueError, match=name):
+            set_field(TrainConfig(), name, raw)
