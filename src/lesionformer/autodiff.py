@@ -8,6 +8,7 @@ A tape lives for one forward/backward pass and is discarded afterwards.
 
 from __future__ import annotations
 
+import contextvars
 import math
 
 import numpy as np
@@ -57,32 +58,29 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
+_ACTIVE_TAPE = contextvars.ContextVar("active_tape", default=None)
+
+
 class Tape:
     """Ordered record of ops for one forward pass; replayed in reverse.
 
-    Use as a context manager. Only one tape may be active per thread of
-    execution; training is single-threaded per pass by contract.
+    Use as a context manager. Only one tape may be active per thread (per
+    context); threads each record on their own tape.
     """
-
-    _active = None
 
     def __init__(self):
         self._records = []  # (out, inputs, backward_fn)
         self._output_ids = set()
         self._grads = None
 
-    @classmethod
-    def current(cls):
-        return cls._active
-
     def __enter__(self):
-        if Tape._active is not None:
+        if _ACTIVE_TAPE.get() is not None:
             raise TapeError("a tape is already active")
-        Tape._active = self
+        self._token = _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, *exc):
-        Tape._active = None
+        _ACTIVE_TAPE.reset(self._token)
         return False
 
     def _record(self, out, inputs, backward_fn):
@@ -142,7 +140,7 @@ def custom_op(out_data, inputs, backward_fn, name):
     _finite_or_raise(out_data, name)
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=requires)
-    tape = Tape.current()
+    tape = _ACTIVE_TAPE.get()
     if tape is not None and requires:
         tape._record(out, list(inputs), backward_fn)
     return out

@@ -98,9 +98,12 @@ def cmd_train(args):
     if args.dump_config:
         print("\n".join(config_lines("model", model_cfg) + config_lines("train", train_cfg)))
     samples = load_samples(args.data, (model_cfg.image_h, model_cfg.image_w),
-                           model_cfg.channels)
+                           model_cfg.channels, model_cfg.classes)
     train_set, eval_set = split_samples(samples, train_cfg.eval_fraction,
                                         train_cfg.seed)
+    if not train_set:
+        raise UsageError(f"eval_fraction {train_cfg.eval_fraction} leaves no "
+                         f"training sample of {len(samples)}")
     params = init_params(model_cfg, dtype=train_cfg.np_dtype)
     state = init_adam(params)
 
@@ -124,7 +127,8 @@ def cmd_train(args):
 def cmd_eval(args):
     ckpt = load_checkpoint(args.ckpt)
     cfg = ckpt.model_config
-    samples = load_samples(args.data, (cfg.image_h, cfg.image_w), cfg.channels)
+    samples = load_samples(args.data, (cfg.image_h, cfg.image_w), cfg.channels,
+                           cfg.classes)
     rep, _, _ = evaluate(ckpt.params, cfg, samples)
     _print_report(rep)
     return 0

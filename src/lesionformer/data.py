@@ -3,7 +3,7 @@
 Binary netpbm (P5/P6, maxval 255) readers and writers, a manifest format
 (`image,label,mask` CSV), a deterministic synthetic lesion generator for
 desk-scale verification, mask reduction to the patch grid, class
-frequencies, and rigid-transform augmentation.
+frequencies, and a seeded train/eval split.
 """
 
 from __future__ import annotations
@@ -158,7 +158,9 @@ def write_manifest(path, rows):
             writer.writerow([image, label, mask or ""])
 
 
-def read_manifest(path):
+def read_manifest(path, classes=None):
+    """Rows of (image, label, mask or None); with ``classes`` given, a label
+    outside [0, classes) is an error naming its line."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -178,15 +180,21 @@ def read_manifest(path):
                 raise ManifestError(f"{path}:{lineno}: non-integer label {label!r}") from None
             if label < 0:
                 raise ManifestError(f"{path}:{lineno}: negative label {label}")
+            if classes is not None and label >= classes:
+                raise ManifestError(
+                    f"{path}:{lineno}: label {label} out of range for {classes} classes")
             rows.append((image, label, mask or None))
+    if not rows:
+        raise ManifestError(f"{path}: no sample rows")
     return rows
 
 
-def load_samples(manifest_path, target_hw, channels) -> list[Sample]:
-    """Load every manifest row; paths are resolved relative to the manifest."""
+def load_samples(manifest_path, target_hw, channels, classes=None) -> list[Sample]:
+    """Load every manifest row; paths are resolved relative to the manifest.
+    ``classes`` bounds the labels as in :func:`read_manifest`."""
     base = Path(manifest_path).parent
     samples = []
-    for image_rel, label, mask_rel in read_manifest(manifest_path):
+    for image_rel, label, mask_rel in read_manifest(manifest_path, classes):
         image = load_image(base / image_rel, target_hw, channels)
         mask = load_mask(base / mask_rel, target_hw) if mask_rel else None
         samples.append(Sample(image=image, label=label, mask=mask, id=image_rel))
@@ -307,37 +315,6 @@ def mask_to_patch_grid(mask: np.ndarray, patch: int) -> np.ndarray:
     gh, gw = h // patch, w // patch
     blocks = mask.reshape(gh, patch, gw, patch)
     return blocks.sum(axis=(1, 3)) / (patch * patch)
-
-
-# ---------------------------------------------------------------------------
-# augmentation
-
-_TRANSFORMS = {
-    "hflip": lambda a: np.flip(a, axis=1),
-    "vflip": lambda a: np.flip(a, axis=0),
-    "rot90": lambda a: np.rot90(a, 1, axes=(0, 1)),
-    "rot180": lambda a: np.rot90(a, 2, axes=(0, 1)),
-    "rot270": lambda a: np.rot90(a, 3, axes=(0, 1)),
-}
-
-
-def augment(sample: Sample, policy, rng) -> Sample:
-    """Apply one rng-chosen transform from the policy to image and mask."""
-    policy = list(policy)
-    for name in policy:
-        if name not in _TRANSFORMS:
-            raise ValueError(f"unknown transform {name!r}; valid: {sorted(_TRANSFORMS)}")
-    if not policy:
-        return sample
-    name = policy[int(rng.integers(len(policy)))]
-    return apply_transform(sample, name)
-
-
-def apply_transform(sample: Sample, name) -> Sample:
-    fn = _TRANSFORMS[name]
-    mask = np.ascontiguousarray(fn(sample.mask)) if sample.mask is not None else None
-    return Sample(image=np.ascontiguousarray(fn(sample.image)),
-                  label=sample.label, mask=mask, id=sample.id)
 
 
 def split_samples(samples, eval_fraction, seed):

@@ -33,19 +33,27 @@ class ModelConfig:
     mlp_ratio: float = 2.0
     classes: int = 3
     seed: int = 0
-    literal_multiscale: bool = False
 
     def validate(self):
+        for name in ("image_h", "image_w", "channels", "patch", "embed_dim",
+                     "heads", "scales", "classes"):
+            if getattr(self, name) < 1:
+                raise DimensionError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.layers < 0:
+            raise DimensionError(f"layers must be >= 0, got {self.layers}")
+        if self.seed < 0:
+            raise DimensionError(f"seed must be >= 0, got {self.seed}")
+        if not 1 <= self.mlp_ratio * self.embed_dim < math.inf:
+            raise DimensionError(
+                f"mlp_ratio {self.mlp_ratio} must give a finite MLP width >= 1")
         if self.image_h % self.patch or self.image_w % self.patch:
             raise DimensionError(
                 f"image {self.image_h}x{self.image_w} not divisible by patch {self.patch}")
         if self.embed_dim % self.heads:
             raise DimensionError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        if self.scales < 1:
-            raise DimensionError("scales must be >= 1")
         window = 2 ** (self.scales - 1)
-        if not self.literal_multiscale and window > self.grid_side:
+        if window > self.grid_side:
             raise DimensionError(
                 f"pooling window {window} exceeds patch grid side {self.grid_side}")
         if self.image_h != self.image_w:
@@ -204,44 +212,41 @@ def multi_scale_attention(params: ModelParams, layer: int, x: Tensor,
     """Multi-head attention fused over scales.
 
     For scale s, key/value patch rows (class token excluded) are
-    average-pooled over the patch grid with window 2**(s-1); per-scale
+    average-pooled over the patch grid with window 2**s; per-scale
     outputs are combined with softmaxed learned scale weights, heads are
-    concatenated and projected. With ``literal_multiscale`` every scale
-    uses the unpooled keys/values.
+    concatenated and projected. Each scale's keys and values are built
+    once on all D columns; a head cuts out its own dk columns.
 
     Returns (output, attention tensors indexed ``[head][scale]``).
     """
     pre = f"layer{layer}."
-    h, dk, S = cfg.heads, cfg.head_dim, cfg.scales
-    G = cfg.grid_side
+    dk, S, G = cfg.head_dim, cfg.scales, cfg.grid_side
     n = x.shape[0]
 
-    q_full = matmul(x, params[pre + "wq"])
-    k_full = matmul(x, params[pre + "wk"])
-    v_full = matmul(x, params[pre + "wv"])
+    q = matmul(x, params[pre + "wq"])
+    k = matmul(x, params[pre + "wk"])
+    v = matmul(x, params[pre + "wv"])
     w = softmax_rows(params[pre + "scale_logits"])  # 1 x S
+    k_cls, k_pat = slice_rows(k, 0, 1), slice_rows(k, 1, n)
+    v_cls, v_pat = slice_rows(v, 0, 1), slice_rows(v, 1, n)
+    # per scale: transposed keys (D x n_s), values (n_s x D), weight (1 x 1)
+    keys_t, values = [transpose(k)], [v]
+    for s in range(1, S):
+        keys_t.append(transpose(concat_rows([k_cls, pool_grid(k_pat, G, 2 ** s)])))
+        values.append(concat_rows([v_cls, pool_grid(v_pat, G, 2 ** s)]))
+    weights = [slice_cols(w, s, s + 1) for s in range(S)]
 
     head_outs = []
     attns = []
-    for i in range(h):
-        qh = slice_cols(q_full, i * dk, (i + 1) * dk)
-        kh = slice_cols(k_full, i * dk, (i + 1) * dk)
-        vh = slice_cols(v_full, i * dk, (i + 1) * dk)
-        kh_cls, kh_pat = slice_rows(kh, 0, 1), slice_rows(kh, 1, n)
-        vh_cls, vh_pat = slice_rows(vh, 0, 1), slice_rows(vh, 1, n)
+    for lo in range(0, cfg.embed_dim, dk):
+        qh = slice_cols(q, lo, lo + dk)
         combined = None
         head_attns = []
-        for s in range(S):
-            if cfg.literal_multiscale or s == 0:
-                ks, vs = kh, vh
-            else:
-                win = 2 ** s
-                ks = concat_rows([kh_cls, pool_grid(kh_pat, G, win)])
-                vs = concat_rows([vh_cls, pool_grid(vh_pat, G, win)])
-            scores = scale(matmul(qh, transpose(ks)), 1.0 / math.sqrt(dk))
+        for kt, vs, ws in zip(keys_t, values, weights):
+            scores = scale(matmul(qh, slice_rows(kt, lo, lo + dk)), 1.0 / math.sqrt(dk))
             attn = softmax_rows(scores)
             head_attns.append(attn)
-            out_s = scale_by(matmul(attn, vs), slice_cols(w, s, s + 1))
+            out_s = scale_by(matmul(attn, slice_cols(vs, lo, lo + dk)), ws)
             combined = out_s if combined is None else add(combined, out_s)
         head_outs.append(combined)
         attns.append(head_attns)

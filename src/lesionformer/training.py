@@ -38,10 +38,20 @@ class TrainConfig:
     cosine_decay: bool = False
 
     def validate(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # the float checks are written `not ok` so that NaN fails them
+        if not 0 <= self.eval_fraction < 1:
+            raise ValueError(f"eval_fraction must lie in [0, 1), got {self.eval_fraction}")
+        if not self.lambda_attn >= 0:
+            raise ValueError(f"lambda_attn must be >= 0, got {self.lambda_attn}")
+        for name in ("learning_rate", "weight_epsilon", "adam_eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("adam betas must lie in (0, 1)")
         if self.attn_mode not in ("literal", "focusing"):
@@ -264,7 +274,9 @@ def load_checkpoint(path) -> Checkpoint:
     if 12 + hlen > len(raw):
         raise CheckpointError(f"truncated header: need {hlen} bytes")
     # unknown keys are ignored, so a checkpoint that still carries a
-    # since-removed config field loads; a missing key is an error
+    # since-removed config field loads; a missing key is an error. The one
+    # exception: model.literal_multiscale=true named a model that attended
+    # unpooled keys at every scale, which this code no longer computes.
     try:
         kv = {}
         for line in raw[12:12 + hlen].decode("utf-8").splitlines():
@@ -277,6 +289,11 @@ def load_checkpoint(path) -> Checkpoint:
         for prefix, cfg in (("model", model_cfg), ("train", train_cfg)):
             for f in dataclasses.fields(cfg):
                 set_field(cfg, f.name, kv[f"{prefix}.{f.name}"])
+        if kv.get("model.literal_multiscale", "false") != "false":
+            raise ValueError(f"model.literal_multiscale="
+                             f"{kv['model.literal_multiscale']} is not supported")
+        model_cfg.validate()
+        train_cfg.validate()
         step, opt_t, n_arrays = int(kv["step"]), int(kv["opt_t"]), int(kv["n_arrays"])
     except KeyError as e:
         raise CheckpointError(f"checkpoint header missing {e.args[0]}") from None

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -216,6 +218,52 @@ class TestBackward:
     def test_nan_forward_is_an_error(self):
         with pytest.raises(NumericError):
             ad.scale(t([[1e308]]), 1e308)
+
+
+class TestTapePerThread:
+    def test_nested_tape_in_one_thread_rejected(self):
+        with Tape():
+            with pytest.raises(TapeError):
+                with Tape():
+                    pass
+
+    def test_threads_record_on_their_own_tapes(self, rng):
+        n = 4  # more threads than a small host has cores, so they preempt
+        xs = [t(rng.standard_normal((3, 4))) for _ in range(n)]
+        w = t(rng.standard_normal((4, 4)))  # shared, like model parameters
+
+        def grads(x, midway=lambda: None):
+            with Tape() as tape:
+                h = ad.matmul(x, w)
+                midway()  # every thread holds an open tape here
+                tape.backward(ad.sum_all(ad.mul(h, h)))
+                return tape.grad(x).copy(), tape.grad(w).copy()
+
+        expected = [grads(x) for x in xs]
+        barrier = threading.Barrier(n, timeout=30)
+        results, errors = [None] * n, []
+
+        def work(i):
+            try:
+                results[i] = grads(xs[i], barrier.wait)
+            except Exception as e:  # reported below, after all joined
+                errors.append(e)
+                barrier.abort()
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors, errors
+        for got, want in zip(results, expected):
+            assert all(np.array_equal(g, e) for g, e in zip(got, want))
 
 
 class TestFiniteDifferenceCheck:

@@ -184,10 +184,8 @@ class TestParsing:
         assert model_cfg.seed == 42 and train_cfg.seed == 42
 
     def test_bool_coercion(self):
-        model_cfg, train_cfg = parse_configs(["cosine_decay=true",
-                                              "literal_multiscale=true"])
+        _, train_cfg = parse_configs(["cosine_decay=true"])
         assert train_cfg.cosine_decay is True
-        assert model_cfg.literal_multiscale is True
 
     def test_bad_value_type(self, capsys):
         code, _, err = run(capsys, "train", "--data", "x", "--out", "y",
@@ -313,3 +311,67 @@ class TestDumpConfig:
         assert len(config) == (len(dataclasses.fields(ModelConfig))
                                + len(dataclasses.fields(TrainConfig)))
         assert out.splitlines()[:len(config)] == config
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize("pair", [
+        "image_h=0", "channels=0", "patch=0", "embed_dim=0", "heads=0",
+        "scales=0", "classes=0", "layers=-1", "mlp_ratio=0", "mlp_ratio=inf",
+        "seed=-1", "epochs=0", "epochs=-1", "eval_fraction=1.5",
+        "eval_fraction=-0.1", "eval_fraction=0.99", "lambda_attn=-1",
+        "lambda_attn=nan", "weight_epsilon=0", "adam_eps=0",
+        "learning_rate=nan"])
+    def test_train_exits_with_usage_error(self, dataset, tmp_path, capsys, pair):
+        code, _, err = run(capsys, "train", "--data",
+                           str(dataset / "manifest.csv"), "--out",
+                           str(tmp_path / "m.ckpt"), *SMALL, "--config", pair)
+        assert_one_line_error(code, err, 1, "usage error")
+        assert pair.partition("=")[0] in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        (b"model.patch", b"0"), (b"model.heads", b"0"), (b"model.layers", b"-1"),
+        (b"model.classes", b"0"), (b"train.epochs", b"0"),
+        (b"train.weight_epsilon", b"0.0")])
+    def test_bad_header_value_is_data_error(self, dataset, trained, tmp_path,
+                                            capsys, key, value):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(with_header(trained.read_bytes(), lambda h: re.sub(
+            rb"(?m)^" + re.escape(key) + rb"=.*$", key + b"=" + value, h)))
+        code, _, err = run(capsys, "eval", "--data",
+                           str(dataset / "manifest.csv"), "--ckpt", str(bad))
+        assert_one_line_error(code, err, 2, "data error")
+        assert key.decode().partition(".")[2] in err
+
+
+class TestManifestLabels:
+    @pytest.fixture
+    def bad_label(self, dataset):
+        path = dataset / "manifest.csv"
+        lines = path.read_text().splitlines()
+        image, _, mask = lines[5].split(",")
+        lines[5] = f"{image},3,{mask}"  # the model has 3 classes: 0, 1, 2
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_train_rejects_label_at_load_time(self, bad_label, tmp_path, capsys):
+        code, _, err = run(capsys, "train", "--data", str(bad_label), "--out",
+                           str(tmp_path / "m.ckpt"), *SMALL)
+        assert_one_line_error(code, err, 2, "data error")
+        assert f"{bad_label}:6:" in err and "label 3" in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_eval_rejects_label_at_load_time(self, trained, bad_label, capsys):
+        code, _, err = run(capsys, "eval", "--data", str(bad_label), "--ckpt",
+                           str(trained))
+        assert_one_line_error(code, err, 2, "data error")
+        assert f"{bad_label}:6:" in err and "label 3" in err
+
+    def test_empty_manifest_is_data_error(self, trained, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("image,label,mask\n")
+        for argv in (["train", "--out", str(tmp_path / "m.ckpt"), *SMALL],
+                     ["eval", "--ckpt", str(trained)]):
+            code, _, err = run(capsys, argv[0], "--data", str(path), *argv[1:])
+            assert_one_line_error(code, err, 2, "data error")
+            assert "no sample rows" in err

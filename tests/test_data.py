@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from lesionformer.data import (ManifestError, NetpbmError, Sample, SynthConfig,
-                               apply_transform, augment, class_frequencies,
-                               load_image, load_mask, load_samples,
-                               mask_to_patch_grid, read_manifest, read_netpbm,
-                               resize_nearest, split_samples, synth_generate,
-                               synth_sample, write_manifest, write_netpbm)
+                               class_frequencies, load_image, load_mask,
+                               load_samples, mask_to_patch_grid, read_manifest,
+                               read_netpbm, resize_nearest, split_samples,
+                               synth_generate, synth_sample, write_manifest,
+                               write_netpbm)
 
 
 class TestNetpbm:
@@ -195,55 +195,6 @@ class TestClassFrequencies:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             class_frequencies([])
-
-
-class TestAugment:
-    @pytest.fixture
-    def sample(self):
-        return synth_sample(0, 1, SynthConfig(seed=3))
-
-    def test_hflip_is_involution(self, sample):
-        twice = apply_transform(apply_transform(sample, "hflip"), "hflip")
-        assert np.array_equal(twice.image, sample.image)
-        assert np.array_equal(twice.mask, sample.mask)
-
-    def test_rot90_has_order_four(self, sample):
-        s = sample
-        for _ in range(4):
-            s = apply_transform(s, "rot90")
-        assert np.array_equal(s.image, sample.image)
-        assert np.array_equal(s.mask, sample.mask)
-
-    @pytest.mark.parametrize("name", ["hflip", "vflip", "rot90", "rot180", "rot270"])
-    def test_mask_area_preserved(self, sample, name):
-        out = apply_transform(sample, name)
-        assert out.mask.sum() == sample.mask.sum()
-        assert out.label == sample.label
-
-    @pytest.mark.parametrize("name", ["hflip", "vflip", "rot90", "rot180", "rot270"])
-    def test_image_and_mask_stay_synchronized(self, sample, name):
-        # the lesion's dark/ring/speckle pixels must move with the mask
-        out = apply_transform(sample, name)
-        base = synth_sample(0, 1, SynthConfig(seed=3))
-        fn = {"hflip": lambda a: np.flip(a, 1), "vflip": lambda a: np.flip(a, 0),
-              "rot90": lambda a: np.rot90(a, 1), "rot180": lambda a: np.rot90(a, 2),
-              "rot270": lambda a: np.rot90(a, 3)}[name]
-        assert np.array_equal(out.image[out.mask == 1.0],
-                              base.image[fn(base.mask) == 1.0][np.argsort(np.argsort(np.flatnonzero(out.mask == 1.0)))]
-                              if False else fn(base.image)[out.mask == 1.0])
-
-    def test_seeded_choice_is_reproducible(self, sample):
-        a = augment(sample, ["hflip", "rot90"], np.random.default_rng(7))
-        b = augment(sample, ["hflip", "rot90"], np.random.default_rng(7))
-        assert np.array_equal(a.image, b.image)
-
-    def test_unknown_transform_rejected(self, sample):
-        with pytest.raises(ValueError):
-            augment(sample, ["shear"], np.random.default_rng(0))
-
-    def test_empty_policy_is_identity(self, sample):
-        out = augment(sample, [], np.random.default_rng(0))
-        assert out is sample
 
 
 class TestSplit:

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,41 @@ def vanilla_multi_head_attention(x, wq, wk, wv, wo, h):
         a = e / e.sum(axis=1, keepdims=True)
         heads.append((a @ vh) * 1.0)
     return np.concatenate(heads, axis=1) @ wo
+
+
+def per_head_multi_scale_attention(x, wq, wk, wv, wo, logits, cfg):
+    """Independent reference: every head slices its own key/value columns,
+    then splits off the class token and average-pools each scale."""
+    n, d = x.shape
+    dk, G = d // cfg.heads, cfg.grid_side
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    w = e / e.sum(axis=1, keepdims=True)
+    q, k, v = x @ wq, x @ wk, x @ wv
+
+    def pooled(rows, s):
+        win = 2 ** s
+        blocks = rows[1:].copy().reshape(G // win, win, G // win, win, dk)
+        means = blocks.mean(axis=(1, 3)).reshape(-1, dk)
+        return np.concatenate([rows[0:1], means], axis=0)
+
+    heads, attns = [], []
+    for i in range(cfg.heads):
+        qh = q[:, i * dk:(i + 1) * dk].copy()
+        kh = k[:, i * dk:(i + 1) * dk].copy()
+        vh = v[:, i * dk:(i + 1) * dk].copy()
+        out, head_attns = None, []
+        for s in range(cfg.scales):
+            ks, vs = (kh, vh) if s == 0 else (pooled(kh, s), pooled(vh, s))
+            sc = (qh @ ks.T.copy()) * (1.0 / np.sqrt(dk))
+            sc = sc - sc.max(axis=1, keepdims=True)
+            ex = np.exp(sc)
+            a = ex / ex.sum(axis=1, keepdims=True)
+            head_attns.append(a)
+            term = (a @ vs) * w[0, s]
+            out = term if out is None else out + term
+        heads.append(out)
+        attns.append(head_attns)
+    return np.concatenate(heads, axis=1) @ wo, attns
 
 
 class TestPatchify:
@@ -175,17 +213,21 @@ class TestMultiScaleAttention:
         ref = (w[0] * full + w[1] * pooled) @ wo
         np.testing.assert_allclose(out.data, ref, atol=1e-10)
 
-    def test_literal_multiscale_collapses_to_single_attention(self, rng):
-        cfg = tiny_config(scales=3, literal_multiscale=True)
+    def test_three_scales_match_per_head_pooling_bitwise(self, rng):
+        # 4x4 patch grid, windows 2 and 4; the reference pools each head's
+        # columns on their own, so building keys/values once on all D
+        # columns must not change a bit
+        cfg = tiny_config(patch=2, scales=3)
         p = init_params(cfg)
+        p["layer0.scale_logits"].data[:] = [[0.3, -0.2, 0.5]]
         x = rng.standard_normal((cfg.num_patches + 1, cfg.embed_dim))
-        out, _ = multi_scale_attention(p, 0, Tensor(x), cfg)
-        cfg1 = tiny_config(scales=1)
-        p1 = init_params(cfg1)
-        for name in ("wq", "wk", "wv", "wo"):
-            p1[f"layer0.{name}"].data[:] = p[f"layer0.{name}"].data
-        ref, _ = multi_scale_attention(p1, 0, Tensor(x), cfg1)
-        np.testing.assert_allclose(out.data, ref.data, atol=1e-12)
+        out, attns = multi_scale_attention(p, 0, Tensor(x), cfg)
+        ref, ref_attns = per_head_multi_scale_attention(
+            x, p["layer0.wq"].data, p["layer0.wk"].data, p["layer0.wv"].data,
+            p["layer0.wo"].data, p["layer0.scale_logits"].data, cfg)
+        assert np.array_equal(out.data, ref)
+        assert all(np.array_equal(a.data, r) for head, ref_head in zip(attns, ref_attns)
+                   for a, r in zip(head, ref_head))
 
     def test_pooling_window_exceeding_grid_rejected(self):
         with pytest.raises(DimensionError):
@@ -331,14 +373,23 @@ class TestConfigValidation:
             tiny_config(embed_dim=8, heads=3).validate()
 
 
+def bench_forward_ops():
+    """``FORWARD_OPS`` of the benchmark's tracer: the op kinds it reports."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.FORWARD_OPS
+
+
 class TestOpCensus:
-    # tape ops of one forward on the default config; every kind must stay
-    # present, since the traced benchmark reports a count per kind
-    DEFAULT_FORWARD = {"matmul": 46, "transpose": 22, "add": 16, "scale": 17,
+    # tape ops of one forward on the default config; every kind the traced
+    # benchmark reports a count for must stay present
+    DEFAULT_FORWARD = {"matmul": 46, "transpose": 10, "add": 16, "scale": 17,
                        "scale_by": 16, "div_by": 1, "add_rowvec": 6,
-                       "slice_rows": 37, "slice_cols": 44, "concat_rows": 17,
+                       "slice_rows": 29, "slice_cols": 32, "concat_rows": 5,
                        "concat_cols": 2, "sum_all": 1, "softmax_rows": 19,
-                       "layer_norm": 5, "gelu": 2, "pool_grid": 16}
+                       "layer_norm": 5, "gelu": 2, "pool_grid": 4}
 
     def test_default_forward_op_counts(self, monkeypatch, rng):
         counts = {}
@@ -353,8 +404,9 @@ class TestOpCensus:
         params = init_params(cfg)
         forward(params, rng.random((cfg.image_h, cfg.image_w, cfg.channels)),
                 cfg, want_record=False)
-        assert sum(counts.values()) == 267
+        assert sum(counts.values()) == 211
         assert counts == self.DEFAULT_FORWARD
+        assert set(bench_forward_ops()) <= set(counts)
 
 
 class TestAttentionRecord:

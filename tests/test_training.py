@@ -269,6 +269,29 @@ class TestConfigCodec:
         assert b"dynamic_weights" not in again.read_bytes()
         assert again.read_bytes() == raw
 
+    @pytest.mark.parametrize("value", [b"true", b"false"])
+    def test_removed_literal_multiscale_only_loads_when_false(self, tmp_path,
+                                                              tiny_config, value):
+        # =true named a model that attended unpooled keys at every scale;
+        # loading it as a pooled model would silently change its outputs
+        params, mc, tc, _ = fresh(tiny_config)
+        path = tmp_path / "new.ckpt"
+        save_checkpoint(path, Checkpoint(mc, tc, params, init_adam(params), step=0))
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 8)
+        header = raw[12:12 + hlen].replace(
+            b"model.seed=", b"model.literal_multiscale=" + value + b"\nmodel.seed=")
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header
+                        + raw[12 + hlen:])
+        if value == b"true":
+            with pytest.raises(CheckpointError, match="model.literal_multiscale"):
+                load_checkpoint(old)
+            return
+        again = tmp_path / "again.ckpt"
+        save_checkpoint(again, load_checkpoint(old))
+        assert again.read_bytes() == raw
+
     @staticmethod
     def field_values(cls):
         strategy = {
