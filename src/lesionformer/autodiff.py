@@ -1,9 +1,14 @@
-"""Dense 2-D float tensors with tape-based reverse-mode differentiation.
+"""Dense float tensors with tape-based reverse-mode differentiation.
 
-Storage is row-major numpy, float32 or float64. No broadcasting beyond a
-scalar constant or the explicit row-vector ops; shape adaptation is done
-with reshape/slice/concat so every forward value is bit-reproducible.
-A tape lives for one forward/backward pass and is discarded afterwards.
+Storage is row-major numpy, float32 or float64. Every op acts on the
+trailing two axes (rows, columns); any leading axes form a stack of
+matrices, such as a batch of images. On a plain 2-D matrix each op takes
+the same float path whatever stacks it also accepts. Broadcasting is
+limited to a scalar constant, the explicit row-vector ops, and the stated
+cases of ``matmul``, ``add``, ``concat_rows`` and ``div_by``; any other
+shape adaptation is done with reshape/slice/concat so every forward value
+is bit-reproducible. A tape lives for one forward/backward pass and is
+discarded afterwards.
 """
 
 from __future__ import annotations
@@ -150,23 +155,51 @@ def custom_op(out_data, inputs, backward_fn, name):
 # ops
 
 
+def _swap(x):
+    """The last two axes swapped (a view)."""
+    return x.T if x.ndim == 2 else np.swapaxes(x, -1, -2)
+
+
+def _rows(x):
+    """``x`` as one matrix: every leading axis folded into the rows."""
+    return x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
+    """Matrix product over the trailing two axes.
+
+    A stack times a 2-D ``b`` is one product over all the stack's rows; a
+    stack times a stack multiplies matrix by matrix and needs equal
+    leading axes.
+    """
     ad, bd = a.data, b.data
+    if (ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]
+            or (bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2])):
+        raise DimensionError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
+    if ad.ndim == 2 or bd.ndim > 2:
+        def backward(g):
+            return (g @ _swap(bd) if a.requires_grad else None,
+                    _swap(ad) @ g if b.requires_grad else None)
 
-    def backward(g):
-        return (g @ bd.T if a.requires_grad else None,
-                ad.T @ g if b.requires_grad else None)
+        return custom_op(ad @ bd, (a, b), backward, "matmul")
 
-    return custom_op(ad @ bd, (a, b), backward, "matmul")
+    rows = ad.reshape(-1, ad.shape[-1])
+    out_shape = ad.shape[:-1] + bd.shape[-1:]
+
+    def backward_stack(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return ((g2 @ bd.T).reshape(ad.shape) if a.requires_grad else None,
+                rows.T @ g2 if b.requires_grad else None)
+
+    return custom_op((rows @ bd).reshape(out_shape), (a, b), backward_stack, "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
+    """Swap the last two axes."""
     def backward(g):
-        return (g.T,)
+        return (_swap(g),)
 
-    return custom_op(a.data.T.copy(), (a,), backward, "transpose")
+    return custom_op(_swap(a.data).copy(), (a,), backward, "transpose")
 
 
 def _check_same_shape(a, b, op):
@@ -174,13 +207,27 @@ def _check_same_shape(a, b, op):
         raise DimensionError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
 
 
+def _lead_sum(g, shape):
+    """Sum ``g`` over the leading axes that a part of ``shape`` lacks."""
+    return g.sum(axis=tuple(range(g.ndim - len(shape))))
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
+    """Elementwise sum; ``b`` may lack ``a``'s leading axes and is then
+    added to every matrix of the stack."""
+    if a.shape == b.shape:
+        def backward(g):
+            return (g, g)
 
-    def backward(g):
-        return (g, g)
+        return custom_op(a.data + b.data, (a, b), backward, "add")
+    if not 0 < b.data.ndim < a.data.ndim or a.shape[-b.data.ndim:] != b.shape:
+        raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
+    b_shape = b.shape
 
-    return custom_op(a.data + b.data, (a, b), backward, "add")
+    def backward_bcast(g):
+        return (g, _lead_sum(g, b_shape) if b.requires_grad else None)
+
+    return custom_op(a.data + b.data, (a, b), backward_bcast, "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -229,27 +276,38 @@ def scale_by(a: Tensor, s: Tensor) -> Tensor:
 
 
 def div_by(a: Tensor, s: Tensor) -> Tensor:
-    """Divide by a scalar tensor."""
-    if s.data.size != 1:
-        raise DimensionError(f"div_by expects a scalar tensor, got {s.shape}")
-    ad = a.data
-    sv = s.data.reshape(-1)[0]
+    """Divide by a scalar tensor, or each trailing matrix of a stack by its
+    own 1 x 1 entry of an ``s`` shaped (*stack, 1, 1)."""
+    ad, sd = a.data, s.data
+    if sd.size != 1:
+        if ad.ndim < 3 or sd.shape != ad.shape[:-2] + (1, 1):
+            raise DimensionError(f"div_by expects a scalar tensor or one 1 x 1 "
+                                 f"entry per matrix of {a.shape}, got {s.shape}")
+
+        def backward_stack(g):
+            ga = g / sd if a.requires_grad else None
+            gs = (-(g * ad).sum(axis=(-2, -1), keepdims=True) / (sd * sd)
+                  if s.requires_grad else None)
+            return (ga, gs)
+
+        return custom_op(ad / sd, (a, s), backward_stack, "div_by")
+    sv = sd.reshape(-1)[0]
 
     def backward(g):
         ga = g / sv if a.requires_grad else None
-        gs = np.full_like(s.data, -(g * ad).sum() / (sv * sv)) if s.requires_grad else None
+        gs = np.full_like(sd, -(g * ad).sum() / (sv * sv)) if s.requires_grad else None
         return (ga, gs)
 
     return custom_op(ad / sv, (a, s), backward, "div_by")
 
 
 def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """Add a 1 x d row vector to every row of an n x d matrix."""
-    if x.data.ndim != 2 or v.shape != (1, x.shape[1]):
+    """Add a 1 x d row vector to every row of an n x d matrix (or stack)."""
+    if x.data.ndim < 2 or v.shape != (1, x.shape[-1]):
         raise DimensionError(f"add_rowvec shape mismatch: {x.shape} + {v.shape}")
 
     def backward(g):
-        return (g, g.sum(axis=0, keepdims=True))
+        return (g, _rows(g).sum(axis=0, keepdims=True))
 
     return custom_op(x.data + v.data, (x, v), backward, "add_rowvec")
 
@@ -265,72 +323,85 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    n = a.shape[0]
-    if not (0 <= start < stop <= n):
+    if not 0 <= start < stop <= a.shape[-2]:
         raise DimensionError(f"slice_rows [{start}:{stop}] out of range for {a.shape}")
 
     def backward(g):
         full = np.zeros_like(a.data)
-        full[start:stop] = g
+        full[..., start:stop, :] = g
         return (full,)
 
-    return custom_op(a.data[start:stop].copy(), (a,), backward, "slice_rows")
+    return custom_op(a.data[..., start:stop, :].copy(), (a,), backward, "slice_rows")
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    n = a.shape[1]
-    if not (0 <= start < stop <= n):
+    if not 0 <= start < stop <= a.shape[-1]:
         raise DimensionError(f"slice_cols [{start}:{stop}] out of range for {a.shape}")
 
     def backward(g):
         full = np.zeros_like(a.data)
-        full[:, start:stop] = g
+        full[..., start:stop] = g
         return (full,)
 
-    return custom_op(a.data[:, start:stop].copy(), (a,), backward, "slice_cols")
+    return custom_op(a.data[..., start:stop].copy(), (a,), backward, "slice_cols")
 
 
 def concat_rows(parts) -> Tensor:
+    """Stack rows; a 2-D part is repeated over the other parts' leading axes."""
     parts = list(parts)
     if not parts:
         raise DimensionError("concat_rows of empty list")
-    sizes = [p.shape[0] for p in parts]
+    sizes = [p.shape[-2] for p in parts]
+    arrays = [p.data for p in parts]
+    lead = max(arrays, key=np.ndim).shape[:-2]
+    shared = [bool(lead) and a.ndim == 2 for a in arrays]
+    if lead:
+        arrays = [np.broadcast_to(a, lead + a.shape) if sh else a
+                  for a, sh in zip(arrays, shared)]
 
     def backward(g):
         out, off = [], 0
-        for s in sizes:
-            out.append(g[off:off + s])
+        for s, sh in zip(sizes, shared):
+            gp = g[..., off:off + s, :]
+            out.append(_lead_sum(gp, gp.shape[-2:]) if sh else gp)
             off += s
         return tuple(out)
 
-    return custom_op(np.concatenate([p.data for p in parts], axis=0), parts,
-                     backward, "concat_rows")
+    return custom_op(np.concatenate(arrays, axis=-2), parts, backward, "concat_rows")
 
 
 def concat_cols(parts) -> Tensor:
     parts = list(parts)
     if not parts:
         raise DimensionError("concat_cols of empty list")
-    sizes = [p.shape[1] for p in parts]
+    sizes = [p.shape[-1] for p in parts]
 
     def backward(g):
         out, off = [], 0
         for s in sizes:
-            out.append(g[:, off:off + s])
+            out.append(g[..., off:off + s])
             off += s
         return tuple(out)
 
-    return custom_op(np.concatenate([p.data for p in parts], axis=1), parts,
+    return custom_op(np.concatenate([p.data for p in parts], axis=-1), parts,
                      backward, "concat_cols")
 
 
 def sum_all(a: Tensor) -> Tensor:
-    """Full reduction to a 1x1 scalar tensor."""
+    """Reduce each trailing matrix to a 1x1 sum: one scalar for a matrix,
+    a (*stack, 1, 1) tensor for a stack."""
+    ad = a.data
+    if ad.ndim > 2:
+        def backward_stack(g):
+            return (np.broadcast_to(g, ad.shape),)
+
+        return custom_op(ad.sum(axis=(-2, -1), keepdims=True), (a,), backward_stack,
+                         "sum_all")
 
     def backward(g):
-        return (np.full_like(a.data, g.reshape(-1)[0]),)
+        return (np.full_like(ad, g.reshape(-1)[0]),)
 
-    return custom_op(a.data.sum().reshape(1, 1), (a,), backward, "sum_all")
+    return custom_op(ad.sum().reshape(1, 1), (a,), backward, "sum_all")
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -347,14 +418,16 @@ def sqrt(a: Tensor) -> Tensor:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax with row-max subtraction for stability."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"softmax_rows expects 2-D, got {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    if x.data.ndim < 2:
+        raise DimensionError(f"softmax_rows expects at least 2-D, got {x.shape}")
+    # subtract, exp, divide; the last two in place, which saves two
+    # allocations and gives the same floats
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return custom_op(y, (x,), backward, "softmax_rows")
@@ -362,17 +435,17 @@ def softmax_rows(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalization, then per-column gain and bias (1 x d each)."""
-    if x.data.ndim != 2:
-        raise DimensionError(f"layer_norm expects 2-D, got {x.shape}")
-    d = x.shape[1]
+    if x.data.ndim < 2:
+        raise DimensionError(f"layer_norm expects at least 2-D, got {x.shape}")
+    d = x.shape[-1]
     if gain.shape != (1, d) or bias.shape != (1, d):
         raise DimensionError(
             f"layer_norm gain/bias must be (1, {d}), got {gain.shape}/{bias.shape}")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    mu = x.data.mean(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
@@ -382,11 +455,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if x.requires_grad:
             dxhat = g * gain.data
             # standard layer-norm backward, all per-row
-            m1 = dxhat.mean(axis=1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
             gx = inv * (dxhat - m1 - xhat * m2)
-        ggain = (g * xhat).sum(axis=0, keepdims=True) if gain.requires_grad else None
-        gbias = g.sum(axis=0, keepdims=True) if bias.requires_grad else None
+        ggain = _rows(g * xhat).sum(axis=0, keepdims=True) if gain.requires_grad else None
+        gbias = _rows(g).sum(axis=0, keepdims=True) if bias.requires_grad else None
         return (gx, ggain, gbias)
 
     return custom_op(out, (x, gain, bias), backward, "layer_norm")
@@ -414,8 +487,11 @@ def pool_grid(x: Tensor, side: int, window: int) -> Tensor:
     """Average-pool rows of a side*side patch grid with a square window.
 
     Rows are in row-major grid order; output has (side/window)**2 rows.
+    Leading stack axes pass through.
     """
-    n, d = x.shape
+    if x.data.ndim < 2:
+        raise DimensionError(f"pool_grid expects at least 2-D, got {x.shape}")
+    lead, (n, d) = x.shape[:-2], x.shape[-2:]
     if n != side * side:
         raise DimensionError(f"pool_grid: {n} rows cannot form a {side}x{side} grid")
     if window < 1 or window > side or side % window != 0:
@@ -425,12 +501,12 @@ def pool_grid(x: Tensor, side: int, window: int) -> Tensor:
             return (g,)
         return custom_op(x.data.copy(), (x,), backward_id, "pool_grid")
     g2 = side // window
-    blocks = x.data.reshape(g2, window, g2, window, d)
-    out = blocks.mean(axis=(1, 3)).reshape(g2 * g2, d)
+    blocks = x.data.reshape(lead + (g2, window, g2, window, d))
+    out = blocks.mean(axis=(-4, -2)).reshape(lead + (g2 * g2, d))
 
     def backward(g):
-        gb = g.reshape(g2, 1, g2, 1, d) / (window * window)
-        gx = np.broadcast_to(gb, (g2, window, g2, window, d)).reshape(n, d)
+        gb = g.reshape(lead + (g2, 1, g2, 1, d)) / (window * window)
+        gx = np.broadcast_to(gb, lead + (g2, window, g2, window, d)).reshape(x.shape)
         return (gx.copy(),)
 
     return custom_op(out, (x,), backward, "pool_grid")

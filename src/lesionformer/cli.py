@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import DimensionError, NumericError
-from .data import (ManifestError, NetpbmError, SynthConfig, load_image,
-                   load_samples, split_samples, synth_generate, write_manifest,
-                   write_netpbm)
+from .data import (ImageError, ManifestError, NetpbmError, SynthConfig,
+                   load_image, load_samples, split_samples, synth_generate,
+                   write_manifest, write_netpbm)
 from .metrics import UndefinedMetricError
 from .model import ModelConfig, grad_cam, init_params
 from .training import (Checkpoint, CheckpointError, TrainConfig, config_lines,
@@ -195,8 +195,8 @@ def main(argv=None):
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (NetpbmError, ManifestError, CheckpointError, DimensionError,
-            UndefinedMetricError, OSError) as e:
+    except (NetpbmError, ManifestError, ImageError, CheckpointError,
+            DimensionError, UndefinedMetricError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

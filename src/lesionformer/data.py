@@ -27,6 +27,10 @@ class ManifestError(ValueError):
     pass
 
 
+class ImageError(ValueError):
+    """A well-formed image that cannot be adapted to the requested shape."""
+
+
 @dataclass
 class Sample:
     image: np.ndarray            # H x W x C floats in [0, 1]
@@ -130,7 +134,7 @@ def load_image(path, target_hw=None, channels=None) -> np.ndarray:
         elif channels == 1:
             raw = raw.mean(axis=2, keepdims=True).astype(np.uint8)
         else:
-            raise ValueError(f"cannot adapt {raw.shape[2]} channels to {channels}")
+            raise ImageError(f"{path}: cannot adapt {raw.shape[2]} channels to {channels}")
     return raw.astype(np.float64) / 255.0
 
 
@@ -151,7 +155,7 @@ MANIFEST_HEADER = ["image", "label", "mask"]
 
 def write_manifest(path, rows):
     """rows: iterable of (image_path, label, mask_path_or_empty)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
         for image, label, mask in rows:
@@ -160,30 +164,36 @@ def write_manifest(path, rows):
 
 def read_manifest(path, classes=None):
     """Rows of (image, label, mask or None); with ``classes`` given, a label
-    outside [0, classes) is an error naming its line."""
+    outside [0, classes) is an error naming its line. Text that is not
+    UTF-8 or that the csv module rejects is an error naming the file."""
     path = Path(path)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != MANIFEST_HEADER:
-            raise ManifestError(f"bad manifest header {header}, expected {MANIFEST_HEADER}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ManifestError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            image, label, mask = row
-            try:
-                label = int(label)
-            except ValueError:
-                raise ManifestError(f"{path}:{lineno}: non-integer label {label!r}") from None
-            if label < 0:
-                raise ManifestError(f"{path}:{lineno}: negative label {label}")
-            if classes is not None and label >= classes:
-                raise ManifestError(
-                    f"{path}:{lineno}: label {label} out of range for {classes} classes")
-            rows.append((image, label, mask or None))
+        try:
+            header = next(reader, None)
+            if header != MANIFEST_HEADER:
+                raise ManifestError(f"bad manifest header {header}, expected {MANIFEST_HEADER}")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ManifestError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+                image, label, mask = row
+                try:
+                    label = int(label)
+                except ValueError:
+                    raise ManifestError(f"{path}:{lineno}: non-integer label {label!r}") from None
+                if label < 0:
+                    raise ManifestError(f"{path}:{lineno}: negative label {label}")
+                if classes is not None and label >= classes:
+                    raise ManifestError(
+                        f"{path}:{lineno}: label {label} out of range for {classes} classes")
+                rows.append((image, label, mask or None))
+        except UnicodeDecodeError as e:
+            raise ManifestError(f"{path}: not UTF-8 text ({e.reason})") from None
+        except csv.Error as e:
+            raise ManifestError(f"{path}:{reader.line_num}: {e}") from None
     if not rows:
         raise ManifestError(f"{path}: no sample rows")
     return rows

@@ -15,9 +15,9 @@ import numpy as np
 
 from .autodiff import (DimensionError, NumericError, Tape, Tensor, add,
                        add_rowvec, concat_cols, concat_rows, div_by, gelu,
-                       layer_norm, matmul, pool_grid, scale, scale_by,
-                       slice_cols, slice_rows, softmax_rows, sum_all,
-                       transpose)
+                       layer_norm, matmul, pool_grid, reshape, scale,
+                       scale_by, slice_cols, slice_rows, softmax_rows,
+                       sum_all, transpose)
 
 
 @dataclass
@@ -83,7 +83,8 @@ class AttentionRecord:
     ``attn[layer][head][scale]`` is the softmaxed score matrix (not a copy);
     ``focus_map`` is the head-mean class-token-to-patch attention of the
     final layer at the unpooled scale, renormalized to sum to 1, reshaped
-    to the patch grid.
+    to the patch grid. For a stack of B images each array gains a leading
+    axis of length B.
     """
     attn: list
     focus_map: np.ndarray | None = None
@@ -91,6 +92,8 @@ class AttentionRecord:
 
 @dataclass
 class ForwardResult:
+    """Shapes are for one image; a stack of B images gives B x K logits and
+    probs, and a leading axis of length B on focus and tokens."""
     logits: Tensor          # 1 x K
     probs: Tensor           # 1 x K
     record: AttentionRecord
@@ -166,18 +169,20 @@ def init_params(cfg: ModelConfig, dtype=np.float64) -> ModelParams:
 
 
 def patchify(image: np.ndarray, cfg: ModelConfig) -> np.ndarray:
-    """Split H x W x C into N patches of P*P*C values each.
+    """Split H x W x C into N patches of P*P*C values each; a B x H x W x C
+    stack gives B x N x P*P*C.
 
     Patches are in row-major grid order; within a patch, values are
     concatenated in (row, col, channel) order.
     """
     expect = (cfg.image_h, cfg.image_w, cfg.channels)
-    if image.shape != expect:
+    if image.ndim not in (3, 4) or image.shape[-3:] != expect:
         raise DimensionError(f"image shape {image.shape} does not match config {expect}")
     P = cfg.patch
     gh, gw = cfg.image_h // P, cfg.image_w // P
-    blocks = image.reshape(gh, P, gw, P, cfg.channels).transpose(0, 2, 1, 3, 4)
-    return blocks.reshape(gh * gw, P * P * cfg.channels).copy()
+    lead = image.shape[:-3]
+    blocks = np.swapaxes(image.reshape(lead + (gh, P, gw, P, cfg.channels)), -4, -3)
+    return blocks.reshape(lead + (gh * gw, P * P * cfg.channels)).copy()
 
 
 def unpatchify(patches: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -190,9 +195,9 @@ def unpatchify(patches: np.ndarray, cfg: ModelConfig) -> np.ndarray:
 
 def embed(params: ModelParams, patches_t: Tensor, cfg: ModelConfig) -> Tensor:
     """Project patches, prepend the class token, add positional encodings."""
-    if patches_t.shape[0] != cfg.num_patches:
+    if patches_t.shape[-2] != cfg.num_patches:
         raise DimensionError(
-            f"got {patches_t.shape[0]} patches, config expects {cfg.num_patches}")
+            f"got {patches_t.shape[-2]} patches, config expects {cfg.num_patches}")
     z = add_rowvec(matmul(patches_t, transpose(params["patch_proj.w"])),
                    params["patch_proj.b"])
     z = concat_rows([params["cls"], z])
@@ -201,9 +206,9 @@ def embed(params: ModelParams, patches_t: Tensor, cfg: ModelConfig) -> Tensor:
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(Q K^T / sqrt(d_k)) V"""
-    if q.shape[1] != k.shape[1]:
+    if q.shape[-1] != k.shape[-1]:
         raise DimensionError(f"key dim mismatch: {q.shape} vs {k.shape}")
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
+    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
     return matmul(softmax_rows(scores), v)
 
 
@@ -221,7 +226,7 @@ def multi_scale_attention(params: ModelParams, layer: int, x: Tensor,
     """
     pre = f"layer{layer}."
     dk, S, G = cfg.head_dim, cfg.scales, cfg.grid_side
-    n = x.shape[0]
+    n = x.shape[-2]
 
     q = matmul(x, params[pre + "wq"])
     k = matmul(x, params[pre + "wk"])
@@ -272,7 +277,8 @@ def encoder_block(params: ModelParams, layer: int, z: Tensor, cfg: ModelConfig):
 
 def forward(params: ModelParams, image: np.ndarray, cfg: ModelConfig,
             want_record=True) -> ForwardResult:
-    """Full forward pass for one image; records attention and focus map."""
+    """Full forward pass for one H x W x C image or a B x H x W x C stack;
+    records attention and focus map."""
     dtype = params["pos"].dtype
     patches = patchify(np.asarray(image, dtype=dtype), cfg)
     z = embed(params, Tensor(patches), cfg)
@@ -285,6 +291,8 @@ def forward(params: ModelParams, image: np.ndarray, cfg: ModelConfig,
     z = layer_norm(z, params["final_ln.g"], params["final_ln.b"])
     cls_row = slice_rows(z, 0, 1)
     logits = add_rowvec(matmul(cls_row, transpose(params["head.w"])), params["head.b"])
+    if logits.data.ndim > 2:  # B x 1 x K class rows of a stack
+        logits = reshape(logits, (logits.shape[0], cfg.classes))
     probs = softmax_rows(logits)
 
     last = attns[-1] if attns else []
@@ -294,13 +302,15 @@ def forward(params: ModelParams, image: np.ndarray, cfg: ModelConfig,
         record = AttentionRecord(attn=[[[a.data for a in head] for head in layer]
                                        for layer in attns])
         if focus is not None:
-            record.focus_map = focus.data.reshape(cfg.grid_side, cfg.grid_side)
+            record.focus_map = focus.data.reshape(
+                focus.shape[:-2] + (cfg.grid_side, cfg.grid_side))
     return ForwardResult(logits=logits, probs=probs, record=record,
                          focus=focus, tokens=tokens)
 
 
 def focus_from_attention(s1_attns, cfg: ModelConfig) -> Tensor | None:
-    """Head-mean class-token-to-patch attention row, renormalized to sum 1."""
+    """Head-mean class-token-to-patch attention row, renormalized to sum 1
+    (per image of a stack)."""
     if not s1_attns:
         return None
     acc = None

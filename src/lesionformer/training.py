@@ -16,7 +16,7 @@ import numpy as np
 
 from . import losses, metrics
 from .autodiff import NumericError, Tape, Tensor
-from .autodiff import concat_rows, reshape
+from .autodiff import reshape, slice_rows
 from .data import class_frequencies, mask_to_patch_grid
 from .model import ModelConfig, ModelParams, forward, init_params
 
@@ -146,21 +146,22 @@ def train(params: ModelParams, model_cfg: ModelConfig, train_cfg: TrainConfig,
 
 def train_step(params: ModelParams, model_cfg: ModelConfig, train_cfg: TrainConfig,
                batch, state: AdamState, weights, lr):
-    g = model_cfg.grid_side
+    """One forward and one backward over the whole batch, then an Adam step.
+
+    The regulariser is taken per masked image; images without a mask, and a
+    model without encoder layers (so without a focus map), add nothing."""
+    g, b = model_cfg.grid_side, len(batch)
+    masked = [i for i, s in enumerate(batch) if s.mask is not None]
     with Tape() as tape:
-        prob_rows = []
-        focus_grids = []
-        mask_grids = []
-        for s in batch:
-            res = forward(params, s.image, model_cfg, want_record=False)
-            prob_rows.append(res.probs)
-            if train_cfg.lambda_attn > 0 and s.mask is not None:
-                focus_grids.append(reshape(res.focus, (g, g)))
-                mask_grids.append(mask_to_patch_grid(s.mask, model_cfg.patch))
-        labels = [s.label for s in batch]
-        l_ce = losses.weighted_cross_entropy(concat_rows(prob_rows), labels, weights)
+        res = forward(params, np.stack([s.image for s in batch]), model_cfg,
+                      want_record=False)
+        l_ce = losses.weighted_cross_entropy(res.probs, [s.label for s in batch], weights)
         l_attn = None
-        if train_cfg.lambda_attn > 0 and focus_grids:
+        if train_cfg.lambda_attn > 0 and masked and res.focus is not None:
+            focus = reshape(res.focus, (b, model_cfg.num_patches))
+            focus_grids = [reshape(slice_rows(focus, i, i + 1), (g, g)) for i in masked]
+            mask_grids = [mask_to_patch_grid(batch[i].mask, model_cfg.patch)
+                          for i in masked]
             l_attn = losses.attention_regularization(
                 focus_grids, mask_grids, train_cfg.attn_mode)
         total, breakdown = losses.total_loss(l_ce, l_attn, train_cfg.lambda_attn)
@@ -318,30 +319,30 @@ def load_checkpoint(path) -> Checkpoint:
     except struct.error:
         # a cut inside a name length, a name or a count leaves a field short
         raise CheckpointError(f"truncated checkpoint: ends inside an array field at byte {len(raw)}") from None
+    except UnicodeDecodeError as e:
+        raise CheckpointError(f"array name at byte {pos} is not UTF-8 ({e.reason})") from None
     if pos != len(raw):
         raise CheckpointError(f"{len(raw) - pos} trailing bytes after the last array")
 
     # shapes come from the config, counts are validated against it
     template = init_params(model_cfg, dtype=train_cfg.np_dtype)
-    tensors = {}
-    for name, t in template.items():
-        if name not in arrays:
-            raise CheckpointError(f"checkpoint missing parameter {name}")
-        flat = arrays[name]
-        if flat.size != t.data.size:
+
+    def take(key, what, like):
+        if key not in arrays:
+            raise CheckpointError(f"checkpoint missing {what} {key}")
+        flat = arrays[key]
+        if flat.size != like.data.size:
             raise CheckpointError(
-                f"parameter {name}: expected {t.data.size} elements, got {flat.size}")
-        tensors[name] = Tensor(flat.reshape(t.data.shape).astype(train_cfg.np_dtype),
-                               requires_grad=True)
-    params = ModelParams(tensors)
+                f"{what} {key}: expected {like.data.size} elements, got {flat.size}")
+        return flat.reshape(like.shape).astype(train_cfg.np_dtype)
+
+    params = ModelParams({name: Tensor(take(name, "parameter", t), requires_grad=True)
+                          for name, t in template.items()})
     opt = None
     if opt_t >= 0:
         opt = AdamState(m={}, v={}, t=opt_t)
         for name, t in template.items():
             for moment, store in (("m", opt.m), ("v", opt.v)):
-                key = f"opt.{moment}.{name}"
-                if key not in arrays:
-                    raise CheckpointError(f"checkpoint missing optimizer array {key}")
-                store[name] = arrays[key].reshape(t.data.shape).astype(train_cfg.np_dtype)
+                store[name] = take(f"opt.{moment}.{name}", "optimizer array", t)
     return Checkpoint(model_config=model_cfg, train_config=train_cfg,
                       params=params, opt=opt, step=step)

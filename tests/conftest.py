@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lesionformer.model import ModelConfig
+
+# every property and fuzz test draws the same examples on every run
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 def tiny_config(**overrides):

@@ -401,3 +401,99 @@ class TestGeluReference:
         # difference in the cube shows up as an absolute error near eps
         np.testing.assert_allclose(out, ref, rtol=1e-6,
                                    atol=np.finfo(np.float32).eps)
+
+
+def weighted_sum(out):
+    """A scalar of ``out`` with fixed random weights, for any shape."""
+    w = np.random.default_rng(11).standard_normal(out.shape)
+    return ad.sum_all(ad.reshape(ad.mul(out, Tensor(w)), (1, -1)))
+
+
+class TestStackedOps:
+    """Every op on a (2, n, d) stack equals the op on each matrix alone, and
+    its gradients pass the finite-difference oracle."""
+
+    R = np.random.default_rng(5)
+    W = R.standard_normal((3, 5))           # a 2-D weight
+    Y = R.standard_normal((2, 3, 4))        # a stack with equal leading axes
+    ROW = R.standard_normal((1, 3))         # a row vector / a shared row
+    GAIN = R.standard_normal((1, 3))
+    MAT = R.standard_normal((4, 3))         # a shared matrix
+
+    # build(x, y): x is the stack or one of its matrices, y is Y or its
+    # matching matrix
+    CASES = {
+        "matmul_weight": lambda x, y: ad.matmul(x, t(TestStackedOps.W)),
+        "matmul_stack": lambda x, y: ad.matmul(x, t(y)),
+        "transpose": lambda x, y: ad.transpose(x),
+        "slice_rows": lambda x, y: ad.slice_rows(x, 1, 3),
+        "slice_cols": lambda x, y: ad.slice_cols(x, 1, 3),
+        "concat_rows_shared": lambda x, y: ad.concat_rows([t(TestStackedOps.ROW), x]),
+        "concat_cols": lambda x, y: ad.concat_cols([x, ad.scale(x, 2.0)]),
+        "pool_grid": lambda x, y: ad.pool_grid(x, 2, 2),
+        "softmax_rows": lambda x, y: ad.softmax_rows(x),
+        "layer_norm": lambda x, y: ad.layer_norm(x, t(TestStackedOps.GAIN),
+                                                 t(TestStackedOps.ROW)),
+        "add_rowvec": lambda x, y: ad.add_rowvec(x, t(TestStackedOps.ROW)),
+        "add_shared": lambda x, y: ad.add(x, t(TestStackedOps.MAT)),
+        "sum_all": lambda x, y: ad.sum_all(x),
+        "div_by_own_sum": lambda x, y: ad.div_by(x, ad.sum_all(x)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_equals_per_matrix_with_gradient(self, name, rng):
+        x = rng.standard_normal((2, 4, 3)) + 3.0
+        out = self.CASES[name](t(x), self.Y)
+        ref = np.stack([self.CASES[name](t(x[i]), self.Y[i]).data for i in range(2)])
+        assert out.shape == ref.shape
+        np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-15)
+        assert finite_difference_check(
+            lambda v: weighted_sum(self.CASES[name](v, self.Y)), t(x)) < 1e-5
+
+    def test_flattened_matmul_weight_gradient(self, rng):
+        x = Tensor(rng.standard_normal((2, 4, 3)))
+        assert finite_difference_check(
+            lambda w: weighted_sum(ad.matmul(x, w)), t(self.W)) < 1e-5
+
+    def test_stack_times_stack_gradient_wrt_right_operand(self, rng):
+        x = Tensor(rng.standard_normal((2, 4, 3)))
+        assert finite_difference_check(
+            lambda y: weighted_sum(ad.matmul(x, y)), t(self.Y)) < 1e-5
+
+    @pytest.mark.parametrize("build", [
+        lambda x, p: ad.add(x, p),
+        lambda x, p: ad.concat_rows([p, x, p]),
+        lambda x, p: ad.layer_norm(x, ad.slice_rows(p, 0, 1), ad.slice_rows(p, 1, 2)),
+        lambda x, p: ad.add_rowvec(x, ad.slice_rows(p, 2, 3)),
+    ], ids=["add", "concat_rows", "layer_norm_gain_bias", "add_rowvec"])
+    def test_shared_operand_gradient_sums_over_the_stack(self, build, rng):
+        x = Tensor(rng.standard_normal((2, 4, 3)))
+        p = t(rng.standard_normal((4, 3)))
+        assert finite_difference_check(lambda v: weighted_sum(build(x, v)), p) < 1e-5
+
+    def test_div_by_each_matrix_by_its_own_entry(self, rng):
+        a = rng.standard_normal((2, 1, 4))
+        s = t(np.array([[[2.0]], [[-3.0]]]))
+        out = ad.div_by(Tensor(a), s)
+        np.testing.assert_array_equal(out.data, np.stack([a[0] / 2.0, a[1] / -3.0]))
+        assert finite_difference_check(
+            lambda v: weighted_sum(ad.div_by(Tensor(a), v)), s) < 1e-6
+
+    def test_sum_all_gives_one_entry_per_matrix(self, rng):
+        x = rng.standard_normal((2, 4, 3))
+        out = ad.sum_all(t(x))
+        assert out.shape == (2, 1, 1)
+        np.testing.assert_allclose(out.data.ravel(), x.sum(axis=(1, 2)), rtol=1e-12)
+
+    @pytest.mark.parametrize("op, good, bad", [
+        (ad.matmul, ((2, 4, 3), (2, 3, 4)), ((2, 4, 3), (3, 3, 4))),
+        (ad.matmul, ((2, 4, 3), (3, 4)), ((4, 3), (2, 3, 4))),
+        (ad.add, ((2, 4, 3), (4, 3)), ((2, 4, 3), (1, 3))),
+        (ad.add, ((2, 4, 3), (4, 3)), ((4, 3), (2, 4, 3))),
+        (ad.div_by, ((2, 1, 4), (2, 1, 1)), ((2, 1, 4), (3, 1, 1))),
+        (ad.add_rowvec, ((2, 4, 3), (1, 3)), ((2, 4, 3), (2, 1, 3))),
+    ])
+    def test_stack_shapes_accepted_and_mismatches_rejected(self, op, good, bad):
+        assert op(*(Tensor(np.ones(s)) for s in good)).shape[0] == 2
+        with pytest.raises(DimensionError):
+            op(*(Tensor(np.ones(s)) for s in bad))

@@ -375,3 +375,76 @@ class TestManifestLabels:
             code, _, err = run(capsys, argv[0], "--data", str(path), *argv[1:])
             assert_one_line_error(code, err, 2, "data error")
             assert "no sample rows" in err
+
+
+class TestUnreadableInputs:
+    """Inputs that once ended in a traceback now end in a one-line data error."""
+
+    def train(self, capsys, manifest, tmp_path, *extra):
+        return run(capsys, "train", "--data", str(manifest), "--out",
+                   str(tmp_path / "m.ckpt"), *SMALL, *extra)
+
+    def test_manifest_with_non_utf8_byte(self, dataset, tmp_path, capsys):
+        path = dataset / "manifest.csv"
+        path.write_bytes(path.read_bytes().replace(b"img00003", b"img\xff0003"))
+        code, _, err = self.train(capsys, path, tmp_path)
+        assert_one_line_error(code, err, 2, "data error")
+        assert str(path) in err and "UTF-8" in err
+
+    def test_manifest_field_over_csv_limit(self, dataset, tmp_path, capsys):
+        path = dataset / "manifest.csv"
+        lines = path.read_text().splitlines()
+        lines[3] += "x" * 131073
+        path.write_text("\n".join(lines) + "\n")
+        code, _, err = self.train(capsys, path, tmp_path)
+        assert_one_line_error(code, err, 2, "data error")
+        assert f"{path}:4:" in err
+
+    def test_checkpoint_array_name_with_non_utf8_byte(self, dataset, trained,
+                                                      tmp_path, capsys):
+        raw = bytearray(trained.read_bytes())
+        (hlen,) = struct.unpack_from("<I", raw, 8)
+        raw[12 + hlen + 4] = 0xFF  # first byte of the first array's name
+        bad = tmp_path / "name.ckpt"
+        bad.write_bytes(bytes(raw))
+        code, _, err = run(capsys, "eval", "--data", str(dataset / "manifest.csv"),
+                           "--ckpt", str(bad))
+        assert_one_line_error(code, err, 2, "data error")
+        assert "not UTF-8" in err
+
+    def test_checkpoint_optimizer_array_of_wrong_size(self, dataset, trained,
+                                                       tmp_path, capsys):
+        # the last array is an optimizer moment: one element fewer, and
+        # its count says so, leaves the container itself consistent
+        raw = trained.read_bytes()
+        itemsize = 8  # float64 checkpoint
+        (hlen,) = struct.unpack_from("<I", raw, 8)
+        pos = 12 + hlen
+        while True:
+            (nlen,) = struct.unpack_from("<I", raw, pos)
+            (count,) = struct.unpack_from("<Q", raw, pos + 4 + nlen)
+            end = pos + 4 + nlen + 8 + count * itemsize
+            if end == len(raw):
+                break
+            pos = end
+        assert raw[pos + 4:pos + 4 + nlen].startswith(b"opt.")
+        bad = tmp_path / "short_moment.ckpt"
+        bad.write_bytes(raw[:pos + 4 + nlen] + struct.pack("<Q", count - 1)
+                        + raw[pos + 4 + nlen + 8:-itemsize])
+        code, _, err = run(capsys, "eval", "--data", str(dataset / "manifest.csv"),
+                           "--ckpt", str(bad))
+        assert_one_line_error(code, err, 2, "data error")
+        assert "optimizer array" in err
+
+    def test_channel_count_the_images_cannot_take(self, dataset, tmp_path, capsys):
+        code, _, err = self.train(capsys, dataset / "manifest.csv", tmp_path,
+                                  "--config", "channels=2")
+        assert_one_line_error(code, err, 2, "data error")
+        assert "img00000.ppm" in err and "3 channels to 2" in err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_model_without_layers_trains_on_masked_set(self, dataset, tmp_path, capsys):
+        code, _, err = self.train(capsys, dataset / "manifest.csv", tmp_path,
+                                  "--config", "layers=0")
+        assert code == 0 and err == ""
+        assert (tmp_path / "m.ckpt").exists()

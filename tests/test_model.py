@@ -425,3 +425,55 @@ class TestAttentionRecord:
         res = forward(init_params(cfg), rng.random((8, 8, 1)), cfg)
         assert res.focus is None
         assert res.record.attn == [] and res.record.focus_map is None
+
+
+class TestStackedForward:
+    @pytest.mark.parametrize("overrides", [
+        dict(layers=2), dict(patch=2, scales=3), dict(layers=0),
+    ])
+    def test_stack_matches_single_image_forwards(self, overrides, rng):
+        cfg = tiny_config(**overrides)
+        p = init_params(cfg)
+        images = rng.random((3, 8, 8, 1))
+        res = forward(p, images, cfg)
+        singles = [forward(p, img, cfg) for img in images]
+        assert res.probs.shape == res.logits.shape == (3, cfg.classes)
+        assert res.tokens.shape == (3, cfg.num_patches + 1, cfg.embed_dim)
+        for i, one in enumerate(singles):
+            np.testing.assert_allclose(res.logits.data[i], one.logits.data[0], rtol=1e-12)
+            np.testing.assert_allclose(res.probs.data[i], one.probs.data[0], rtol=1e-12)
+            np.testing.assert_allclose(res.tokens.data[i], one.tokens.data, rtol=1e-12)
+            if cfg.layers == 0:
+                assert res.focus is None and one.focus is None
+                continue
+            assert res.focus.shape == (3, 1, cfg.num_patches)
+            np.testing.assert_allclose(res.focus.data[i], one.focus.data, rtol=1e-12)
+            np.testing.assert_allclose(res.record.focus_map[i], one.record.focus_map,
+                                       rtol=1e-12)
+            for layer, one_layer in zip(res.record.attn, one.record.attn):
+                for head, one_head in zip(layer, one_layer):
+                    for a, one_a in zip(head, one_head):
+                        np.testing.assert_allclose(a[i], one_a, rtol=1e-12)
+
+    def test_patchify_stack_is_per_image_patchify(self, rng):
+        cfg = tiny_config(patch=2, channels=3)
+        images = rng.random((2, 8, 8, 3))
+        np.testing.assert_array_equal(patchify(images, cfg),
+                                      np.stack([patchify(im, cfg) for im in images]))
+
+    def test_stack_gradient_matches_sum_of_single_image_gradients(self, rng):
+        cfg = tiny_config(layers=2)
+        p = init_params(cfg)
+        images = rng.random((2, 8, 8, 1))
+
+        def grads(imgs):
+            with Tape() as tape:
+                res = forward(p, imgs, cfg, want_record=False)
+                tape.backward(ad.sum_all(ad.reshape(ad.mul(res.probs, res.probs), (1, -1))))
+                return {k: tape.grad(v).copy() for k, v in p.items()}
+
+        stacked = grads(images)
+        summed = [grads(img) for img in images]
+        for k in stacked:
+            np.testing.assert_allclose(stacked[k], summed[0][k] + summed[1][k],
+                                       rtol=1e-9, atol=1e-15)

@@ -325,3 +325,95 @@ class TestConfigCodec:
     def test_set_field_rejects_malformed_text(self, name, raw):
         with pytest.raises(ValueError, match=name):
             set_field(TrainConfig(), name, raw)
+
+
+def per_image_step_reference(params, mc, tc, batch, weights):
+    """The batch loss and gradients from one forward per image."""
+    from lesionformer import autodiff as ad
+    from lesionformer import losses
+    from lesionformer.data import mask_to_patch_grid
+    from lesionformer.model import forward
+    g = mc.grid_side
+    with ad.Tape() as tape:
+        rows, grids, masks = [], [], []
+        for s in batch:
+            res = forward(params, s.image, mc, want_record=False)
+            rows.append(res.probs)
+            if s.mask is not None:
+                grids.append(ad.reshape(res.focus, (g, g)))
+                masks.append(mask_to_patch_grid(s.mask, mc.patch))
+        l_ce = losses.weighted_cross_entropy(ad.concat_rows(rows),
+                                             [s.label for s in batch], weights)
+        l_attn = losses.attention_regularization(grids, masks, tc.attn_mode) if grids else None
+        total, breakdown = losses.total_loss(l_ce, l_attn, tc.lambda_attn)
+        tape.backward(total)
+        return breakdown, {k: tape.grad(p).copy() for k, p in params.items()}
+
+
+class TestBatchedStep:
+    @staticmethod
+    def weights(samples, mc, tc):
+        from lesionformer.data import class_frequencies
+        from lesionformer.losses import class_weights
+        return class_weights(class_frequencies(samples, mc.classes), tc.weight_epsilon)
+
+    def test_one_forward_matches_per_image_reference_on_mixed_masks(
+            self, tiny_config, monkeypatch):
+        from lesionformer import training
+        params, mc, tc, samples = fresh(tiny_config, n=5)
+        tc.lambda_attn = 0.3
+        batch = [s if i % 2 else Sample(s.image, s.label, None, s.id)
+                 for i, s in enumerate(samples)]
+        w = self.weights(batch, mc, tc)
+        want, want_grads = per_image_step_reference(params, mc, tc, batch, w)
+
+        shapes, got_grads = [], {}
+        forward, adam = training.forward, training.adam_step
+        monkeypatch.setattr(training, "forward", lambda p, image, *a, **k:
+                            shapes.append(image.shape) or forward(p, image, *a, **k))
+        monkeypatch.setattr(training, "adam_step", lambda p, grads, *a, **k:
+                            got_grads.update(grads) or adam(p, grads, *a, **k))
+        got = train_step(params, mc, tc, batch, init_adam(params), w, tc.learning_rate)
+        assert shapes == [(5, 8, 8, 1)]
+        assert got.l_attn > 0
+        for field in ("l_ce", "l_attn", "total"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
+        for name, g in want_grads.items():
+            np.testing.assert_allclose(got_grads[name], g, rtol=1e-9,
+                                       atol=1e-12 * np.abs(g).max())
+
+    def test_forward_ops_per_step_do_not_depend_on_batch_size(
+            self, tiny_config, monkeypatch):
+        from lesionformer import autodiff as ad
+        from lesionformer import training
+        counts, inside = [], []
+        op, forward = ad.custom_op, training.forward
+
+        def counting_op(*args):
+            if inside:
+                counts[-1] += 1
+            return op(*args)
+
+        def counting_forward(*args, **kwargs):
+            counts.append(0)
+            inside.append(True)
+            try:
+                return forward(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(ad, "custom_op", counting_op)
+        monkeypatch.setattr(training, "forward", counting_forward)
+        params, mc, tc, samples = fresh(tiny_config, n=8)
+        w = self.weights(samples, mc, tc)
+        for b in (1, 2, 8):
+            train_step(params, mc, tc, samples[:b], init_adam(params), w, tc.learning_rate)
+        assert len(counts) == 3 and counts[0] > 0
+        assert counts[0] == counts[1] == counts[2]
+
+    def test_model_without_layers_trains_on_masked_samples(self, tiny_config):
+        _, _, tc, samples = fresh(tiny_config)
+        mc = dataclasses.replace(tiny_config, layers=0)
+        params = init_params(mc)
+        logs, _ = train(params, mc, tc, samples)
+        assert all(b.l_attn == 0.0 for b in logs)
