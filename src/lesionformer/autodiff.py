@@ -104,14 +104,21 @@ class Tape:
             if g is None:
                 continue
             in_grads = backward_fn(g)
+            stored = []  # first gradients this call stored without a copy
             for t, gi in zip(inputs, in_grads):
                 if gi is None or not t.requires_grad:
                     continue
                 acc = grads.get(id(t))
                 if acc is None:
-                    # copy: backward fns may hand back the incoming grad itself,
-                    # and accumulation below mutates in place
-                    grads[id(t)] = np.array(gi, copy=True)
+                    # later gradients are added into the first in place, so it
+                    # must be an array no one else holds: copy the incoming
+                    # grad itself, any view, and an array this call already
+                    # stored for another input; a fresh result is kept as is
+                    if gi is g or gi.base is not None or any(gi is h for h in stored):
+                        gi = np.array(gi, copy=True)
+                    else:
+                        stored.append(gi)
+                    grads[id(t)] = gi
                 else:
                     acc += gi
         self._grads = grads
@@ -431,6 +438,38 @@ def softmax_rows(x: Tensor) -> Tensor:
         return (y * (g - dot),)
 
     return custom_op(y, (x,), backward, "softmax_rows")
+
+
+def attention_weights(q: Tensor, kt: Tensor, c: float) -> Tensor:
+    """``softmax_rows(scale(matmul(q, kt), c))`` as one op, with the same floats.
+
+    ``q`` is n x d and ``kt`` d x m, or stacks of them with equal leading
+    axes. The product is scaled, shifted by its row max, exponentiated and
+    normalised in place, so the tape keeps the weights and no scores.
+    """
+    qd, kd = q.data, kt.data
+    if (qd.ndim < 2 or kd.ndim != qd.ndim or qd.shape[-1] != kd.shape[-2]
+            or qd.shape[:-2] != kd.shape[:-2]):
+        raise DimensionError(f"attention_weights shapes incompatible: {q.shape} x {kt.shape}")
+    c = float(c)
+    y = qd @ kd
+    y *= c
+    # a -inf score would leave an exact 0 after the softmax; the scaled
+    # scores are non-finite wherever the product is, so one check covers both
+    _finite_or_raise(y, "attention_weights")
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        # softmax, then scale, then matmul backward, in the chain's order
+        gs = g - (g * y).sum(axis=-1, keepdims=True)
+        gs *= y
+        gs *= c
+        return (gs @ _swap(kd) if q.requires_grad else None,
+                _swap(qd) @ gs if kt.requires_grad else None)
+
+    return custom_op(y, (q, kt), backward, "attention_weights")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (DimensionError, NumericError, Tape, Tensor, add,
-                       add_rowvec, concat_cols, concat_rows, div_by, gelu,
-                       layer_norm, matmul, pool_grid, reshape, scale,
-                       scale_by, slice_cols, slice_rows, softmax_rows,
+                       add_rowvec, attention_weights, concat_cols, concat_rows,
+                       div_by, gelu, layer_norm, matmul, pool_grid, reshape,
+                       scale, scale_by, slice_cols, slice_rows, softmax_rows,
                        sum_all, transpose)
 
 
@@ -124,47 +124,42 @@ class ModelParams:
                 raise NumericError(f"non-finite values in parameter {name}")
 
 
-def init_params(cfg: ModelConfig, dtype=np.float64) -> ModelParams:
-    """Seeded init: weights uniform(+-sqrt(1/fan_in)), positional encodings
-    and class token uniform(+-0.02), biases and scale logits zero."""
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every learnable array's name and shape, in parameter order."""
     cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
-    D, S = cfg.embed_dim, cfg.scales
-    patch_dim = cfg.patch * cfg.patch * cfg.channels
-    hidden = cfg.mlp_hidden
-
-    def u(shape, fan_in):
-        b = math.sqrt(1.0 / fan_in)
-        return rng.uniform(-b, b, size=shape)
-
-    t = {}
-
-    def p(name, arr):
-        t[name] = Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
-
-    p("patch_proj.w", u((D, patch_dim), patch_dim))
-    p("patch_proj.b", np.zeros((1, D)))
-    p("cls", rng.uniform(-0.02, 0.02, size=(1, D)))
-    p("pos", rng.uniform(-0.02, 0.02, size=(cfg.num_patches + 1, D)))
+    D, hidden = cfg.embed_dim, cfg.mlp_hidden
+    shapes = {"patch_proj.w": (D, cfg.patch * cfg.patch * cfg.channels),
+              "patch_proj.b": (1, D), "cls": (1, D), "pos": (cfg.num_patches + 1, D)}
     for i in range(cfg.layers):
         pre = f"layer{i}."
-        p(pre + "ln1.g", np.ones((1, D)))
-        p(pre + "ln1.b", np.zeros((1, D)))
-        p(pre + "wq", u((D, D), D))
-        p(pre + "wk", u((D, D), D))
-        p(pre + "wv", u((D, D), D))
-        p(pre + "wo", u((D, D), D))
-        p(pre + "scale_logits", np.zeros((1, S)))
-        p(pre + "ln2.g", np.ones((1, D)))
-        p(pre + "ln2.b", np.zeros((1, D)))
-        p(pre + "mlp.w1", u((hidden, D), D))
-        p(pre + "mlp.b1", np.zeros((1, hidden)))
-        p(pre + "mlp.w2", u((D, hidden), hidden))
-        p(pre + "mlp.b2", np.zeros((1, D)))
-    p("final_ln.g", np.ones((1, D)))
-    p("final_ln.b", np.zeros((1, D)))
-    p("head.w", u((cfg.classes, D), D))
-    p("head.b", np.zeros((1, cfg.classes)))
+        shapes.update({pre + "ln1.g": (1, D), pre + "ln1.b": (1, D),
+                       pre + "wq": (D, D), pre + "wk": (D, D), pre + "wv": (D, D),
+                       pre + "wo": (D, D), pre + "scale_logits": (1, cfg.scales),
+                       pre + "ln2.g": (1, D), pre + "ln2.b": (1, D),
+                       pre + "mlp.w1": (hidden, D), pre + "mlp.b1": (1, hidden),
+                       pre + "mlp.w2": (D, hidden), pre + "mlp.b2": (1, D)})
+    shapes.update({"final_ln.g": (1, D), "final_ln.b": (1, D),
+                   "head.w": (cfg.classes, D), "head.b": (1, cfg.classes)})
+    return shapes
+
+
+def init_params(cfg: ModelConfig, dtype=np.float64) -> ModelParams:
+    """Seeded init, drawn in parameter order: weights (names ``w*``)
+    uniform(+-sqrt(1/fan_in)) with fan_in their column count, positional
+    encodings and class token uniform(+-0.02), layer-norm gains (``g``)
+    one, biases and scale logits zero."""
+    rng = np.random.default_rng(cfg.seed)
+    t = {}
+    for name, shape in param_shapes(cfg).items():
+        leaf = name.rpartition(".")[2]
+        if leaf in ("cls", "pos"):
+            arr = rng.uniform(-0.02, 0.02, size=shape)
+        elif leaf.startswith("w"):
+            b = math.sqrt(1.0 / shape[1])
+            arr = rng.uniform(-b, b, size=shape)
+        else:
+            arr = np.ones(shape) if leaf == "g" else np.zeros(shape)
+        t[name] = Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
     return ModelParams(t)
 
 
@@ -208,8 +203,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """softmax(Q K^T / sqrt(d_k)) V"""
     if q.shape[-1] != k.shape[-1]:
         raise DimensionError(f"key dim mismatch: {q.shape} vs {k.shape}")
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
-    return matmul(softmax_rows(scores), v)
+    return matmul(attention_weights(q, transpose(k), 1.0 / math.sqrt(q.shape[-1])), v)
 
 
 def multi_scale_attention(params: ModelParams, layer: int, x: Tensor,
@@ -248,8 +242,7 @@ def multi_scale_attention(params: ModelParams, layer: int, x: Tensor,
         combined = None
         head_attns = []
         for kt, vs, ws in zip(keys_t, values, weights):
-            scores = scale(matmul(qh, slice_rows(kt, lo, lo + dk)), 1.0 / math.sqrt(dk))
-            attn = softmax_rows(scores)
+            attn = attention_weights(qh, slice_rows(kt, lo, lo + dk), 1.0 / math.sqrt(dk))
             head_attns.append(attn)
             out_s = scale_by(matmul(attn, slice_cols(vs, lo, lo + dk)), ws)
             combined = out_s if combined is None else add(combined, out_s)

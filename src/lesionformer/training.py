@@ -18,7 +18,7 @@ from . import losses, metrics
 from .autodiff import NumericError, Tape, Tensor
 from .autodiff import reshape, slice_rows
 from .data import class_frequencies, mask_to_patch_grid
-from .model import ModelConfig, ModelParams, forward, init_params
+from .model import ModelConfig, ModelParams, forward, param_shapes
 
 
 @dataclass
@@ -314,7 +314,8 @@ def load_checkpoint(path) -> Checkpoint:
             nbytes = count * dtype.itemsize
             if pos + nbytes > len(raw):
                 raise CheckpointError(f"truncated array {name}: need {nbytes} bytes")
-            arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=pos).copy()
+            # a read-only view; take() copies it out in the run's dtype
+            arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
             pos += nbytes
     except struct.error:
         # a cut inside a name length, a name or a count leaves a field short
@@ -325,24 +326,24 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{len(raw) - pos} trailing bytes after the last array")
 
     # shapes come from the config, counts are validated against it
-    template = init_params(model_cfg, dtype=train_cfg.np_dtype)
+    shapes = param_shapes(model_cfg)
 
-    def take(key, what, like):
+    def take(key, what, shape):
         if key not in arrays:
             raise CheckpointError(f"checkpoint missing {what} {key}")
         flat = arrays[key]
-        if flat.size != like.data.size:
-            raise CheckpointError(
-                f"{what} {key}: expected {like.data.size} elements, got {flat.size}")
-        return flat.reshape(like.shape).astype(train_cfg.np_dtype)
+        size = math.prod(shape)
+        if flat.size != size:
+            raise CheckpointError(f"{what} {key}: expected {size} elements, got {flat.size}")
+        return flat.reshape(shape).astype(train_cfg.np_dtype)
 
-    params = ModelParams({name: Tensor(take(name, "parameter", t), requires_grad=True)
-                          for name, t in template.items()})
+    params = ModelParams({name: Tensor(take(name, "parameter", shape), requires_grad=True)
+                          for name, shape in shapes.items()})
     opt = None
     if opt_t >= 0:
         opt = AdamState(m={}, v={}, t=opt_t)
-        for name, t in template.items():
+        for name, shape in shapes.items():
             for moment, store in (("m", opt.m), ("v", opt.v)):
-                store[name] = take(f"opt.{moment}.{name}", "optimizer array", t)
+                store[name] = take(f"opt.{moment}.{name}", "optimizer array", shape)
     return Checkpoint(model_config=model_cfg, train_config=train_cfg,
                       params=params, opt=opt, step=step)

@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lesionformer import autodiff as ad
+from lesionformer import losses, model
 from lesionformer.autodiff import (DimensionError, NumericError, Tape,
                                    TapeError, Tensor, finite_difference_check)
+from lesionformer.data import SynthConfig, synth_generate
+from lesionformer.training import TrainConfig, init_adam, train_step
 
 
 def t(arr, grad=True):
@@ -497,3 +500,123 @@ class TestStackedOps:
         assert op(*(Tensor(np.ones(s)) for s in good)).shape[0] == 2
         with pytest.raises(DimensionError):
             op(*(Tensor(np.ones(s)) for s in bad))
+
+
+class TestFirstGradient:
+    """The first gradient a tensor receives is stored and later ones are
+    added into it in place, so it must never be an array held elsewhere."""
+
+    W = np.random.default_rng(3).standard_normal((4, 2))
+
+    def test_add_of_a_tensor_to_itself(self, rng):
+        x = t(rng.standard_normal((3, 2)))
+        with Tape() as tape:
+            y = ad.add(x, x)
+            tape.backward(ad.sum_all(y))
+            np.testing.assert_array_equal(tape.grad(x), np.full((3, 2), 2.0))
+            np.testing.assert_array_equal(tape.grad(y), np.ones((3, 2)))
+
+    def test_op_that_returns_the_incoming_gradient(self, rng):
+        # pool_grid with window 1 hands back its incoming gradient; x's later
+        # gradient must not leak into the intermediate p
+        x = t(rng.standard_normal((4, 2)))
+        w2 = rng.standard_normal((4, 2))
+        with Tape() as tape:
+            a = ad.sum_all(ad.mul(x, Tensor(w2)))
+            p = ad.pool_grid(x, 2, 1)
+            tape.backward(ad.add(a, ad.sum_all(ad.mul(p, Tensor(self.W)))))
+            np.testing.assert_array_equal(tape.grad(p), self.W)
+            np.testing.assert_array_equal(tape.grad(x), self.W + w2)
+
+    def test_broadcast_sum_all_gradient(self, rng):
+        # a stack's sum_all hands back a read-only broadcast view
+        x = t(rng.standard_normal((2, 3, 4)))
+        w = rng.standard_normal((2, 3, 4))
+        with Tape() as tape:
+            a = ad.sum_all(ad.reshape(ad.mul(x, Tensor(w)), (1, -1)))
+            s = ad.sum_all(ad.reshape(ad.sum_all(x), (1, 2)))
+            tape.backward(ad.add(a, s))
+            np.testing.assert_array_equal(tape.grad(x), w + 1.0)
+
+    def test_one_array_handed_to_two_inputs(self, rng):
+        a, b = t(rng.standard_normal((4, 2))), t(rng.standard_normal((4, 2)))
+
+        def backward(g):
+            both = g * 1.0
+            return (both, both)
+
+        with Tape() as tape:
+            first = ad.sum_all(ad.mul(a, Tensor(self.W)))
+            both = ad.custom_op(a.data + b.data, (a, b), backward, "both")
+            tape.backward(ad.add(first, ad.sum_all(both)))
+            np.testing.assert_array_equal(tape.grad(b), np.ones((4, 2)))
+            np.testing.assert_array_equal(tape.grad(a), self.W + 1.0)
+
+
+def attention_chain(q, kt, c):
+    return ad.softmax_rows(ad.scale(ad.matmul(q, kt), c))
+
+
+class TestAttentionWeights:
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["matrix", "stack"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_the_chain(self, dtype, lead, rng):
+        q0 = rng.standard_normal(lead + (65, 8)).astype(dtype)
+        k0 = rng.standard_normal(lead + (8, 17)).astype(dtype)
+        w = Tensor(rng.standard_normal(lead + (65, 17)).astype(dtype))
+        results = []
+        for op in (ad.attention_weights, attention_chain):
+            q = Tensor(q0.copy(), requires_grad=True)
+            kt = Tensor(k0.copy(), requires_grad=True)
+            with Tape() as tape:
+                y = op(q, kt, 1.0 / math.sqrt(8))
+                tape.backward(ad.sum_all(ad.reshape(ad.mul(y, w), (1, -1))))
+                results.append((y.data, tape.grad(q), tape.grad(kt)))
+        for fused, chain in zip(*results):
+            assert fused.dtype == chain.dtype == dtype
+            assert fused.shape == chain.shape
+            assert fused.tobytes() == chain.tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["matrix", "stack"])
+    def test_gradients_match_finite_differences(self, lead, rng):
+        q0 = rng.standard_normal(lead + (5, 3))
+        k0 = rng.standard_normal(lead + (3, 4))
+        assert finite_difference_check(
+            lambda q: weighted_sum(ad.attention_weights(q, t(k0, grad=False), 0.5)),
+            t(q0)) < 1e-6
+        assert finite_difference_check(
+            lambda kt: weighted_sum(ad.attention_weights(t(q0, grad=False), kt, 0.5)),
+            t(k0)) < 1e-6
+
+    # row 1 of q times column 0 of kt is the only non-finite score, so for
+    # -inf the row max stays finite and the softmax would give an exact 0
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("v", [1e308, -1e308, np.nan], ids=["+inf", "-inf", "nan"])
+    def test_non_finite_product_names_the_op(self, v):
+        q = t([[1.0, 1.0], [v, 1.0], [1.0, 1.0]])
+        kt = t([[10.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(NumericError, match="attention_weights"):
+            ad.attention_weights(q, kt, 0.5)
+
+    @pytest.mark.parametrize("qs, ks", [((3, 4), (5, 2)), ((2, 3, 4), (4, 5)),
+                                        ((2, 3, 4), (3, 4, 5)), ((4,), (4, 2))])
+    def test_shape_mismatch_rejected(self, qs, ks):
+        with pytest.raises(DimensionError, match="attention_weights"):
+            ad.attention_weights(t(np.ones(qs)), t(np.ones(ks)), 1.0)
+
+    def test_default_train_step_matches_the_chain_bitwise(self, monkeypatch):
+        cfg, tcfg = model.ModelConfig(), TrainConfig()
+        batch = synth_generate(tcfg.batch_size, SynthConfig(seed=4))
+        assert all(s.mask is not None for s in batch)
+        weights = losses.class_weights([0.5, 0.25, 0.25], tcfg.weight_epsilon)
+
+        def step():
+            params = model.init_params(cfg)
+            state = init_adam(params)
+            train_step(params, cfg, tcfg, batch, state, weights, tcfg.learning_rate)
+            return [a.tobytes() for name, p in params.items()
+                    for a in (p.data, state.m[name], state.v[name])]
+
+        fused = step()
+        monkeypatch.setattr(model, "attention_weights", attention_chain)
+        assert step() == fused

@@ -1,6 +1,9 @@
 import dataclasses
+import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -294,6 +297,30 @@ class TestMalformedHeader:
         code, _, err = run(capsys, "eval", "--data",
                            str(dataset / "manifest.csv"), "--ckpt", str(bad))
         assert_one_line_error(code, err, 2, "data error")
+
+
+class TestHeaderShapesBeforeAllocation:
+    # imports first, then caps the address space at 1 GiB; the header below
+    # asks for a 20000000 x 16 patch projection alone, 2.56 GB at float64
+    CHILD = ("import resource, sys\n"
+             "from lesionformer.cli import main\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps memory on Linux")
+    def test_huge_embed_dim_is_data_error_without_allocating(self, dataset, trained,
+                                                             tmp_path):
+        bad = tmp_path / "huge.ckpt"
+        bad.write_bytes(with_header(trained.read_bytes(), lambda h: re.sub(
+            rb"(?m)^model\.embed_dim=.*$", b"model.embed_dim=20000000", h)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, "eval", "--data",
+             str(dataset / "manifest.csv"), "--ckpt", str(bad)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert_one_line_error(proc.returncode, proc.stderr, 2, "data error")
+        assert "patch_proj.w" in proc.stderr
 
 
 class TestDumpConfig:

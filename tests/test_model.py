@@ -385,11 +385,12 @@ def bench_forward_ops():
 class TestOpCensus:
     # tape ops of one forward on the default config; every kind the traced
     # benchmark reports a count for must stay present
-    DEFAULT_FORWARD = {"matmul": 46, "transpose": 10, "add": 16, "scale": 17,
+    DEFAULT_FORWARD = {"matmul": 30, "transpose": 10, "add": 16, "scale": 1,
                        "scale_by": 16, "div_by": 1, "add_rowvec": 6,
                        "slice_rows": 29, "slice_cols": 32, "concat_rows": 5,
-                       "concat_cols": 2, "sum_all": 1, "softmax_rows": 19,
-                       "layer_norm": 5, "gelu": 2, "pool_grid": 4}
+                       "concat_cols": 2, "sum_all": 1, "softmax_rows": 3,
+                       "attention_weights": 16, "layer_norm": 5, "gelu": 2,
+                       "pool_grid": 4}
 
     def test_default_forward_op_counts(self, monkeypatch, rng):
         counts = {}
@@ -404,7 +405,7 @@ class TestOpCensus:
         params = init_params(cfg)
         forward(params, rng.random((cfg.image_h, cfg.image_w, cfg.channels)),
                 cfg, want_record=False)
-        assert sum(counts.values()) == 211
+        assert sum(counts.values()) == 179
         assert counts == self.DEFAULT_FORWARD
         assert set(bench_forward_ops()) <= set(counts)
 
