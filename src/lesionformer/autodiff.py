@@ -2,13 +2,14 @@
 
 Storage is row-major numpy, float32 or float64. Every op acts on the
 trailing two axes (rows, columns); any leading axes form a stack of
-matrices, such as a batch of images. On a plain 2-D matrix each op takes
-the same float path whatever stacks it also accepts. Broadcasting is
-limited to a scalar constant, the explicit row-vector ops, and the stated
-cases of ``matmul``, ``add``, ``concat_rows`` and ``div_by``; any other
-shape adaptation is done with reshape/slice/concat so every forward value
-is bit-reproducible. A tape lives for one forward/backward pass and is
-discarded afterwards.
+matrices, such as a batch of images. Broadcasting is limited to a scalar
+constant, the explicit row-vector ops, and the stated cases of ``matmul``,
+``add``, ``concat_rows`` and ``div_by``; any other shape adaptation is done
+with reshape/slice/concat so every forward value is bit-reproducible.
+Backward stores a tensor's first gradient as its op returns it and adds
+later ones out of place, so a gradient may be shared or read-only, and no
+backward writes into the one it receives. A tape lives for one
+forward/backward pass and is discarded afterwards.
 """
 
 from __future__ import annotations
@@ -103,29 +104,24 @@ class Tape:
             g = grads.get(id(out))
             if g is None:
                 continue
-            in_grads = backward_fn(g)
-            stored = []  # first gradients this call stored without a copy
-            for t, gi in zip(inputs, in_grads):
+            for t, gi in zip(inputs, backward_fn(g)):
                 if gi is None or not t.requires_grad:
                     continue
                 acc = grads.get(id(t))
-                if acc is None:
-                    # later gradients are added into the first in place, so it
-                    # must be an array no one else holds: copy the incoming
-                    # grad itself, any view, and an array this call already
-                    # stored for another input; a fresh result is kept as is
-                    if gi is g or gi.base is not None or any(gi is h for h in stored):
-                        gi = np.array(gi, copy=True)
-                    else:
-                        stored.append(gi)
-                    grads[id(t)] = gi
-                else:
-                    acc += gi
+                if acc is not None:
+                    # the sum keeps the first gradient's memory layout: BLAS
+                    # may round a column-major matmul operand differently
+                    gi = np.add(acc, gi, out=np.empty_like(acc))
+                grads[id(t)] = gi
         self._grads = grads
         return grads
 
     def grad(self, t):
-        """Gradient of the loss w.r.t. ``t``; exact zeros if unused."""
+        """Gradient of the loss w.r.t. ``t``; exact zeros if unused.
+
+        The array may be shared with another gradient or be read-only (a
+        broadcast view), so copy it before writing into it.
+        """
         if self._grads is None:
             raise TapeError("backward has not been run on this tape")
         g = self._grads.get(id(t))
@@ -164,41 +160,40 @@ def custom_op(out_data, inputs, backward_fn, name):
 
 def _swap(x):
     """The last two axes swapped (a view)."""
-    return x.T if x.ndim == 2 else np.swapaxes(x, -1, -2)
+    return np.swapaxes(x, -1, -2)
 
 
 def _rows(x):
     """``x`` as one matrix: every leading axis folded into the rows."""
-    return x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
+    return x.reshape(-1, x.shape[-1])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the trailing two axes.
 
-    A stack times a 2-D ``b`` is one product over all the stack's rows; a
-    stack times a stack multiplies matrix by matrix and needs equal
-    leading axes.
+    A 2-D ``b`` multiplies all of ``a``'s rows, any leading axes folded in,
+    in one product; a stack times a stack multiplies matrix by matrix and
+    needs equal leading axes.
     """
     ad, bd = a.data, b.data
     if (ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]
             or (bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2])):
         raise DimensionError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
-    if ad.ndim == 2 or bd.ndim > 2:
-        def backward(g):
+    if bd.ndim > 2:
+        def backward_stack(g):
             return (g @ _swap(bd) if a.requires_grad else None,
                     _swap(ad) @ g if b.requires_grad else None)
 
-        return custom_op(ad @ bd, (a, b), backward, "matmul")
+        return custom_op(ad @ bd, (a, b), backward_stack, "matmul")
+    rows = _rows(ad)
 
-    rows = ad.reshape(-1, ad.shape[-1])
-    out_shape = ad.shape[:-1] + bd.shape[-1:]
-
-    def backward_stack(g):
-        g2 = g.reshape(-1, g.shape[-1])
+    def backward(g):
+        g2 = _rows(g)
         return ((g2 @ bd.T).reshape(ad.shape) if a.requires_grad else None,
                 rows.T @ g2 if b.requires_grad else None)
 
-    return custom_op((rows @ bd).reshape(out_shape), (a, b), backward_stack, "matmul")
+    return custom_op((rows @ bd).reshape(ad.shape[:-1] + bd.shape[-1:]), (a, b),
+                     backward, "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -209,46 +204,31 @@ def transpose(a: Tensor) -> Tensor:
     return custom_op(_swap(a.data).copy(), (a,), backward, "transpose")
 
 
-def _check_same_shape(a, b, op):
-    if a.shape != b.shape:
-        raise DimensionError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
-
-
 def _lead_sum(g, shape):
-    """Sum ``g`` over the leading axes that a part of ``shape`` lacks."""
-    return g.sum(axis=tuple(range(g.ndim - len(shape))))
+    """Sum ``g`` over the leading axes that a part of ``shape`` lacks;
+    ``g`` itself if it has none."""
+    lead = tuple(range(g.ndim - len(shape)))
+    return g.sum(axis=lead) if lead else g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may lack ``a``'s leading axes and is then
     added to every matrix of the stack."""
-    if a.shape == b.shape:
-        def backward(g):
-            return (g, g)
-
-        return custom_op(a.data + b.data, (a, b), backward, "add")
-    if not 0 < b.data.ndim < a.data.ndim or a.shape[-b.data.ndim:] != b.shape:
+    if a.shape != b.shape and (not 0 < b.data.ndim < a.data.ndim
+                               or a.shape[-b.data.ndim:] != b.shape):
         raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
     b_shape = b.shape
 
-    def backward_bcast(g):
+    def backward(g):
         return (g, _lead_sum(g, b_shape) if b.requires_grad else None)
 
-    return custom_op(a.data + b.data, (a, b), backward_bcast, "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-
-    def backward(g):
-        return (g, -g)
-
-    return custom_op(a.data - b.data, (a, b), backward, "sub")
+    return custom_op(a.data + b.data, (a, b), backward, "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product."""
-    _check_same_shape(a, b, "mul")
+    if a.shape != b.shape:
+        raise DimensionError(f"mul shape mismatch: {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
 
     def backward(g):
@@ -286,26 +266,20 @@ def div_by(a: Tensor, s: Tensor) -> Tensor:
     """Divide by a scalar tensor, or each trailing matrix of a stack by its
     own 1 x 1 entry of an ``s`` shaped (*stack, 1, 1)."""
     ad, sd = a.data, s.data
-    if sd.size != 1:
-        if ad.ndim < 3 or sd.shape != ad.shape[:-2] + (1, 1):
-            raise DimensionError(f"div_by expects a scalar tensor or one 1 x 1 "
-                                 f"entry per matrix of {a.shape}, got {s.shape}")
-
-        def backward_stack(g):
-            ga = g / sd if a.requires_grad else None
-            gs = (-(g * ad).sum(axis=(-2, -1), keepdims=True) / (sd * sd)
-                  if s.requires_grad else None)
-            return (ga, gs)
-
-        return custom_op(ad / sd, (a, s), backward_stack, "div_by")
-    sv = sd.reshape(-1)[0]
+    if sd.ndim > ad.ndim or (sd.size != 1 and (ad.ndim < 3
+                                               or sd.shape != ad.shape[:-2] + (1, 1))):
+        raise DimensionError(f"div_by expects a scalar tensor or one 1 x 1 "
+                             f"entry per matrix of {a.shape}, got {s.shape}")
+    # the axes one entry of s divides: all of a's, or one matrix's
+    axes = tuple(range(ad.ndim)) if sd.size == 1 else (-2, -1)
 
     def backward(g):
-        ga = g / sv if a.requires_grad else None
-        gs = np.full_like(sd, -(g * ad).sum() / (sv * sv)) if s.requires_grad else None
+        ga = g / sd if a.requires_grad else None
+        gs = ((-(g * ad).sum(axis=axes, keepdims=True) / (sd * sd)).reshape(sd.shape)
+              if s.requires_grad else None)
         return (ga, gs)
 
-    return custom_op(ad / sv, (a, s), backward, "div_by")
+    return custom_op(ad / sd, (a, s), backward, "div_by")
 
 
 def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
@@ -398,17 +372,13 @@ def sum_all(a: Tensor) -> Tensor:
     """Reduce each trailing matrix to a 1x1 sum: one scalar for a matrix,
     a (*stack, 1, 1) tensor for a stack."""
     ad = a.data
-    if ad.ndim > 2:
-        def backward_stack(g):
-            return (np.broadcast_to(g, ad.shape),)
-
-        return custom_op(ad.sum(axis=(-2, -1), keepdims=True), (a,), backward_stack,
-                         "sum_all")
+    if ad.ndim < 2:
+        raise DimensionError(f"sum_all expects at least 2-D, got {a.shape}")
 
     def backward(g):
-        return (np.full_like(ad, g.reshape(-1)[0]),)
+        return (np.broadcast_to(g, ad.shape),)
 
-    return custom_op(ad.sum().reshape(1, 1), (a,), backward, "sum_all")
+    return custom_op(ad.sum(axis=(-2, -1), keepdims=True), (a,), backward, "sum_all")
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -546,7 +516,7 @@ def pool_grid(x: Tensor, side: int, window: int) -> Tensor:
     def backward(g):
         gb = g.reshape(lead + (g2, 1, g2, 1, d)) / (window * window)
         gx = np.broadcast_to(gb, lead + (g2, window, g2, window, d)).reshape(x.shape)
-        return (gx.copy(),)
+        return (gx,)
 
     return custom_op(out, (x,), backward, "pool_grid")
 

@@ -37,15 +37,21 @@ def _to_uint8(img):
 
 
 def cmd_synth(args):
-    proportions = tuple(float(x) for x in args.imbalance.split(","))
+    try:
+        proportions = tuple(float(x) for x in args.imbalance.split(","))
+    except ValueError:
+        raise UsageError(f"imbalance {args.imbalance!r} is not comma-separated numbers") from None
     h, w = args.size
+    if args.patch < 1 or h % args.patch or w % args.patch:
+        raise UsageError(f"size {h}x{w} not divisible by patch {args.patch}")
     cfg = SynthConfig(height=h, width=w, classes=len(proportions),
                       imbalance=proportions, seed=args.seed)
-    if h % args.patch or w % args.patch:
-        raise UsageError(f"size {h}x{w} not divisible by patch {args.patch}")
+    try:
+        samples = synth_generate(args.n, cfg)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    samples = synth_generate(args.n, cfg)
     rows = []
     for i, s in enumerate(samples):
         img_name = f"img{i:05d}.ppm"

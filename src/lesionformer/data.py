@@ -295,8 +295,18 @@ def synth_sample(index, label, cfg: SynthConfig) -> Sample:
 def synth_generate(n, cfg: SynthConfig) -> list[Sample]:
     """n samples with exact quota class counts and a seeded label order."""
     if n < 1:
-        raise ValueError("n must be >= 1")
-    counts = _quota_counts(n, cfg.imbalance[:cfg.classes])
+        raise ValueError(f"n must be >= 1, got {n}")
+    if min(cfg.height, cfg.width) < 1:
+        raise ValueError(f"image size {cfg.height}x{cfg.width} must be at least 1x1")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {cfg.seed}")
+    shares = cfg.imbalance[:cfg.classes]
+    # written `not ok` so that NaN fails
+    if len(shares) != cfg.classes or not (all(0 <= p for p in shares)
+                                          and 0 < sum(shares) < np.inf):
+        raise ValueError(f"imbalance {shares} must give each of {cfg.classes} "
+                         f"classes a share >= 0, with a finite positive sum")
+    counts = _quota_counts(n, shares)
     labels = np.repeat(np.arange(cfg.classes), counts)
     order = np.random.default_rng([cfg.seed, 917]).permutation(n)
     labels = labels[order]

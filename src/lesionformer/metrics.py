@@ -21,15 +21,6 @@ class MetricsReport:
     confusion: np.ndarray
     n: int
 
-    def lines(self):
-        return [
-            f"acc={self.acc:.6f}",
-            f"auc_macro={self.auc_macro:.6f}",
-            f"f1_macro={self.f1_macro:.6f}",
-            f"precision_macro={self.precision_macro:.6f}",
-            f"n={self.n}",
-        ]
-
 
 def confusion_matrix(pred_labels, true_labels, k: int) -> np.ndarray:
     """Entry (i, j) counts samples with true class i predicted as j."""

@@ -199,13 +199,6 @@ def embed(params: ModelParams, patches_t: Tensor, cfg: ModelConfig) -> Tensor:
     return add(z, params["pos"])
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(Q K^T / sqrt(d_k)) V"""
-    if q.shape[-1] != k.shape[-1]:
-        raise DimensionError(f"key dim mismatch: {q.shape} vs {k.shape}")
-    return matmul(attention_weights(q, transpose(k), 1.0 / math.sqrt(q.shape[-1])), v)
-
-
 def multi_scale_attention(params: ModelParams, layer: int, x: Tensor,
                           cfg: ModelConfig):
     """Multi-head attention fused over scales.

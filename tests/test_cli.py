@@ -74,6 +74,18 @@ class TestSynth:
                            "1", "--size", "9", "9")
         assert code == 1 and "usage error" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--n", "0"], ["--n", "-2"], ["--imbalance", "a,b"], ["--imbalance", "1,-1"],
+        ["--imbalance", "0,0"], ["--imbalance", "1,nan"], ["--imbalance", "1e308,1e308"],
+        ["--patch", "0"], ["--size", "-4", "-4"], ["--size", "0", "0"], ["--seed", "-1"],
+    ], ids=" ".join)
+    def test_bad_flag_is_one_line_usage_error_and_writes_nothing(self, flags, tmp_path,
+                                                                  capsys):
+        out = tmp_path / "x"
+        code, _, err = run(capsys, "synth", "--out", str(out), "--n", "4", *flags)
+        assert_one_line_error(code, err, 1, "usage error:")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_prints_metric_table(self, dataset, tmp_path, capsys):

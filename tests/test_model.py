@@ -8,9 +8,9 @@ from conftest import tiny_config
 from lesionformer import autodiff as ad
 from lesionformer.autodiff import DimensionError, Tape, Tensor, finite_difference_check
 from lesionformer import model
-from lesionformer.model import (ModelConfig, attention, embed, encoder_block,
-                                forward, grad_cam, init_params,
-                                multi_scale_attention, patchify, unpatchify)
+from lesionformer.model import (ModelConfig, embed, encoder_block, forward,
+                                grad_cam, init_params, multi_scale_attention,
+                                patchify, unpatchify)
 
 
 def vanilla_multi_head_attention(x, wq, wk, wv, wo, h):
@@ -129,37 +129,6 @@ class TestEmbed:
 
         w = Tensor(p["patch_proj.w"].data.copy(), requires_grad=True)
         assert finite_difference_check(f, w) < 1e-5
-
-
-class TestAttention:
-    def test_single_token_returns_value(self, rng):
-        q = Tensor(rng.standard_normal((1, 3)))
-        v = Tensor(rng.standard_normal((1, 4)))
-        out = attention(q, Tensor(rng.standard_normal((1, 3))), v)
-        np.testing.assert_allclose(out.data, v.data)
-
-    def test_zero_keys_give_uniform_attention(self, rng):
-        q = Tensor(rng.standard_normal((4, 3)))
-        k = Tensor(np.zeros((4, 3)))
-        v = Tensor(rng.standard_normal((4, 2)))
-        out = attention(q, k, v)
-        np.testing.assert_allclose(out.data,
-                                   np.tile(v.data.mean(axis=0), (4, 1)), atol=1e-12)
-
-    def test_matches_brute_force(self, rng):
-        q = rng.standard_normal((3, 2))
-        k = rng.standard_normal((3, 2))
-        v = rng.standard_normal((3, 2))
-        out = attention(Tensor(q), Tensor(k), Tensor(v))
-        scores = q @ k.T / np.sqrt(2)
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        ref = (e / e.sum(axis=1, keepdims=True)) @ v
-        np.testing.assert_allclose(out.data, ref, atol=1e-12)
-
-    def test_key_dim_mismatch(self, rng):
-        with pytest.raises(DimensionError):
-            attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
-                      Tensor(np.zeros((2, 4))))
 
 
 class TestMultiScaleAttention:
