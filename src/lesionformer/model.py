@@ -100,7 +100,9 @@ class ForwardResult:
     focus: Tensor | None    # 1 x N, differentiable focus distribution
     tokens: Tensor          # (N+1) x D features entering the final block;
                             # the class logit depends on the patch rows only
-                            # through this tensor, so saliency is taken here
+                            # through this tensor, so saliency is taken here.
+                            # On frozen weights it is a gradient leaf, so a
+                            # backward stops at it (see :func:`grad_cam`)
 
 
 class ModelParams:
@@ -269,9 +271,13 @@ def forward(params: ModelParams, image: np.ndarray, cfg: ModelConfig,
     patches = patchify(np.asarray(image, dtype=dtype), cfg)
     z = embed(params, Tensor(patches), cfg)
     attns = []
-    tokens = z
-    for i in range(cfg.layers):
-        tokens = z
+    blocks = range(cfg.layers)
+    for i in blocks[:-1]:
+        z, layer_attns = encoder_block(params, i, z, cfg)
+        attns.append(layer_attns)
+    # the final block's input: a gradient leaf of its own on frozen weights
+    tokens = z = z if z.requires_grad else Tensor(z.data, requires_grad=True)
+    for i in blocks[-1:]:
         z, layer_attns = encoder_block(params, i, z, cfg)
         attns.append(layer_attns)
     z = layer_norm(z, params["final_ln.g"], params["final_ln.b"])
@@ -309,15 +315,26 @@ def focus_from_attention(s1_attns, cfg: ModelConfig) -> Tensor | None:
 
 def grad_cam(params: ModelParams, image: np.ndarray, target_class: int,
              cfg: ModelConfig):
-    """Gradient-weighted patch-token heatmap for a target class.
+    """Gradient-weighted patch-token heatmap for a target class of one
+    H x W x C image.
+
+    The forward runs on a frozen view of the weights (the same arrays, no
+    gradient required), which makes the final block's input tokens the only
+    gradient leaf: the backward covers the final block and the head alone
+    and computes no weight gradient. ``params`` is left as it was.
 
     Returns (grid G x G in [0, 1], nearest-neighbor upsampled H x W map).
     """
+    shape = np.shape(image)
+    if shape != (cfg.image_h, cfg.image_w, cfg.channels):
+        raise DimensionError(f"grad_cam takes one {cfg.image_h}x{cfg.image_w}x"
+                             f"{cfg.channels} image, got shape {shape}")
     if not 0 <= target_class < cfg.classes:
         raise ValueError(f"class {target_class} out of range [0, {cfg.classes})")
     params.check_finite()
+    frozen = ModelParams({name: Tensor(t.data) for name, t in params.items()})
     with Tape() as tape:
-        res = forward(params, image, cfg, want_record=False)
+        res = forward(frozen, image, cfg, want_record=False)
         target = slice_cols(res.logits, target_class, target_class + 1)
         tape.backward(target)
         grads = tape.grad(res.tokens)[1:]

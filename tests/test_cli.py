@@ -161,11 +161,18 @@ class TestEval:
 
 
 class TestGradcam:
-    def test_writes_heat_and_overlay(self, dataset, trained, tmp_path, capsys):
+    @pytest.mark.parametrize("layers", [0, 1])
+    def test_writes_heat_and_overlay(self, layers, dataset, tmp_path, capsys):
+        # no block at all, and no block before the final one: the two edges
+        # of the gradient leaf that Grad-CAM's backward stops at
+        ckpt = tmp_path / "model.ckpt"
+        code, _, _ = run(capsys, "train", "--data", str(dataset / "manifest.csv"),
+                         "--out", str(ckpt), *SMALL, "--config", f"layers={layers}")
+        assert code == 0
         rows = read_manifest(dataset / "manifest.csv")
         prefix = tmp_path / "cam"
         code, out, _ = run(capsys, "gradcam", "--image",
-                           str(dataset / rows[0][0]), "--ckpt", str(trained),
+                           str(dataset / rows[0][0]), "--ckpt", str(ckpt),
                            "--class", str(rows[0][1]), "--out", str(prefix))
         assert code == 0
         heat = read_netpbm(f"{prefix}.heat.pgm")
@@ -174,7 +181,7 @@ class TestGradcam:
         assert overlay.shape == (8, 8, 3)
         # min-max normalized, or all-zero when ReLU removes every token
         assert heat.max() in (0, 255)
-        assert out.startswith("argmax=(")
+        assert re.fullmatch(r"argmax=\(\d+,\d+\)\n", out)
 
     def test_out_of_range_class_is_usage_error(self, dataset, trained, tmp_path,
                                                capsys):

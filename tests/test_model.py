@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,9 @@ from conftest import tiny_config
 from lesionformer import autodiff as ad
 from lesionformer.autodiff import DimensionError, Tape, Tensor, finite_difference_check
 from lesionformer import model
-from lesionformer.model import (ModelConfig, embed, encoder_block, forward,
-                                grad_cam, init_params, multi_scale_attention,
-                                patchify, unpatchify)
+from lesionformer.model import (ModelConfig, ModelParams, embed, encoder_block,
+                                forward, grad_cam, init_params,
+                                multi_scale_attention, patchify, unpatchify)
 
 
 def vanilla_multi_head_attention(x, wq, wk, wv, wo, h):
@@ -330,6 +331,95 @@ class TestGradCam:
         p["head.w"].data[0, 0] = np.nan
         with pytest.raises(ad.NumericError):
             grad_cam(p, rng.random((8, 8, 1)), 0, cfg)
+
+    @pytest.mark.parametrize("lead", [(1,), (2,)])
+    def test_stack_is_dimension_error_before_any_work(self, lead, monkeypatch, rng):
+        cfg = tiny_config()
+        p = init_params(cfg)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward ran")
+
+        monkeypatch.setattr(model, "forward", no_forward)
+        with pytest.raises(DimensionError, match=re.escape(str(lead + (8, 8, 1)))):
+            grad_cam(p, rng.random(lead + (8, 8, 1)), 0, cfg)
+
+
+def reference_grad_cam(params, image, target_class, cfg):
+    """Grad-CAM's grid from live weights: the whole forward on one tape and
+    its full backward, the gradient read at the final block's input."""
+    with Tape() as tape:
+        res = forward(params, image, cfg, want_record=False)
+        tape.backward(ad.slice_cols(res.logits, target_class, target_class + 1))
+        grads = tape.grad(res.tokens)[1:]
+    weights = np.maximum((grads * res.tokens.data[1:]).mean(axis=1), 0.0)
+    top = weights.max()
+    if top > 0:
+        lo = weights.min()
+        weights = (weights - lo) / (top - lo) if top > lo else np.ones_like(weights)
+    return weights.reshape(cfg.grid_side, cfg.grid_side)
+
+
+class TestGradCamFrozenWeights:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(), tiny_config(patch=2, scales=3), tiny_config(layers=0),
+        tiny_config(layers=1, heads=1, scales=1),
+    ], ids=["default", "patch2-3scales", "layers0", "1layer-1head-1scale"])
+    def test_grid_is_bitwise_the_live_weight_reference(self, cfg, dtype):
+        p = init_params(cfg, dtype=dtype)
+        rng = np.random.default_rng(5)
+        for _, t in p.items():  # move biases and gains off their init
+            t.data += rng.normal(0.0, 0.05, t.shape).astype(dtype)
+        image = rng.random((cfg.image_h, cfg.image_w, cfg.channels))
+        tops = []
+        for k in range(cfg.classes):
+            grid, _ = grad_cam(p, image, k, cfg)
+            want = reference_grad_cam(p, image, k, cfg)
+            assert grid.dtype == want.dtype == dtype
+            assert grid.tobytes() == want.tobytes()
+            tops.append(grid.max())
+        # no block: the class logit never sees a patch row, so the map is zero
+        assert max(tops) == (1.0 if cfg.layers else 0.0)
+
+    def forward_backward(self, monkeypatch, params, image, cfg):
+        """(ops the forward records, its result, the tape, the gradients of
+        class 0's logit)."""
+        count = [0]
+        original = Tape._record
+
+        def counting_record(tape, out, inputs, backward_fn):
+            count[0] += 1
+            original(tape, out, inputs, backward_fn)
+
+        with monkeypatch.context() as m:
+            m.setattr(Tape, "_record", counting_record)
+            with Tape() as tape:
+                res = forward(params, image, cfg, want_record=False)
+        with tape:
+            target = ad.slice_cols(res.logits, 0, 1)
+        return count[0], res, tape, tape.backward(target)
+
+    def test_frozen_forward_records_final_block_only(self, monkeypatch, rng):
+        cfg = tiny_config(layers=2)
+        live = init_params(cfg)
+        weights = ModelParams({name: Tensor(t.data) for name, t in live.items()})
+        image = rng.random((8, 8, 1))
+        live_ops, _, live_tape, _ = self.forward_backward(monkeypatch, live, image, cfg)
+        ops, res, tape, grads = self.forward_backward(monkeypatch, weights, image, cfg)
+        assert (live_ops, ops) == (125, 61)
+        assert np.any(live_tape.grad(live["patch_proj.w"]) != 0)
+        assert res.tokens.requires_grad
+        assert np.any(tape.grad(res.tokens) != 0)
+        assert not {id(t) for _, t in weights.items()} & grads.keys()
+
+    def test_caller_params_unchanged(self, rng):
+        cfg = tiny_config()
+        p = init_params(cfg)
+        before = {name: t.data.tobytes() for name, t in p.items()}
+        grad_cam(p, rng.random((8, 8, 1)), 1, cfg)
+        assert {name: t.data.tobytes() for name, t in p.items()} == before
+        assert all(t.requires_grad for _, t in p.items())
 
 
 class TestConfigValidation:
