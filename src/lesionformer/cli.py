@@ -152,6 +152,12 @@ def cmd_gradcam(args):
     heat_rgb[:, :, 0] = upsampled
     rgb = image if image.shape[2] == 3 else np.repeat(image, 3, axis=2)
     write_netpbm(f"{args.out}.overlay.ppm", _to_uint8(0.5 * rgb + 0.5 * heat_rgb))
+    if not grid.any():
+        why = ("the model has no encoder block, so no patch token reaches the "
+               "class logit" if cfg.layers == 0 else
+               f"no patch token has a positive gradient-weighted activation "
+               f"for class {args.target_class}")
+        print(f"warning: the Grad-CAM map is blank: {why}", file=sys.stderr)
     r, c = np.unravel_index(int(grid.argmax()), grid.shape)
     print(f"argmax=({r},{c})")
     return 0

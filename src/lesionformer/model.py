@@ -80,7 +80,9 @@ class ModelConfig:
 class AttentionRecord:
     """Per-layer, per-head, per-scale attention matrices and the focus map.
 
-    ``attn[layer][head][scale]`` is the softmaxed score matrix (not a copy);
+    ``attn[layer][head][scale]`` is the softmaxed score matrix (not a copy):
+    (N+1) x n_s, with n_s the key rows at that scale, in every layer but the
+    last, and 1 x n_s in the last, where the class token alone queries.
     ``focus_map`` is the head-mean class-token-to-patch attention of the
     final layer at the unpooled scale, renormalized to sum to 1, reshaped
     to the patch grid. For a stack of B images each array gains a leading
@@ -100,9 +102,11 @@ class ForwardResult:
     focus: Tensor | None    # 1 x N, differentiable focus distribution
     tokens: Tensor          # (N+1) x D features entering the final block;
                             # the class logit depends on the patch rows only
-                            # through this tensor, so saliency is taken here.
-                            # On frozen weights it is a gradient leaf, so a
-                            # backward stops at it (see :func:`grad_cam`)
+                            # through this tensor (as the final block's keys
+                            # and values; the class token alone queries), so
+                            # saliency is taken here. On frozen weights it is
+                            # a gradient leaf, so a backward stops at it (see
+                            # :func:`grad_cam`)
 
 
 class ModelParams:
@@ -202,7 +206,7 @@ def embed(params: ModelParams, patches_t: Tensor, cfg: ModelConfig) -> Tensor:
 
 
 def multi_scale_attention(params: ModelParams, layer: int, x: Tensor,
-                          cfg: ModelConfig):
+                          cfg: ModelConfig, cls_only=False):
     """Multi-head attention fused over scales.
 
     For scale s, key/value patch rows (class token excluded) are
@@ -211,13 +215,18 @@ def multi_scale_attention(params: ModelParams, layer: int, x: Tensor,
     concatenated and projected. Each scale's keys and values are built
     once on all D columns; a head cuts out its own dk columns.
 
+    Every row of ``x`` queries, or with ``cls_only`` the class token (row
+    0) alone: the output is then its one row, and each attention matrix
+    is 1 x n_s instead of n x n_s. Keys and values come from every row
+    either way.
+
     Returns (output, attention tensors indexed ``[head][scale]``).
     """
     pre = f"layer{layer}."
     dk, S, G = cfg.head_dim, cfg.scales, cfg.grid_side
     n = x.shape[-2]
 
-    q = matmul(x, params[pre + "wq"])
+    q = matmul(slice_rows(x, 0, 1) if cls_only else x, params[pre + "wq"])
     k = matmul(x, params[pre + "wk"])
     v = matmul(x, params[pre + "wv"])
     w = softmax_rows(params[pre + "scale_logits"])  # 1 x S
@@ -246,15 +255,20 @@ def multi_scale_attention(params: ModelParams, layer: int, x: Tensor,
     return matmul(concat_cols(head_outs), params[pre + "wo"]), attns
 
 
-def encoder_block(params: ModelParams, layer: int, z: Tensor, cfg: ModelConfig):
+def encoder_block(params: ModelParams, layer: int, z: Tensor, cfg: ModelConfig,
+                  cls_only=False):
     """Pre-norm block: z + MSAttn(LN(z)), then + MLP(LN(.)).
+
+    With ``cls_only`` only the class token queries (see
+    :func:`multi_scale_attention`), and the output is row 0 of the full
+    block's output: the residual, LN2 and the MLP run on that row alone.
 
     Returns (output, the attention tensors of :func:`multi_scale_attention`).
     """
     pre = f"layer{layer}."
     a = layer_norm(z, params[pre + "ln1.g"], params[pre + "ln1.b"])
-    attn_out, attns = multi_scale_attention(params, layer, a, cfg)
-    z = add(z, attn_out)
+    attn_out, attns = multi_scale_attention(params, layer, a, cfg, cls_only)
+    z = add(slice_rows(z, 0, 1) if cls_only else z, attn_out)
     b = layer_norm(z, params[pre + "ln2.g"], params[pre + "ln2.b"])
     hidden = gelu(add_rowvec(matmul(b, transpose(params[pre + "mlp.w1"])),
                              params[pre + "mlp.b1"]))
@@ -277,8 +291,10 @@ def forward(params: ModelParams, image: np.ndarray, cfg: ModelConfig,
         attns.append(layer_attns)
     # the final block's input: a gradient leaf of its own on frozen weights
     tokens = z = z if z.requires_grad else Tensor(z.data, requires_grad=True)
+    # the head reads the class token alone, so the final block computes
+    # only its row
     for i in blocks[-1:]:
-        z, layer_attns = encoder_block(params, i, z, cfg)
+        z, layer_attns = encoder_block(params, i, z, cfg, cls_only=True)
         attns.append(layer_attns)
     z = layer_norm(z, params["final_ln.g"], params["final_ln.b"])
     cls_row = slice_rows(z, 0, 1)
@@ -302,12 +318,13 @@ def forward(params: ModelParams, image: np.ndarray, cfg: ModelConfig,
 
 def focus_from_attention(s1_attns, cfg: ModelConfig) -> Tensor | None:
     """Head-mean class-token-to-patch attention row, renormalized to sum 1
-    (per image of a stack)."""
+    (per image of a stack). Each of ``s1_attns`` is one head's 1 x (N+1)
+    class-token row at the unpooled scale."""
     if not s1_attns:
         return None
     acc = None
     for a in s1_attns:
-        row = slice_cols(slice_rows(a, 0, 1), 1, cfg.num_patches + 1)
+        row = slice_cols(a, 1, cfg.num_patches + 1)
         acc = row if acc is None else add(acc, row)
     acc = scale(acc, 1.0 / len(s1_attns))
     return div_by(acc, sum_all(acc))

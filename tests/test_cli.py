@@ -171,9 +171,9 @@ class TestGradcam:
         assert code == 0
         rows = read_manifest(dataset / "manifest.csv")
         prefix = tmp_path / "cam"
-        code, out, _ = run(capsys, "gradcam", "--image",
-                           str(dataset / rows[0][0]), "--ckpt", str(ckpt),
-                           "--class", str(rows[0][1]), "--out", str(prefix))
+        code, out, err = run(capsys, "gradcam", "--image",
+                             str(dataset / rows[0][0]), "--ckpt", str(ckpt),
+                             "--class", str(rows[0][1]), "--out", str(prefix))
         assert code == 0
         heat = read_netpbm(f"{prefix}.heat.pgm")
         overlay = read_netpbm(f"{prefix}.overlay.ppm")
@@ -182,6 +182,13 @@ class TestGradcam:
         # min-max normalized, or all-zero when ReLU removes every token
         assert heat.max() in (0, 255)
         assert re.fullmatch(r"argmax=\(\d+,\d+\)\n", out)
+        if layers == 0:
+            # no patch row reaches the class logit: a blank map, said once
+            assert heat.max() == 0
+            assert re.fullmatch(r"warning: the Grad-CAM map is blank: the model "
+                                r"has no encoder block, .*\n", err)
+        if heat.max() > 0:
+            assert err == ""
 
     def test_out_of_range_class_is_usage_error(self, dataset, trained, tmp_path,
                                                capsys):

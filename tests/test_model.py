@@ -242,11 +242,84 @@ class TestEncoderBlock:
         patches = patchify(img, cfg)
         z = embed(p, Tensor(patches), cfg)
         z, _ = encoder_block(p, 0, z, cfg)
-        z, _ = encoder_block(p, 1, z, cfg)
+        z, _ = encoder_block(p, 1, z, cfg, cls_only=True)
         z = ad.layer_norm(z, p["final_ln.g"], p["final_ln.b"])
         logits = ad.add_rowvec(ad.matmul(ad.slice_rows(z, 0, 1),
                                          ad.transpose(p["head.w"])), p["head.b"])
         assert np.array_equal(res.logits.data, logits.data)
+
+
+def assert_close(got, want, rtol):
+    """Equal within ``rtol`` of ``want``'s largest entry."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+
+CLASS_TOKEN_CONFIGS = pytest.mark.parametrize("cfg", [
+    ModelConfig(), tiny_config(patch=2, scales=3), tiny_config(layers=1, heads=1, scales=1),
+], ids=["default", "patch2-3scales", "1layer-1head-1scale"])
+
+
+class TestClassTokenBlock:
+    """The final block run with the class token as its only query gives row 0
+    of the full block, and the gradients a class-row loss sends back."""
+
+    def block_and_grads(self, params, layer, z, cls_only, w_row, w_attn, cfg):
+        """(block output's row 0, its scale-0 class-row attention per head,
+        gradients of a loss on both w.r.t. ``z`` and the layer's weights)."""
+        def weighted(t, w):
+            return ad.sum_all(ad.reshape(ad.mul(t, Tensor(w)), (1, -1)))
+
+        with Tape() as tape:
+            out, attns = encoder_block(params, layer, z, cfg, cls_only=cls_only)
+            rows = [head[0] if cls_only else ad.slice_rows(head[0], 0, 1)
+                    for head in attns]
+            row = out if cls_only else ad.slice_rows(out, 0, 1)
+            loss = weighted(row, w_row)
+            for r, w in zip(rows, w_attn):
+                loss = ad.add(loss, weighted(r, w))
+            tape.backward(loss)
+        grads = {k: tape.grad(t) for k, t in params.items()
+                 if k.startswith(f"layer{layer}.")}
+        grads["z"] = tape.grad(z)
+        return row.data, [r.data for r in rows], grads
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "stack3"])
+    @pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)],
+                             ids=["f64", "f32"])
+    @CLASS_TOKEN_CONFIGS
+    def test_row_attention_and_gradients_match_full_block(self, cfg, dtype, rtol, lead):
+        p = init_params(cfg, dtype=dtype)
+        rng = np.random.default_rng(11)
+        for _, t in p.items():  # move biases and gains off their init
+            t.data += rng.normal(0.0, 0.05, t.shape).astype(dtype)
+        n, d = cfg.num_patches + 1, cfg.embed_dim
+        z = Tensor(rng.standard_normal(lead + (n, d)).astype(dtype), requires_grad=True)
+        w_row = rng.standard_normal(lead + (1, d)).astype(dtype)
+        w_attn = [rng.standard_normal(lead + (1, n)).astype(dtype)
+                  for _ in range(cfg.heads)]
+        layer = cfg.layers - 1
+        want = self.block_and_grads(p, layer, z, False, w_row, w_attn, cfg)
+        got = self.block_and_grads(p, layer, z, True, w_row, w_attn, cfg)
+        assert_close(got[0], want[0], rtol)
+        for a, b in zip(got[1], want[1]):
+            assert_close(a, b, rtol)
+        assert got[2].keys() == want[2].keys()
+        for k in want[2]:
+            assert_close(got[2][k], want[2][k], rtol)
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "stack3"])
+    @CLASS_TOKEN_CONFIGS
+    def test_record_is_class_row_in_last_layer_only(self, cfg, lead):
+        images = np.random.default_rng(2).random(
+            lead + (cfg.image_h, cfg.image_w, cfg.channels))
+        res = forward(init_params(cfg), images, cfg)
+        n, G = cfg.num_patches + 1, cfg.grid_side
+        key_rows = [1 + (G // 2 ** s) ** 2 for s in range(cfg.scales)]
+        for i, layer in enumerate(res.record.attn):
+            rows = 1 if i == cfg.layers - 1 else n
+            assert [[a.shape for a in head] for head in layer] == \
+                   [[lead + (rows, m) for m in key_rows]] * cfg.heads
 
 
 class TestForward:
@@ -446,7 +519,7 @@ class TestOpCensus:
     # benchmark reports a count for must stay present
     DEFAULT_FORWARD = {"matmul": 30, "transpose": 10, "add": 16, "scale": 1,
                        "scale_by": 16, "div_by": 1, "add_rowvec": 6,
-                       "slice_rows": 29, "slice_cols": 32, "concat_rows": 5,
+                       "slice_rows": 27, "slice_cols": 32, "concat_rows": 5,
                        "concat_cols": 2, "sum_all": 1, "softmax_rows": 3,
                        "attention_weights": 16, "layer_norm": 5, "gelu": 2,
                        "pool_grid": 4}
@@ -464,7 +537,7 @@ class TestOpCensus:
         params = init_params(cfg)
         forward(params, rng.random((cfg.image_h, cfg.image_w, cfg.channels)),
                 cfg, want_record=False)
-        assert sum(counts.values()) == 179
+        assert sum(counts.values()) == 177
         assert counts == self.DEFAULT_FORWARD
         assert set(bench_forward_ops()) <= set(counts)
 
