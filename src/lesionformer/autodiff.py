@@ -130,24 +130,36 @@ class Tape:
         return g
 
 
-def _finite_or_raise(arr, op):
-    # a finite sum proves every element finite; only a non-finite sum
-    # (NaN/Inf present, or finite values that overflow) needs the full scan
-    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
-        raise NumericError(f"non-finite values produced by {op}")
+def all_finite(arr) -> bool:
+    """True when no element of ``arr`` is NaN or +/-Inf.
+
+    A finite dot product of ``arr`` with itself proves every element finite,
+    and BLAS computes it faster than a sum. Only a non-finite dot (a
+    non-finite element, or finite values whose squares or sum overflow)
+    needs the full scan.
+    """
+    return math.isfinite(np.vdot(arr, arr)) or bool(np.isfinite(arr).all())
 
 
 def custom_op(out_data, inputs, backward_fn, name):
     """Register an op result on the active tape (if any) and return it.
 
-    ``backward_fn(grad_out)`` must return one gradient array (or None)
-    per input, in order. Every output is checked: any NaN or +/-Inf
-    element raises ``NumericError`` naming the op. Finite values whose
-    sum overflows are allowed.
+    ``out_data`` must be a fresh float32 or float64 array, which the output
+    tensor holds as it is. ``backward_fn(grad_out)`` must return one
+    gradient array (or None) per input, in order. Every output is checked:
+    any NaN or +/-Inf element raises ``NumericError`` naming the op. Finite
+    values whose squares or sum overflow are allowed.
     """
-    _finite_or_raise(out_data, name)
-    requires = any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=requires)
+    if not all_finite(out_data):
+        raise NumericError(f"non-finite values produced by {name}")
+    requires = False
+    for t in inputs:
+        if t.requires_grad:
+            requires = True
+            break
+    out = Tensor.__new__(Tensor)
+    out.data = out_data
+    out.requires_grad = requires
     tape = _ACTIVE_TAPE.get()
     if tape is not None and requires:
         tape._record(out, list(inputs), backward_fn)
@@ -426,7 +438,8 @@ def attention_weights(q: Tensor, kt: Tensor, c: float) -> Tensor:
     y *= c
     # a -inf score would leave an exact 0 after the softmax; the scaled
     # scores are non-finite wherever the product is, so one check covers both
-    _finite_or_raise(y, "attention_weights")
+    if not all_finite(y):
+        raise NumericError("non-finite values produced by attention_weights")
     y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)

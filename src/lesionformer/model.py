@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (DimensionError, NumericError, Tape, Tensor, add,
-                       add_rowvec, attention_weights, concat_cols, concat_rows,
-                       div_by, gelu, layer_norm, matmul, pool_grid, reshape,
-                       scale, scale_by, slice_cols, slice_rows, softmax_rows,
-                       sum_all, transpose)
+                       add_rowvec, all_finite, attention_weights, concat_cols,
+                       concat_rows, div_by, gelu, layer_norm, matmul,
+                       pool_grid, reshape, scale, scale_by, slice_cols,
+                       slice_rows, softmax_rows, sum_all, transpose)
 
 
 @dataclass
@@ -126,7 +126,7 @@ class ModelParams:
 
     def check_finite(self):
         for name, t in self.tensors.items():
-            if not np.all(np.isfinite(t.data)):
+            if not all_finite(t.data):
                 raise NumericError(f"non-finite values in parameter {name}")
 
 
@@ -292,13 +292,14 @@ def forward(params: ModelParams, image: np.ndarray, cfg: ModelConfig,
     # the final block's input: a gradient leaf of its own on frozen weights
     tokens = z = z if z.requires_grad else Tensor(z.data, requires_grad=True)
     # the head reads the class token alone, so the final block computes
-    # only its row
+    # only its row; with no block, that row is sliced from the embedding
     for i in blocks[-1:]:
         z, layer_attns = encoder_block(params, i, z, cfg, cls_only=True)
         attns.append(layer_attns)
+    if not cfg.layers:
+        z = slice_rows(z, 0, 1)
     z = layer_norm(z, params["final_ln.g"], params["final_ln.b"])
-    cls_row = slice_rows(z, 0, 1)
-    logits = add_rowvec(matmul(cls_row, transpose(params["head.w"])), params["head.b"])
+    logits = add_rowvec(matmul(z, transpose(params["head.w"])), params["head.b"])
     if logits.data.ndim > 2:  # B x 1 x K class rows of a stack
         logits = reshape(logits, (logits.shape[0], cfg.classes))
     probs = softmax_rows(logits)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, metrics
-from .autodiff import NumericError, Tape, Tensor
+from .autodiff import NumericError, Tape, Tensor, all_finite
 from .autodiff import reshape, slice_rows
 from .data import class_frequencies, mask_to_patch_grid
 from .model import ModelConfig, ModelParams, forward, param_shapes
@@ -88,7 +88,7 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState,
     bc2 = 1.0 - b2 ** state.t
     for name, p in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
+        if not all_finite(g):
             raise NumericError(f"non-finite gradient for parameter {name}")
         m = state.m[name]
         v = state.v[name]

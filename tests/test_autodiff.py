@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lesionformer import autodiff as ad
 from lesionformer import losses, model
@@ -219,7 +220,7 @@ class TestBackward:
         assert np.array_equal(g1, g2)
 
     def test_nan_forward_is_an_error(self):
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError), pytest.warns(RuntimeWarning, match="overflow"):
             ad.scale(t([[1e308]]), 1e308)
 
 
@@ -359,9 +360,6 @@ def no_grad(g):
     return ()
 
 
-# the guard's fast path sums the output, and NumPy warns when that sum
-# overflows or meets +Inf and -Inf together
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestFiniteGuard:
     @pytest.mark.parametrize("values", [[[np.nan, 1.0]], [[np.inf, 1.0]],
                                         [[-np.inf, 1.0]], [[np.inf, -np.inf]]])
@@ -374,10 +372,96 @@ class TestFiniteGuard:
                                                ([[3e38, 3e38]], np.float32)])
     def test_finite_values_whose_sum_overflows_pass(self, values, dtype):
         arr = np.array(values, dtype=dtype)
-        assert not np.isfinite(arr.sum())
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(arr.sum())
+        assert not math.isfinite(np.vdot(arr, arr))
         out = ad.custom_op(arr, (), no_grad, "probe_op")
         np.testing.assert_array_equal(out.data, arr)
         assert out.dtype == dtype
+
+    # finite values whose squares overflow the guard's dot product
+    SQUARE_OVERFLOW = {np.float32: 1e20, np.float64: 1e200}
+
+    @classmethod
+    def finite_arrays(cls, dtype):
+        """1 to 600 elements, C-contiguous or a transposed view, including
+        +/-dtype max and values whose squares overflow."""
+        top, big = float(np.finfo(dtype).max), cls.SQUARE_OVERFLOW[dtype]
+        elements = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False,
+                      width=np.finfo(dtype).bits),
+            st.sampled_from([top, -top, big, -big]))
+        shapes = st.tuples(st.integers(1, 24), st.integers(1, 25))
+        return st.tuples(arrays(dtype, shapes, elements=elements), st.booleans()).map(
+            lambda drawn: drawn[0].T if drawn[1] else drawn[0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_finite_draws_pass_unchanged(self, dtype, data):
+        arr = data.draw(self.finite_arrays(dtype))
+        before = arr.tobytes()
+        out = ad.custom_op(arr, (), no_grad, "probe_op")
+        assert out.dtype == dtype
+        assert out.data.tobytes() == before
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_one_non_finite_element_raises_naming_the_op(self, dtype, data):
+        arr = data.draw(self.finite_arrays(dtype))
+        pos = data.draw(st.integers(0, arr.size - 1))
+        arr[np.unravel_index(pos, arr.shape)] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        with pytest.raises(NumericError, match="probe_op"):
+            ad.custom_op(arr, (), no_grad, "probe_op")
+
+
+class TestOpDtype:
+    """Every public op returns a fresh array of its inputs' dtype; the
+    output tensor holds it as the op made it."""
+
+    # each case builds its op from make(*shape), a tensor of positive values
+    CASES = {
+        "matmul": lambda make: ad.matmul(make(2, 3, 4), make(4, 5)),
+        "matmul_stack": lambda make: ad.matmul(make(2, 3, 4), make(2, 4, 5)),
+        "transpose": lambda make: ad.transpose(make(3, 4)),
+        "add": lambda make: ad.add(make(2, 3, 4), make(3, 4)),
+        "mul": lambda make: ad.mul(make(3, 4), make(3, 4)),
+        "scale": lambda make: ad.scale(make(3, 4), 0.5),
+        "scale_by": lambda make: ad.scale_by(make(3, 4), make(1, 1)),
+        "div_by": lambda make: ad.div_by(make(3, 4), make(1, 1)),
+        "div_by_stack": lambda make: ad.div_by(make(2, 3, 4), make(2, 1, 1)),
+        "add_rowvec": lambda make: ad.add_rowvec(make(3, 4), make(1, 4)),
+        "reshape": lambda make: ad.reshape(make(3, 4), (4, 3)),
+        "slice_rows": lambda make: ad.slice_rows(make(3, 4), 1, 3),
+        "slice_cols": lambda make: ad.slice_cols(make(3, 4), 1, 3),
+        "concat_rows": lambda make: ad.concat_rows([make(1, 4), make(2, 3, 4)]),
+        "concat_cols": lambda make: ad.concat_cols([make(3, 4), make(3, 2)]),
+        "sum_all": lambda make: ad.sum_all(make(3, 4)),
+        "sqrt": lambda make: ad.sqrt(make(3, 4)),
+        "softmax_rows": lambda make: ad.softmax_rows(make(3, 4)),
+        "attention_weights": lambda make: ad.attention_weights(make(3, 4), make(4, 5), 0.5),
+        "layer_norm": lambda make: ad.layer_norm(make(3, 4), make(1, 4), make(1, 4)),
+        "gelu": lambda make: ad.gelu(make(3, 4)),
+        "pool_grid": lambda make: ad.pool_grid(make(4, 3), 2, 2),
+        "pool_grid_identity": lambda make: ad.pool_grid(make(4, 3), 2, 1),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_keeps_the_input_dtype(self, case, dtype, rng):
+        inputs = []
+
+        def make(*shape):
+            inputs.append(Tensor((rng.random(shape) + 0.5).astype(dtype),
+                                 requires_grad=True))
+            return inputs[-1]
+
+        out = self.CASES[case](make)
+        assert type(out.data) is np.ndarray
+        assert out.dtype == dtype
+        assert not any(np.shares_memory(out.data, x.data) for x in inputs)
 
 
 class TestGeluReference:

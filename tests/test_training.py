@@ -76,6 +76,27 @@ class TestAdam:
         with pytest.raises(NumericError, match="head.w"):
             adam_step(params, grads, state, TrainConfig())
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_infinite_gradient_names_parameter(self, tiny_config, dtype, bad):
+        params = init_params(tiny_config, dtype)
+        grads = {k: np.zeros_like(t.data) for k, t in params.items()}
+        grads["head.w"][0, 0] = bad
+        with pytest.raises(NumericError, match=r"parameter head\.w$"):
+            adam_step(params, grads, init_adam(params), TrainConfig())
+
+    # each square is finite, so Adam's own arithmetic stays finite, but the
+    # sum of squares overflows and the guard takes its full scan
+    @pytest.mark.parametrize("dtype, big", [(np.float32, 1.5e19), (np.float64, 1e154)])
+    def test_gradient_whose_squares_sum_overflows_passes(self, dtype, big):
+        from lesionformer.model import ModelParams
+        p = ModelParams({"x": Tensor(np.zeros((1, 2), dtype=dtype), requires_grad=True)})
+        g = np.array([[big, big]], dtype=dtype)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.sum(g * g))
+        adam_step(p, {"x": g}, init_adam(p), TrainConfig(learning_rate=0.5))
+        np.testing.assert_allclose(p["x"].data, [[-0.5, -0.5]], rtol=1e-6)
+
     def test_explicit_lr_override(self):
         from lesionformer.model import ModelParams
         p = ModelParams({"x": Tensor(np.zeros((1, 1)), requires_grad=True)})
