@@ -6,10 +6,13 @@ matrices, such as a batch of images. Broadcasting is limited to a scalar
 constant, the explicit row-vector ops, and the stated cases of ``matmul``,
 ``add``, ``concat_rows`` and ``div_by``; any other shape adaptation is done
 with reshape/slice/concat so every forward value is bit-reproducible.
-Backward stores a tensor's first gradient as its op returns it and adds
-later ones out of place, so a gradient may be shared or read-only, and no
-backward writes into the one it receives. A tape lives for one
-forward/backward pass and is discarded afterwards.
+Backward stores a tensor's first gradient as its op returns it, so a
+gradient may be shared or read-only, and no backward writes into the one
+it receives. The tape writes only into arrays it allocated: a second
+gradient allocates the sum once, and later ones add into it in place. A
+slice's backward returns a :class:`Block`, which the tape adds into the
+input's gradient at the slice, so no slice builds a full-size array. A tape
+lives for one forward/backward pass and is discarded afterwards.
 """
 
 from __future__ import annotations
@@ -64,6 +67,17 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
+class Block:
+    """A gradient for part of an input: ``grad`` belongs at ``input[index]``
+    and the rest of the input's gradient is zero."""
+
+    __slots__ = ("index", "grad")
+
+    def __init__(self, index, grad):
+        self.index = index
+        self.grad = grad
+
+
 _ACTIVE_TAPE = contextvars.ContextVar("active_tape", default=None)
 
 
@@ -94,12 +108,23 @@ class Tape:
         self._records.append((out, inputs, backward_fn))
 
     def backward(self, loss):
-        """Reverse-topological accumulation from a scalar loss."""
+        """Reverse-topological accumulation from a scalar loss.
+
+        A tensor's first gradient is kept as its op returned it. A second
+        one allocates the sum, in the first one's memory layout; later ones
+        add into that sum in place. A :class:`Block` adds into the
+        gradient at its index: as the first gradient it lands in zeros,
+        and on a first gradient the tape did not allocate it lands in a
+        copy. Each sum adds in the order the gradients arrive. Entries
+        outside a block are left as they are, so a -0.0 there stays -0.0
+        where adding a zero-filled array would have made it +0.0.
+        """
         if loss.data.size != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.data.shape}")
         if id(loss) not in self._output_ids:
             raise TapeError("loss tensor was not produced on this tape")
         grads = {id(loss): np.ones_like(loss.data)}
+        owned = set()  # ids of the tensors whose gradient this tape allocated
         for out, inputs, backward_fn in reversed(self._records):
             g = grads.get(id(out))
             if g is None:
@@ -107,12 +132,28 @@ class Tape:
             for t, gi in zip(inputs, backward_fn(g)):
                 if gi is None or not t.requires_grad:
                     continue
-                acc = grads.get(id(t))
-                if acc is not None:
+                key = id(t)
+                acc = grads.get(key)
+                if type(gi) is Block:
+                    if acc is None:
+                        acc = np.zeros_like(t.data)
+                        acc[gi.index] = gi.grad
+                    else:
+                        if key not in owned:
+                            acc = acc.copy(order="K")
+                        part = acc[gi.index]
+                        np.add(part, gi.grad, out=part)
+                    owned.add(key)
+                elif acc is None:
+                    acc = gi
+                elif key in owned:
+                    np.add(acc, gi, out=acc)
+                else:
                     # the sum keeps the first gradient's memory layout: BLAS
                     # may round a column-major matmul operand differently
-                    gi = np.add(acc, gi, out=np.empty_like(acc))
-                grads[id(t)] = gi
+                    acc = np.add(acc, gi, out=np.empty_like(acc))
+                    owned.add(key)
+                grads[key] = acc
         self._grads = grads
         return grads
 
@@ -146,9 +187,9 @@ def custom_op(out_data, inputs, backward_fn, name):
 
     ``out_data`` must be a fresh float32 or float64 array, which the output
     tensor holds as it is. ``backward_fn(grad_out)`` must return one
-    gradient array (or None) per input, in order. Every output is checked:
-    any NaN or +/-Inf element raises ``NumericError`` naming the op. Finite
-    values whose squares or sum overflow are allowed.
+    gradient array, :class:`Block` or None per input, in order. Every
+    output is checked: any NaN or +/-Inf element raises ``NumericError``
+    naming the op. Finite values whose squares or sum overflow are allowed.
     """
     if not all_finite(out_data):
         raise NumericError(f"non-finite values produced by {name}")
@@ -267,8 +308,12 @@ def scale_by(a: Tensor, s: Tensor) -> Tensor:
     sv = s.data.reshape(-1)[0]
 
     def backward(g):
-        ga = g * sv if a.requires_grad else None
-        gs = np.full_like(s.data, (g * ad).sum()) if s.requires_grad else None
+        ga = gs = tmp = None
+        if s.requires_grad:
+            tmp = g * ad
+            gs = np.full_like(s.data, tmp.sum())
+        if a.requires_grad:
+            ga = np.multiply(g, sv, out=tmp)
         return (ga, gs)
 
     return custom_op(ad * sv, (a, s), backward, "scale_by")
@@ -319,24 +364,24 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     if not 0 <= start < stop <= a.shape[-2]:
         raise DimensionError(f"slice_rows [{start}:{stop}] out of range for {a.shape}")
 
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[..., start:stop, :] = g
-        return (full,)
+    index = (..., slice(start, stop), slice(None))
 
-    return custom_op(a.data[..., start:stop, :].copy(), (a,), backward, "slice_rows")
+    def backward(g):
+        return (Block(index, g),)
+
+    return custom_op(a.data[index].copy(), (a,), backward, "slice_rows")
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if not 0 <= start < stop <= a.shape[-1]:
         raise DimensionError(f"slice_cols [{start}:{stop}] out of range for {a.shape}")
 
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[..., start:stop] = g
-        return (full,)
+    index = (..., slice(start, stop))
 
-    return custom_op(a.data[..., start:stop].copy(), (a,), backward, "slice_cols")
+    def backward(g):
+        return (Block(index, g),)
+
+    return custom_op(a.data[index].copy(), (a,), backward, "slice_cols")
 
 
 def concat_rows(parts) -> Tensor:
@@ -446,7 +491,8 @@ def attention_weights(q: Tensor, kt: Tensor, c: float) -> Tensor:
 
     def backward(g):
         # softmax, then scale, then matmul backward, in the chain's order
-        gs = g - (g * y).sum(axis=-1, keepdims=True)
+        gs = g * y
+        np.subtract(g, gs.sum(axis=-1, keepdims=True), out=gs)
         gs *= y
         gs *= c
         return (gs @ _swap(kd) if q.requires_grad else None,
@@ -465,23 +511,33 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm gain/bias must be (1, {d}), got {gain.shape}/{bias.shape}")
     if eps <= 0:
         raise ValueError("eps must be positive")
+    # two full-size arrays: xhat, and out (which first holds the squares)
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    xhat = x.data - mu
+    out = xhat * xhat
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def backward(g):
-        gx = None
+        # standard layer-norm backward, all per-row, in two full-size
+        # arrays; tmp is laid out as g * xhat, and the reductions' float
+        # order and the returned gradient's layout depend on that
+        gx = ggain = gbias = tmp = None
+        if gain.requires_grad:
+            tmp = g * xhat
+            ggain = _rows(tmp).sum(axis=0, keepdims=True)
         if x.requires_grad:
             dxhat = g * gain.data
-            # standard layer-norm backward, all per-row
             m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            gx = inv * (dxhat - m1 - xhat * m2)
-        ggain = _rows(g * xhat).sum(axis=0, keepdims=True) if gain.requires_grad else None
-        gbias = _rows(g).sum(axis=0, keepdims=True) if bias.requires_grad else None
+            tmp = np.multiply(dxhat, xhat, out=tmp)
+            m2 = tmp.mean(axis=-1, keepdims=True)
+            dxhat -= m1
+            gx = np.subtract(dxhat, np.multiply(xhat, m2, out=tmp), out=tmp)
+            gx *= inv
+        if bias.requires_grad:
+            gbias = _rows(g).sum(axis=0, keepdims=True)
         return (gx, ggain, gbias)
 
     return custom_op(out, (x, gain, bias), backward, "layer_norm")
@@ -493,13 +549,32 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU."""
     xd = x.data
-    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
-    t = np.tanh(inner)
-    out = 0.5 * xd * (1.0 + t)
+    # t = tanh(c * (x + 0.044715 * x**3)), out = 0.5 * x * (1 + t), each
+    # product and sum in that order, in place where the operand is spent
+    t = xd * xd
+    t *= xd
+    t *= 0.044715
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 0.5 * xd
+    out *= 1.0 + t
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
-        grad = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * dinner
+        # dinner = c * (1 + 3 * 0.044715 * x**2)
+        dinner = xd * xd
+        dinner *= 3 * 0.044715
+        dinner += 1.0
+        dinner *= _GELU_C
+        # grad = 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * dinner
+        right = 0.5 * xd
+        grad = t * t
+        np.subtract(1.0, grad, out=grad)
+        right *= grad
+        right *= dinner
+        np.add(1.0, t, out=grad)
+        grad *= 0.5
+        grad += right
         return (g * grad,)
 
     return custom_op(out, (x,), backward, "gelu")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, metrics
-from .autodiff import NumericError, Tape, Tensor, all_finite
+from .autodiff import NumericError, Tape, Tensor
 from .autodiff import reshape, slice_rows
 from .data import class_frequencies, mask_to_patch_grid
 from .model import ModelConfig, ModelParams, forward, param_shapes
@@ -79,7 +79,15 @@ def init_adam(params: ModelParams) -> AdamState:
 
 def adam_step(params: ModelParams, grads: dict, state: AdamState,
               cfg: TrainConfig, lr: float | None = None):
-    """Standard Adam with bias correction; mutates params and state."""
+    """Standard Adam with bias correction; mutates params and state.
+
+    A gradient with a NaN or +/-Inf entry, or with an entry whose square
+    overflows, raises ``NumericError`` naming its parameter before that
+    parameter's moments change. Each parameter's update runs in two
+    scratch arrays, with the same operations in the same order as
+    ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+    p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``.
+    """
     if lr is None:
         lr = cfg.learning_rate
     state.t += 1
@@ -88,15 +96,37 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState,
     bc2 = 1.0 - b2 ** state.t
     for name, p in params.items():
         g = grads[name]
-        if not all_finite(g):
-            raise NumericError(f"non-finite gradient for parameter {name}")
+        _check_gradient(name, g)
         m = state.m[name]
         v = state.v[name]
+        step = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += step
+        np.multiply(g, g, out=step)
+        step *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+        v += step
+        np.divide(m, bc1, out=step)
+        step *= lr
+        denom = np.divide(v, bc2)
+        np.sqrt(denom, out=denom)
+        denom += cfg.adam_eps
+        step /= denom
+        p.data -= step
+
+
+def _check_gradient(name, g):
+    """Raise ``NumericError`` unless every entry of ``g`` and its square is
+    finite. A finite sum of squares proves both, so only a non-finite one
+    takes the full scan, and no square is computed there."""
+    if math.isfinite(np.vdot(g, g)):
+        return
+    if not np.isfinite(g).all():
+        raise NumericError(f"non-finite gradient for parameter {name}")
+    # compared as Python floats, so the limit is not rounded to float32
+    if max(float(g.max()), -float(g.min())) > math.sqrt(np.finfo(g.dtype).max):
+        raise NumericError(f"gradient for parameter {name} has an entry whose "
+                           f"square overflows {g.dtype}")
 
 
 def _epoch_permutation(seed, epoch, n):

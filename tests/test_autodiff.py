@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -587,9 +588,10 @@ class TestStackedOps:
 
 
 class TestFirstGradient:
-    """The first gradient a tensor receives is stored as its op returned it
-    and later ones are added out of place, so a stored gradient that is the
-    incoming one, a view or another input's array must stay as it was."""
+    """The first gradient a tensor receives is stored as its op returned it,
+    and the tape writes only into sums it allocated, so a stored gradient
+    that is the incoming one, a view or another input's array must stay as
+    it was, whether a dense gradient or a block lands on it."""
 
     W = np.random.default_rng(3).standard_normal((4, 2))
 
@@ -636,6 +638,144 @@ class TestFirstGradient:
             tape.backward(ad.add(first, ad.sum_all(both)))
             np.testing.assert_array_equal(tape.grad(b), np.ones((4, 2)))
             np.testing.assert_array_equal(tape.grad(a), self.W + 1.0)
+
+    def test_block_on_a_broadcast_sum_all_gradient(self, rng):
+        # the block lands on a read-only view and must go to a copy
+        x = t(rng.standard_normal((2, 3, 4)))
+        w = rng.standard_normal((2, 3, 2))
+        with Tape() as tape:
+            a = ad.sum_all(ad.reshape(ad.mul(ad.slice_cols(x, 1, 3), Tensor(w)), (1, -1)))
+            s = ad.sum_all(x)
+            tape.backward(ad.add(a, ad.sum_all(ad.reshape(s, (1, 2)))))
+            expected = np.ones((2, 3, 4))
+            expected[..., 1:3] += w
+            np.testing.assert_array_equal(tape.grad(x), expected)
+            np.testing.assert_array_equal(tape.grad(s), np.ones((2, 1, 1)))
+
+    def test_block_on_one_array_handed_to_two_inputs(self, rng):
+        a, b = t(rng.standard_normal((4, 2))), t(rng.standard_normal((4, 2)))
+
+        def backward(g):
+            both = g * 1.0
+            return (both, both)
+
+        with Tape() as tape:
+            first = ad.sum_all(ad.mul(ad.slice_rows(a, 1, 3), Tensor(self.W[1:3])))
+            both = ad.custom_op(a.data + b.data, (a, b), backward, "both")
+            tape.backward(ad.add(first, ad.sum_all(both)))
+            np.testing.assert_array_equal(tape.grad(b), np.ones((4, 2)))
+            expected = np.ones((4, 2))
+            expected[1:3] += self.W[1:3]
+            np.testing.assert_array_equal(tape.grad(a), expected)
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["matrix", "stack"])
+    def test_block_on_a_column_major_gradient_keeps_its_layout(self, lead, rng):
+        # transpose hands back a column-major view; the sum a block makes of
+        # it stays column-major, as a dense sum does, since BLAS may round a
+        # matmul operand of the other layout differently
+        x = t(rng.standard_normal(lead + (4, 6)))
+        wt = rng.standard_normal(lead + (6, 4))
+        wr = rng.standard_normal(lead + (2, 6))
+        with Tape() as tape:
+            rows = ad.mul(ad.slice_rows(x, 1, 3), Tensor(wr))
+            cols = ad.mul(ad.transpose(x), Tensor(wt))
+            tape.backward(ad.add(weighted_sum(rows), weighted_sum(cols)))
+            g = tape.grad(x)
+        with Tape() as tape:
+            tape.backward(weighted_sum(ad.mul(ad.transpose(x), Tensor(wt))))
+            alone = tape.grad(x)
+        # each matrix of the sum is column-major, as transpose's view is
+        assert g.strides == alone.strides
+        assert g[(0,) * len(lead)].flags.f_contiguous
+        block = np.random.default_rng(11).standard_normal(wr.shape) * wr  # weighted_sum's
+        full = np.zeros_like(x.data)
+        full[..., 1:3, :] = block
+        np.testing.assert_array_equal(g, alone + full)
+
+    @pytest.mark.parametrize("later", ["dense", "block"])
+    def test_passed_through_sum_stays_when_its_input_accumulates(self, later, rng):
+        # y's gradient is a sum the tape owns; add hands it to x unchanged,
+        # and x's later gradient must go to a new sum, not into y's
+        x = t(rng.standard_normal((4, 2)))
+        w1, w2 = rng.standard_normal((2, 4, 2))
+        with Tape() as tape:
+            if later == "dense":
+                early = ad.sum_all(ad.mul(x, Tensor(self.W)))
+            else:
+                early = ad.sum_all(ad.mul(ad.slice_rows(x, 0, 2), Tensor(self.W[:2])))
+            y = ad.add(x, Tensor(self.W))
+            loss = ad.add(ad.sum_all(ad.mul(y, Tensor(w1))), ad.sum_all(ad.mul(y, Tensor(w2))))
+            tape.backward(ad.add(early, loss))
+            gy = w1 + w2
+            np.testing.assert_array_equal(tape.grad(y), gy)
+            expected = gy.copy()
+            if later == "dense":
+                expected += self.W
+            else:
+                expected[:2] += self.W[:2]
+            np.testing.assert_array_equal(tape.grad(x), expected)
+
+
+class TestBlockGradients:
+    """A slice's backward adds its gradient into the input's at the slice,
+    with the floats of the dense rule: one zero-filled full-size array per
+    slice, summed out of place in the order the gradients arrive."""
+
+    # per-head column or row slices, then two that overlap them
+    SLICES = [(0, 2), (2, 4), (4, 6), (6, 8), (1, 5), (0, 8)]
+
+    @pytest.mark.parametrize("axis", ["cols", "rows"])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["matrix", "stack"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_slices_sum_to_the_dense_reference(self, axis, lead, dtype, rng):
+        x = Tensor(rng.standard_normal(lead + (8, 8)).astype(dtype), requires_grad=True)
+        op = ad.slice_cols if axis == "cols" else ad.slice_rows
+        index = ((lambda lo, hi: (..., slice(lo, hi))) if axis == "cols"
+                 else (lambda lo, hi: (..., slice(lo, hi), slice(None))))
+        weights = [rng.standard_normal(x.data[index(lo, hi)].shape).astype(dtype)
+                   for lo, hi in self.SLICES]
+        with Tape() as tape:
+            loss = None
+            for (lo, hi), w in zip(self.SLICES, weights):
+                part = ad.sum_all(ad.reshape(ad.mul(op(x, lo, hi), Tensor(w)), (1, -1)))
+                loss = part if loss is None else ad.add(loss, part)
+            tape.backward(loss)
+            got = tape.grad(x)
+        # the gradient reaching each slice is its weight; the last slice's
+        # arrives first
+        ref = None
+        for (lo, hi), w in reversed(list(zip(self.SLICES, weights))):
+            full = np.zeros_like(x.data)
+            full[index(lo, hi)] = w
+            ref = full if ref is None else ref + full
+        assert got.dtype == dtype
+        assert got.tobytes() == ref.tobytes()
+
+    def test_a_first_block_keeps_signed_zeros(self):
+        # it is copied into zeros, as the dense rule's slice gradient is,
+        # not added to them
+        x = t(np.ones((2, 3)))
+        with Tape() as tape:
+            tape.backward(ad.sum_all(ad.mul(ad.slice_cols(x, 1, 2), t([[-0.0], [2.0]]))))
+            g = tape.grad(x)
+        assert g[0, 1] == 0.0 and np.signbit(g[0, 1])
+        assert g[1, 1] == 2.0 and not g[:, [0, 2]].any()
+
+    def test_backward_of_four_column_slices_allocates_under_twice_the_input(self, rng):
+        x = t(rng.standard_normal((8, 65, 32)))
+        with Tape() as tape:
+            loss = None
+            for lo in range(0, 32, 8):
+                part = ad.sum_all(ad.reshape(ad.slice_cols(x, lo, lo + 8), (1, -1)))
+                loss = part if loss is None else ad.add(loss, part)
+            tracemalloc.start()
+            try:
+                tape.backward(loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(tape.grad(x), np.ones_like(x.data))
+        assert peak < 2 * x.data.nbytes
 
 
 def frozen_gradient(x, g):
@@ -773,3 +913,130 @@ class TestAttentionWeights:
         fused = step()
         monkeypatch.setattr(model, "attention_weights", attention_chain)
         assert step() == fused
+
+
+def handing_back(x, g):
+    """``x`` again, handing back exactly ``g`` (in its own layout) as the
+    gradient of ``x``."""
+    return ad.custom_op(x.data.copy(), (x,), lambda _: (g,), "handing_back")
+
+
+def kernel_backward(op, inputs, g):
+    """``op(*inputs)`` and the gradients its backward returns for ``g``."""
+    with Tape() as tape:
+        out = op(*inputs)
+        tape.backward(ad.sum_all(ad.reshape(handing_back(out, g), (1, -1))))
+        return out.data, [tape.grad(x) if x.requires_grad else None for x in inputs]
+
+
+class TestKernelPins:
+    """The in-place kernels give the floats of the plain NumPy expressions
+    written here, for row- and column-major incoming gradients."""
+
+    @staticmethod
+    def layer_norm_ref(x, gain, bias, g, eps=1e-5):
+        mu = x.mean(axis=-1, keepdims=True)
+        xc = x - mu
+        var = (xc * xc).mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = xc * inv
+        out = xhat * gain + bias
+        dxhat = g * gain
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        gx = inv * (dxhat - m1 - xhat * m2)
+        d = x.shape[-1]
+        ggain = (g * xhat).reshape(-1, d).sum(axis=0, keepdims=True)
+        gbias = g.reshape(-1, d).sum(axis=0, keepdims=True)
+        return out, [gx, ggain, gbias]
+
+    @staticmethod
+    def gelu_ref(x, g):
+        c = math.sqrt(2.0 / math.pi)
+        inner = c * (x + 0.044715 * (x * x * x))
+        t_ = np.tanh(inner)
+        out = 0.5 * x * (1.0 + t_)
+        dinner = c * (1.0 + 3 * 0.044715 * (x * x))
+        grad = 0.5 * (1.0 + t_) + 0.5 * x * (1.0 - t_ * t_) * dinner
+        return out, [g * grad]
+
+    @staticmethod
+    def attention_weights_backward_ref(y, q, kt, c, g):
+        gs = g - (g * y).sum(axis=-1, keepdims=True)
+        gs *= y
+        gs *= c
+        # the kernel keeps its score gradient in the layout of g * y, which
+        # is row-major here even for a column-major g
+        gs = np.ascontiguousarray(gs)
+        return [gs @ np.swapaxes(kt, -1, -2), np.swapaxes(q, -1, -2) @ gs]
+
+    @staticmethod
+    def scale_by_backward_ref(a, s, g):
+        return [g * s.reshape(-1)[0], np.full_like(s, (g * a).sum())]
+
+    @staticmethod
+    def incoming(rng, shape, dtype, order):
+        g = rng.standard_normal(shape).astype(dtype)
+        if order == "F":  # each matrix column-major, as transpose hands back
+            g = np.swapaxes(np.ascontiguousarray(np.swapaxes(g, -1, -2)), -1, -2)
+        return g
+
+    @staticmethod
+    def assert_same(got, ref):
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+
+    cases = pytest.mark.parametrize("dtype, lead, order", [
+        pytest.param(dt, lead, order, id=f"{dt.__name__}-{name}-{order}")
+        for dt in (np.float32, np.float64)
+        for lead, name in (((), "matrix"), ((3,), "stack"))
+        for order in ("C", "F")])
+
+    @cases
+    @pytest.mark.parametrize("affine_grad", [True, False])
+    def test_layer_norm(self, dtype, lead, order, affine_grad, rng):
+        x = rng.standard_normal(lead + (65, 32)).astype(dtype) * 3.0 + 1.0
+        gain, bias = rng.standard_normal((2, 1, 32)).astype(dtype)
+        g = self.incoming(rng, x.shape, dtype, order)
+        out, got = kernel_backward(
+            ad.layer_norm, [Tensor(x, requires_grad=True),
+                            Tensor(gain, requires_grad=affine_grad),
+                            Tensor(bias, requires_grad=affine_grad)], g)
+        ref_out, ref = self.layer_norm_ref(x, gain, bias, g)
+        self.assert_same([out], [ref_out])
+        if not affine_grad:
+            got, ref = got[:1], ref[:1]
+        self.assert_same(got, ref)
+        # the input gradient keeps the layout the expression gave it
+        assert got[0].strides == ref[0].strides
+
+    @cases
+    def test_gelu(self, dtype, lead, order, rng):
+        x = (rng.standard_normal(lead + (65, 64)) * 4.0).astype(dtype)
+        g = self.incoming(rng, x.shape, dtype, order)
+        out, got = kernel_backward(ad.gelu, [Tensor(x, requires_grad=True)], g)
+        ref_out, ref = self.gelu_ref(x, g)
+        self.assert_same([out] + got, [ref_out] + ref)
+        assert got[0].strides == ref[0].strides
+
+    @cases
+    def test_attention_weights_backward(self, dtype, lead, order, rng):
+        q = rng.standard_normal(lead + (65, 8)).astype(dtype)
+        kt = rng.standard_normal(lead + (8, 65)).astype(dtype)
+        g = self.incoming(rng, lead + (65, 65), dtype, order)
+        c = 1.0 / math.sqrt(8)
+        y, got = kernel_backward(
+            lambda a, b: ad.attention_weights(a, b, c),
+            [Tensor(q, requires_grad=True), Tensor(kt, requires_grad=True)], g)
+        self.assert_same(got, self.attention_weights_backward_ref(y, q, kt, c, g))
+
+    @cases
+    def test_scale_by_backward(self, dtype, lead, order, rng):
+        a = rng.standard_normal(lead + (65, 8)).astype(dtype)
+        s = np.array([[1.75]], dtype=dtype)
+        g = self.incoming(rng, a.shape, dtype, order)
+        _, got = kernel_backward(
+            ad.scale_by, [Tensor(a, requires_grad=True), Tensor(s, requires_grad=True)], g)
+        self.assert_same(got, self.scale_by_backward_ref(a, s, g))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lesionformer.autodiff import NumericError, Tensor
 from lesionformer.data import SynthConfig, Sample, synth_generate
@@ -96,6 +97,72 @@ class TestAdam:
             assert not np.isfinite(np.sum(g * g))
         adam_step(p, {"x": g}, init_adam(p), TrainConfig(learning_rate=0.5))
         np.testing.assert_allclose(p["x"].data, [[-0.5, -0.5]], rtol=1e-6)
+
+    @staticmethod
+    def adam_ref(p, m, v, g, t, cfg, lr):
+        """The plain NumPy expressions of one Adam update."""
+        b1, b2 = cfg.beta1, cfg.beta2
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(5, 7), (3, 5, 7)], ids=["matrix", "stack"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_step_matches_the_plain_expressions_bitwise(self, dtype, shape, order):
+        from lesionformer.model import ModelParams
+        rng = np.random.default_rng(4)
+        p0, m0, g1, g2 = (rng.standard_normal(shape).astype(dtype) for _ in range(4))
+        v0 = np.abs(rng.standard_normal(shape)).astype(dtype)
+        if order == "F":  # each matrix column-major, as transpose hands back
+            g1, g2 = (np.swapaxes(np.ascontiguousarray(np.swapaxes(g, -1, -2)), -1, -2)
+                      for g in (g1, g2))
+        cfg = TrainConfig(learning_rate=3e-3)
+        p = ModelParams({"x": Tensor(p0.copy(), requires_grad=True)})
+        state = AdamState(m={"x": m0.copy()}, v={"x": v0.copy()}, t=4)
+        ref = [a.copy() for a in (p0, m0, v0)]
+        for step, (g, lr) in enumerate([(g1, 3e-3), (g2, 1.7e-3)], start=5):
+            adam_step(p, {"x": g}, state, cfg, lr)
+            self.adam_ref(*ref, g, step, cfg, lr)
+        for got, want in zip((p["x"].data, state.m["x"], state.v["x"]), ref):
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(data=st.data())
+    @settings(max_examples=30)
+    def test_entry_whose_square_overflows_names_the_parameter(self, dtype, data):
+        # 2**(maxexp/2) is the smallest power of two whose square overflows,
+        # and the float below it is the largest finite one whose square is
+        # finite
+        from lesionformer.model import ModelParams
+        above = dtype(2.0 ** (np.finfo(dtype).maxexp // 2))
+        below = np.nextafter(above, dtype(0))
+        shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 6)), label="shape")
+        g = data.draw(arrays(dtype, shape, elements=st.floats(
+            -1e3, 1e3, width=np.finfo(dtype).bits)), label="g")
+        over = data.draw(st.booleans(), label="over")
+        pos = np.unravel_index(data.draw(st.integers(0, g.size - 1)), shape)
+        g[pos] = data.draw(st.sampled_from([1, -1]), label="sign") * (above if over else below)
+        params = ModelParams({"first": Tensor(np.zeros((1, 2), dtype=dtype), requires_grad=True),
+                              "big": Tensor(np.ones(shape, dtype=dtype), requires_grad=True)})
+        state = init_adam(params)
+        grads = {"first": np.ones((1, 2), dtype=dtype), "big": g}
+        if over:
+            with pytest.raises(NumericError, match=r"parameter big .*square overflows"):
+                adam_step(params, grads, state, TrainConfig())
+            # the parameter and its moments are as they were
+            assert np.array_equal(params["big"].data, np.ones(shape))
+            assert not state.m["big"].any() and not state.v["big"].any()
+        else:
+            # any overflow would raise under the suite's warning filter
+            adam_step(params, grads, state, TrainConfig())
+            assert np.isfinite(state.v["big"]).all()
+            assert np.isfinite(params["big"].data).all()
+            assert state.v["big"][pos] > 0
 
     def test_explicit_lr_override(self):
         from lesionformer.model import ModelParams
