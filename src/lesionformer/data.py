@@ -328,13 +328,13 @@ def class_frequencies(samples, k=None) -> np.ndarray:
 
 
 def mask_to_patch_grid(mask: np.ndarray, patch: int) -> np.ndarray:
-    """Mean occupancy of each patch-sized block."""
-    h, w = mask.shape
+    """Mean occupancy of each patch-sized block, of one mask or of each
+    mask of a stack."""
+    *lead, h, w = mask.shape
     if h % patch or w % patch:
         raise ValueError(f"mask {h}x{w} not divisible by patch {patch}")
-    gh, gw = h // patch, w // patch
-    blocks = mask.reshape(gh, patch, gw, patch)
-    return blocks.sum(axis=(1, 3)) / (patch * patch)
+    blocks = mask.reshape(*lead, h // patch, patch, w // patch, patch)
+    return blocks.sum(axis=(-3, -1)) / (patch * patch)
 
 
 def split_samples(samples, eval_fraction, seed):

@@ -71,15 +71,17 @@ def weighted_cross_entropy(probs: Tensor, labels, weights: ClassWeights) -> Tens
 
 
 def attention_regularization(maps, masks, mode: str = "focusing") -> Tensor:
-    """Batch-mean Frobenius norm of the focus map gated by the lesion mask.
+    """Mean Frobenius norm of the focus maps gated by their lesion masks.
 
     ``literal`` penalizes mass inside the mask (||A .* M||_F); ``focusing``
-    penalizes mass outside it (||A .* (1-M)||_F). Samples whose mask is
-    None contribute nothing and are excluded from the denominator.
+    penalizes mass outside it (||A .* (1-M)||_F). Each entry is one map or
+    a stack of maps, with a mask of the same shape; the mean is over maps.
+    Entries whose mask is None contribute nothing and are excluded from
+    the denominator.
     """
     if mode not in ("literal", "focusing"):
         raise ValueError(f"unknown attention regularization mode {mode!r}")
-    terms = []
+    acc, count = None, 0
     for a, m in zip(maps, masks):
         if m is None:
             continue
@@ -89,13 +91,13 @@ def attention_regularization(maps, masks, mode: str = "focusing") -> Tensor:
         if mode == "focusing":
             m = 1.0 - m
         gated = ad.mul(a, Tensor(m))
-        terms.append(ad.sqrt(ad.sum_all(ad.mul(gated, gated))))
-    if not terms:
+        norms = ad.sqrt(ad.sum_all(ad.mul(gated, gated)))
+        total = ad.sum_all(ad.reshape(norms, (1, -1)))
+        acc = total if acc is None else ad.add(acc, total)
+        count += norms.data.size
+    if acc is None:
         return Tensor(np.zeros((1, 1)))
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ad.add(acc, t)
-    return ad.scale(acc, 1.0 / len(terms))
+    return ad.scale(acc, 1.0 / count)
 
 
 def total_loss(l_ce: Tensor, l_attn: Tensor | None, lambda_attn: float):

@@ -40,25 +40,23 @@ def accuracy(confusion: np.ndarray) -> float:
     return float(np.trace(confusion)) / n if n else 0.0
 
 
+def _precision_recall(confusion: np.ndarray):
+    """Per-class precision and recall; 0 for a class never predicted (its
+    precision) or never true (its recall)."""
+    tp = np.diag(confusion)
+    predicted, actual = confusion.sum(axis=0), confusion.sum(axis=1)
+    return (np.divide(tp, predicted, out=np.zeros(len(tp)), where=predicted > 0),
+            np.divide(tp, actual, out=np.zeros(len(tp)), where=actual > 0))
+
+
 def precision_macro(confusion: np.ndarray) -> float:
-    k = confusion.shape[0]
-    vals = []
-    for j in range(k):
-        predicted = confusion[:, j].sum()
-        vals.append(confusion[j, j] / predicted if predicted else 0.0)
-    return float(np.mean(vals))
+    return float(np.mean(_precision_recall(confusion)[0]))
 
 
 def f1_macro(confusion: np.ndarray) -> float:
-    k = confusion.shape[0]
-    vals = []
-    for j in range(k):
-        predicted = confusion[:, j].sum()
-        actual = confusion[j, :].sum()
-        p = confusion[j, j] / predicted if predicted else 0.0
-        r = confusion[j, j] / actual if actual else 0.0
-        vals.append(2 * p * r / (p + r) if p + r else 0.0)
-    return float(np.mean(vals))
+    p, r = _precision_recall(confusion)
+    s = p + r
+    return float(np.mean(np.divide(2 * p * r, s, out=np.zeros_like(s), where=s > 0)))
 
 
 def roc_auc_binary(scores, binary_labels) -> float:
@@ -69,17 +67,11 @@ def roc_auc_binary(scores, binary_labels) -> float:
     nneg = int((y == 0).sum())
     if npos == 0 or nneg == 0:
         raise UndefinedMetricError("AUC needs at least one positive and one negative")
-    order = np.argsort(s, kind="mergesort")
-    sorted_s = s[order]
-    # average ranks (1-based), shared across tied groups
-    ranks = np.empty(len(s), dtype=np.float64)
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # tie-averaged 1-based ranks: a group of c equal scores at sorted
+    # positions last-c .. last-1 ranks 0.5 * ((last - c) + (last - 1)) + 1
+    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    ranks = (0.5 * (2 * last - counts - 1) + 1.0)[group]
     rank_sum = ranks[y == 1].sum()
     return float((rank_sum - npos * (npos + 1) / 2.0) / (npos * nneg))
 

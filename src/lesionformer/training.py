@@ -11,6 +11,7 @@ import dataclasses
 import math
 import struct
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -82,21 +83,22 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState,
     """Standard Adam with bias correction; mutates params and state.
 
     A gradient with a NaN or +/-Inf entry, or with an entry whose square
-    overflows, raises ``NumericError`` naming its parameter before that
-    parameter's moments change. Each parameter's update runs in two
-    scratch arrays, with the same operations in the same order as
+    overflows, raises ``NumericError`` naming its parameter before any
+    parameter, moment or ``state.t`` changes. Each parameter's update runs
+    in two scratch arrays, with the same operations in the same order as
     ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
     p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``.
     """
     if lr is None:
         lr = cfg.learning_rate
+    for name in params.names():
+        _check_gradient(name, grads[name])
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, p in params.items():
         g = grads[name]
-        _check_gradient(name, g)
         m = state.m[name]
         v = state.v[name]
         step = np.multiply(g, 1.0 - b1)
@@ -178,20 +180,23 @@ def train_step(params: ModelParams, model_cfg: ModelConfig, train_cfg: TrainConf
                batch, state: AdamState, weights, lr):
     """One forward and one backward over the whole batch, then an Adam step.
 
-    The regulariser is taken per masked image; images without a mask, and a
-    model without encoder layers (so without a focus map), add nothing."""
+    The regulariser takes one stack of focus maps per run of consecutive
+    masked images; images without a mask, and a model without encoder
+    layers (so without a focus map), add nothing."""
     g, b = model_cfg.grid_side, len(batch)
-    masked = [i for i, s in enumerate(batch) if s.mask is not None]
+    runs = [list(run) for masked, run in groupby(range(b), lambda i: batch[i].mask is not None)
+            if masked]
     with Tape() as tape:
         res = forward(params, np.stack([s.image for s in batch]), model_cfg,
                       want_record=False)
         l_ce = losses.weighted_cross_entropy(res.probs, [s.label for s in batch], weights)
         l_attn = None
-        if train_cfg.lambda_attn > 0 and masked and res.focus is not None:
+        if train_cfg.lambda_attn > 0 and runs and res.focus is not None:
             focus = reshape(res.focus, (b, model_cfg.num_patches))
-            focus_grids = [reshape(slice_rows(focus, i, i + 1), (g, g)) for i in masked]
-            mask_grids = [mask_to_patch_grid(batch[i].mask, model_cfg.patch)
-                          for i in masked]
+            focus_grids = [reshape(slice_rows(focus, run[0], run[-1] + 1), (len(run), g, g))
+                           for run in runs]
+            mask_grids = [mask_to_patch_grid(np.stack([batch[i].mask for i in run]),
+                                             model_cfg.patch) for run in runs]
             l_attn = losses.attention_regularization(
                 focus_grids, mask_grids, train_cfg.attn_mode)
         total, breakdown = losses.total_loss(l_ce, l_attn, train_cfg.lambda_attn)

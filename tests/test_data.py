@@ -121,6 +121,12 @@ class TestMaskToPatchGrid:
             for j in range(3):
                 ref = mask[4 * i:4 * i + 4, 4 * j:4 * j + 4].mean()
                 assert abs(grid[i, j] - ref) < 1e-12
+        # a stack gives each of its masks' grids
+        stack = np.stack([mask, rng.random((12, 12)), 1.0 - mask])
+        grids = mask_to_patch_grid(stack, 4)
+        assert grids.shape == (3, 3, 3)
+        for m, got in zip(stack, grids):
+            assert np.array_equal(got, mask_to_patch_grid(m, 4))
 
     def test_conservation(self, rng):
         mask = (rng.random((16, 16)) > 0.7).astype(float)

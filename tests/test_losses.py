@@ -139,6 +139,17 @@ class TestAttentionRegularization:
             masks = [(rng.random((3, 3)) > 0.5).astype(float) for _ in range(4)]
             got = attention_regularization([Tensor(a) for a in maps], masks, mode).item()
             assert abs(got - brute_force_attn_reg(maps, masks, mode)) < 1e-12
+            # the same maps as one stack, and as two runs with an unmasked map between
+            for runs in ([4], [2, 2], [1, 3]):
+                cuts = np.cumsum(runs)[:-1]
+                stacks = np.split(np.stack(maps), cuts)
+                mask_stacks = np.split(np.stack(masks), cuts)
+                if len(runs) == 2:
+                    stacks.insert(1, rng.random((3, 3)))
+                    mask_stacks.insert(1, None)
+                got = attention_regularization([Tensor(a) for a in stacks], mask_stacks,
+                                               mode).item()
+                assert abs(got - brute_force_attn_reg(maps, masks, mode)) < 1e-12
 
     @pytest.mark.parametrize("mode", ["literal", "focusing"])
     def test_gradient_matches_finite_differences(self, mode, rng):
@@ -149,6 +160,41 @@ class TestAttentionRegularization:
 
         a0 = Tensor(rng.random((3, 3)) + 0.1, requires_grad=True)
         assert finite_difference_check(f, a0) < 1e-5
+
+        # one stack of four maps
+        masks = (rng.random((4, 3, 3)) > 0.5).astype(float)
+
+        def f_stack(a):
+            return attention_regularization([a], [masks], mode)
+
+        assert finite_difference_check(
+            f_stack, Tensor(rng.random((4, 3, 3)) + 0.1, requires_grad=True)) < 1e-5
+
+        # two runs of a batch's flat focus rows, as the train step slices them,
+        # with row 2 unmasked
+        def f_runs(x):
+            runs = [ad.reshape(ad.slice_rows(x, lo, hi), (hi - lo, 3, 3))
+                    for lo, hi in ((0, 2), (3, 5))]
+            return attention_regularization(runs, [masks[:2], masks[2:]], mode)
+
+        assert finite_difference_check(
+            f_runs, Tensor(rng.random((5, 9)) + 0.1, requires_grad=True)) < 1e-5
+
+    @pytest.mark.parametrize("mode", ["literal", "focusing"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stacked_entry_gradient_equals_the_list_gradients(self, dtype, mode, rng):
+        maps = rng.random((8, 4, 4)).astype(dtype)
+        masks = rng.random((8, 4, 4))
+
+        def grads(entries, entry_masks):
+            with Tape() as tape:
+                tape.backward(attention_regularization(entries, entry_masks, mode))
+                return [tape.grad(a) for a in entries]
+
+        (got,) = grads([Tensor(maps, requires_grad=True)], [masks])
+        want = grads([Tensor(a, requires_grad=True) for a in maps], list(masks))
+        assert got.dtype == dtype
+        assert np.array_equal(got, np.stack(want))
 
     def test_missing_masks_are_excluded_from_mean(self, rng):
         a1, a2 = rng.random((2, 2)), rng.random((2, 2))

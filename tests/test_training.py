@@ -164,6 +164,25 @@ class TestAdam:
             assert np.isfinite(params["big"].data).all()
             assert state.v["big"][pos] > 0
 
+    @pytest.mark.parametrize("bad", [np.nan, 1e200], ids=["nan", "square-overflows"])
+    def test_bad_second_gradient_leaves_the_whole_state_unchanged(self, bad):
+        from lesionformer.model import ModelParams
+        rng = np.random.default_rng(8)
+        names = ("first", "second")
+        params = ModelParams({k: Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+                              for k in names})
+        state = AdamState(m={k: rng.standard_normal((2, 3)) for k in names},
+                          v={k: rng.random((2, 3)) for k in names}, t=3)
+        before = clone_params(params), copy.deepcopy(state)
+        grads = {k: rng.standard_normal((2, 3)) for k in names}
+        grads["second"][1, 2] = bad
+        with pytest.raises(NumericError, match="parameter second"):
+            adam_step(params, grads, state, TrainConfig())
+        assert params_equal(params, before[0])
+        for got, want in ((state.m, before[1].m), (state.v, before[1].v)):
+            assert all(np.array_equal(got[k], want[k]) for k in names)
+        assert state.t == 3
+
     def test_explicit_lr_override(self):
         from lesionformer.model import ModelParams
         p = ModelParams({"x": Tensor(np.zeros((1, 1)), requires_grad=True)})
@@ -498,6 +517,27 @@ class TestBatchedStep:
             train_step(params, mc, tc, samples[:b], init_adam(params), w, tc.learning_rate)
         assert len(counts) == 3 and counts[0] > 0
         assert counts[0] == counts[1] == counts[2]
+
+    def test_fully_masked_step_records_the_same_ops_at_any_batch_size(self, monkeypatch):
+        from lesionformer import autodiff as ad
+        from lesionformer import losses
+        counts, op = [], ad.custom_op
+
+        def counting_op(*args):
+            counts[-1] += 1
+            return op(*args)
+
+        monkeypatch.setattr(ad, "custom_op", counting_op)
+        monkeypatch.setattr(losses, "custom_op", counting_op)  # bound by name there
+        mc, tc = ModelConfig(), TrainConfig()
+        params = init_params(mc)
+        samples = synth_generate(8, SynthConfig(seed=4))
+        assert all(s.mask is not None for s in samples)
+        w = self.weights(samples, mc, tc)
+        for b in (1, 2, 8):
+            counts.append(0)
+            train_step(params, mc, tc, samples[:b], init_adam(params), w, tc.learning_rate)
+        assert counts == [190, 190, 190]
 
     def test_model_without_layers_trains_on_masked_samples(self, tiny_config):
         _, _, tc, samples = fresh(tiny_config)
