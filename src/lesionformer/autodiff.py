@@ -360,28 +360,25 @@ def reshape(a: Tensor, shape) -> Tensor:
     return custom_op(a.data.reshape(shape).copy(), (a,), backward, "reshape")
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if not 0 <= start < stop <= a.shape[-2]:
-        raise DimensionError(f"slice_rows [{start}:{stop}] out of range for {a.shape}")
+def _slice(a: Tensor, start: int, stop: int, axis: int, name: str) -> Tensor:
+    """Entries ``start:stop`` of trailing axis ``axis`` (-2 rows, -1 columns)."""
+    if not 0 <= start < stop <= a.shape[axis]:
+        raise DimensionError(f"{name} [{start}:{stop}] out of range for {a.shape}")
 
-    index = (..., slice(start, stop), slice(None))
+    index = (..., slice(start, stop)) + (slice(None),) * (-1 - axis)
 
     def backward(g):
         return (Block(index, g),)
 
-    return custom_op(a.data[index].copy(), (a,), backward, "slice_rows")
+    return custom_op(a.data[index].copy(), (a,), backward, name)
+
+
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    return _slice(a, start, stop, -2, "slice_rows")
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if not 0 <= start < stop <= a.shape[-1]:
-        raise DimensionError(f"slice_cols [{start}:{stop}] out of range for {a.shape}")
-
-    index = (..., slice(start, stop))
-
-    def backward(g):
-        return (Block(index, g),)
-
-    return custom_op(a.data[index].copy(), (a,), backward, "slice_cols")
+    return _slice(a, start, stop, -1, "slice_cols")
 
 
 def concat_rows(parts) -> Tensor:
@@ -450,19 +447,30 @@ def sqrt(a: Tensor) -> Tensor:
     return custom_op(out, (a,), backward, "sqrt")
 
 
+def _softmax(y):
+    """Row-wise softmax of ``y``, in place, shifted by the row max; returns ``y``."""
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    return y
+
+
+def _softmax_backward(y, g):
+    """``y * (g - (g * y).sum(-1))``, the softmax input's gradient, laid out as ``g * y``."""
+    gs = g * y
+    np.subtract(g, gs.sum(axis=-1, keepdims=True), out=gs)
+    gs *= y
+    return gs
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax with row-max subtraction for stability."""
     if x.data.ndim < 2:
         raise DimensionError(f"softmax_rows expects at least 2-D, got {x.shape}")
-    # subtract, exp, divide; the last two in place, which saves two
-    # allocations and gives the same floats
-    y = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y = _softmax(x.data.copy(order="K"))
 
     def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        return (_softmax_backward(y, g),)
 
     return custom_op(y, (x,), backward, "softmax_rows")
 
@@ -471,8 +479,8 @@ def attention_weights(q: Tensor, kt: Tensor, c: float) -> Tensor:
     """``softmax_rows(scale(matmul(q, kt), c))`` as one op, with the same floats.
 
     ``q`` is n x d and ``kt`` d x m, or stacks of them with equal leading
-    axes. The product is scaled, shifted by its row max, exponentiated and
-    normalised in place, so the tape keeps the weights and no scores.
+    axes. The product is scaled in place, then takes ``softmax_rows``'
+    kernels, so the tape keeps the weights and no scores.
     """
     qd, kd = q.data, kt.data
     if (qd.ndim < 2 or kd.ndim != qd.ndim or qd.shape[-1] != kd.shape[-2]
@@ -485,15 +493,11 @@ def attention_weights(q: Tensor, kt: Tensor, c: float) -> Tensor:
     # scores are non-finite wherever the product is, so one check covers both
     if not all_finite(y):
         raise NumericError("non-finite values produced by attention_weights")
-    y -= y.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    _softmax(y)
 
     def backward(g):
         # softmax, then scale, then matmul backward, in the chain's order
-        gs = g * y
-        np.subtract(g, gs.sum(axis=-1, keepdims=True), out=gs)
-        gs *= y
+        gs = _softmax_backward(y, g)
         gs *= c
         return (gs @ _swap(kd) if q.requires_grad else None,
                 _swap(qd) @ gs if kt.requires_grad else None)
@@ -501,21 +505,19 @@ def attention_weights(q: Tensor, kt: Tensor, c: float) -> Tensor:
     return custom_op(y, (q, kt), backward, "attention_weights")
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization, then per-column gain and bias (1 x d each)."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row normalization (eps 1e-5), then per-column gain and bias (1 x d each)."""
     if x.data.ndim < 2:
         raise DimensionError(f"layer_norm expects at least 2-D, got {x.shape}")
     d = x.shape[-1]
     if gain.shape != (1, d) or bias.shape != (1, d):
         raise DimensionError(
             f"layer_norm gain/bias must be (1, {d}), got {gain.shape}/{bias.shape}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     # two full-size arrays: xhat, and out (which first holds the squares)
     mu = x.data.mean(axis=-1, keepdims=True)
     xhat = x.data - mu
     out = xhat * xhat
-    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + 1e-5)
     xhat *= inv
     np.multiply(xhat, gain.data, out=out)
     out += bias.data

@@ -81,8 +81,9 @@ def attention_regularization(maps, masks, mode: str = "focusing") -> Tensor:
     """
     if mode not in ("literal", "focusing"):
         raise ValueError(f"unknown attention regularization mode {mode!r}")
-    acc, count = None, 0
+    acc, count, dtype = None, 0, np.float64
     for a, m in zip(maps, masks):
+        dtype = a.dtype
         if m is None:
             continue
         m = np.asarray(m, dtype=a.dtype)
@@ -96,7 +97,7 @@ def attention_regularization(maps, masks, mode: str = "focusing") -> Tensor:
         acc = total if acc is None else ad.add(acc, total)
         count += norms.data.size
     if acc is None:
-        return Tensor(np.zeros((1, 1)))
+        return Tensor(np.zeros((1, 1), dtype=dtype))
     return ad.scale(acc, 1.0 / count)
 
 

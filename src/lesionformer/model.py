@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -109,25 +110,11 @@ class ForwardResult:
                             # :func:`grad_cam`)
 
 
-class ModelParams:
-    """All learnable arrays, keyed by name, in a fixed order."""
-
-    def __init__(self, tensors: dict[str, Tensor]):
-        self.tensors = tensors
-
-    def __getitem__(self, name) -> Tensor:
-        return self.tensors[name]
-
-    def items(self):
-        return self.tensors.items()
-
-    def names(self):
-        return list(self.tensors)
-
-    def check_finite(self):
-        for name, t in self.tensors.items():
-            if not all_finite(t.data):
-                raise NumericError(f"non-finite values in parameter {name}")
+def check_finite(params: dict[str, Tensor]):
+    """Raise ``NumericError`` naming the first parameter with a NaN or +/-Inf."""
+    for name, t in params.items():
+        if not all_finite(t.data):
+            raise NumericError(f"non-finite values in parameter {name}")
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -149,7 +136,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def init_params(cfg: ModelConfig, dtype=np.float64) -> ModelParams:
+def init_params(cfg: ModelConfig, dtype=np.float64) -> dict[str, Tensor]:
     """Seeded init, drawn in parameter order: weights (names ``w*``)
     uniform(+-sqrt(1/fan_in)) with fan_in their column count, positional
     encodings and class token uniform(+-0.02), layer-norm gains (``g``)
@@ -166,7 +153,7 @@ def init_params(cfg: ModelConfig, dtype=np.float64) -> ModelParams:
         else:
             arr = np.ones(shape) if leaf == "g" else np.zeros(shape)
         t[name] = Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
-    return ModelParams(t)
+    return t
 
 
 def patchify(image: np.ndarray, cfg: ModelConfig) -> np.ndarray:
@@ -194,7 +181,7 @@ def unpatchify(patches: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     return blocks.reshape(cfg.image_h, cfg.image_w, cfg.channels).copy()
 
 
-def embed(params: ModelParams, patches_t: Tensor, cfg: ModelConfig) -> Tensor:
+def embed(params: dict[str, Tensor], patches_t: Tensor, cfg: ModelConfig) -> Tensor:
     """Project patches, prepend the class token, add positional encodings."""
     if patches_t.shape[-2] != cfg.num_patches:
         raise DimensionError(
@@ -205,7 +192,7 @@ def embed(params: ModelParams, patches_t: Tensor, cfg: ModelConfig) -> Tensor:
     return add(z, params["pos"])
 
 
-def multi_scale_attention(params: ModelParams, layer: int, x: Tensor,
+def multi_scale_attention(params: dict[str, Tensor], layer: int, x: Tensor,
                           cfg: ModelConfig, cls_only=False):
     """Multi-head attention fused over scales.
 
@@ -230,8 +217,9 @@ def multi_scale_attention(params: ModelParams, layer: int, x: Tensor,
     k = matmul(x, params[pre + "wk"])
     v = matmul(x, params[pre + "wv"])
     w = softmax_rows(params[pre + "scale_logits"])  # 1 x S
-    k_cls, k_pat = slice_rows(k, 0, 1), slice_rows(k, 1, n)
-    v_cls, v_pat = slice_rows(v, 0, 1), slice_rows(v, 1, n)
+    if S > 1:  # the pooled scales keep the class row and pool the patch rows
+        k_cls, k_pat = slice_rows(k, 0, 1), slice_rows(k, 1, n)
+        v_cls, v_pat = slice_rows(v, 0, 1), slice_rows(v, 1, n)
     # per scale: transposed keys (D x n_s), values (n_s x D), weight (1 x 1)
     keys_t, values = [transpose(k)], [v]
     for s in range(1, S):
@@ -255,7 +243,7 @@ def multi_scale_attention(params: ModelParams, layer: int, x: Tensor,
     return matmul(concat_cols(head_outs), params[pre + "wo"]), attns
 
 
-def encoder_block(params: ModelParams, layer: int, z: Tensor, cfg: ModelConfig,
+def encoder_block(params: dict[str, Tensor], layer: int, z: Tensor, cfg: ModelConfig,
                   cls_only=False):
     """Pre-norm block: z + MSAttn(LN(z)), then + MLP(LN(.)).
 
@@ -277,7 +265,7 @@ def encoder_block(params: ModelParams, layer: int, z: Tensor, cfg: ModelConfig,
     return add(z, mlp_out), attns
 
 
-def forward(params: ModelParams, image: np.ndarray, cfg: ModelConfig,
+def forward(params: dict[str, Tensor], image: np.ndarray, cfg: ModelConfig,
             want_record=True) -> ForwardResult:
     """Full forward pass for one H x W x C image or a B x H x W x C stack;
     records attention and focus map."""
@@ -323,15 +311,12 @@ def focus_from_attention(s1_attns, cfg: ModelConfig) -> Tensor | None:
     class-token row at the unpooled scale."""
     if not s1_attns:
         return None
-    acc = None
-    for a in s1_attns:
-        row = slice_cols(a, 1, cfg.num_patches + 1)
-        acc = row if acc is None else add(acc, row)
-    acc = scale(acc, 1.0 / len(s1_attns))
+    rows = reduce(add, s1_attns)
+    acc = scale(slice_cols(rows, 1, cfg.num_patches + 1), 1.0 / len(s1_attns))
     return div_by(acc, sum_all(acc))
 
 
-def grad_cam(params: ModelParams, image: np.ndarray, target_class: int,
+def grad_cam(params: dict[str, Tensor], image: np.ndarray, target_class: int,
              cfg: ModelConfig):
     """Gradient-weighted patch-token heatmap for a target class of one
     H x W x C image.
@@ -349,8 +334,8 @@ def grad_cam(params: ModelParams, image: np.ndarray, target_class: int,
                              f"{cfg.channels} image, got shape {shape}")
     if not 0 <= target_class < cfg.classes:
         raise ValueError(f"class {target_class} out of range [0, {cfg.classes})")
-    params.check_finite()
-    frozen = ModelParams({name: Tensor(t.data) for name, t in params.items()})
+    check_finite(params)
+    frozen = {name: Tensor(t.data) for name, t in params.items()}
     with Tape() as tape:
         res = forward(frozen, image, cfg, want_record=False)
         target = slice_cols(res.logits, target_class, target_class + 1)

@@ -16,10 +16,9 @@ from itertools import groupby
 import numpy as np
 
 from . import losses, metrics
-from .autodiff import NumericError, Tape, Tensor
-from .autodiff import reshape, slice_rows
+from .autodiff import NumericError, Tape, Tensor, reshape, slice_rows
 from .data import class_frequencies, mask_to_patch_grid
-from .model import ModelConfig, ModelParams, forward, param_shapes
+from .model import ModelConfig, forward, param_shapes
 
 
 @dataclass
@@ -72,13 +71,13 @@ class AdamState:
     t: int = 0
 
 
-def init_adam(params: ModelParams) -> AdamState:
+def init_adam(params: dict[str, Tensor]) -> AdamState:
     return AdamState(m={k: np.zeros_like(t.data) for k, t in params.items()},
                      v={k: np.zeros_like(t.data) for k, t in params.items()},
                      t=0)
 
 
-def adam_step(params: ModelParams, grads: dict, state: AdamState,
+def adam_step(params: dict[str, Tensor], grads: dict, state: AdamState,
               cfg: TrainConfig, lr: float | None = None):
     """Standard Adam with bias correction; mutates params and state.
 
@@ -91,7 +90,7 @@ def adam_step(params: ModelParams, grads: dict, state: AdamState,
     """
     if lr is None:
         lr = cfg.learning_rate
-    for name in params.names():
+    for name in params:
         _check_gradient(name, grads[name])
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
@@ -135,7 +134,7 @@ def _epoch_permutation(seed, epoch, n):
     return np.random.default_rng([seed, 5000 + epoch]).permutation(n)
 
 
-def train(params: ModelParams, model_cfg: ModelConfig, train_cfg: TrainConfig,
+def train(params: dict[str, Tensor], model_cfg: ModelConfig, train_cfg: TrainConfig,
           samples, state: AdamState | None = None, start_step: int = 0,
           log=None):
     """Run (epochs * ceil(n/B) - start_step) steps; returns per-step logs.
@@ -176,7 +175,7 @@ def train(params: ModelParams, model_cfg: ModelConfig, train_cfg: TrainConfig,
     return logs, state
 
 
-def train_step(params: ModelParams, model_cfg: ModelConfig, train_cfg: TrainConfig,
+def train_step(params: dict[str, Tensor], model_cfg: ModelConfig, train_cfg: TrainConfig,
                batch, state: AdamState, weights, lr):
     """One forward and one backward over the whole batch, then an Adam step.
 
@@ -206,7 +205,7 @@ def train_step(params: ModelParams, model_cfg: ModelConfig, train_cfg: TrainConf
     return breakdown
 
 
-def evaluate(params: ModelParams, model_cfg: ModelConfig, samples,
+def evaluate(params: dict[str, Tensor], model_cfg: ModelConfig, samples,
              strict_auc: bool = True):
     """Forward-only pass over samples; returns (MetricsReport, probs, labels)."""
     if not samples:
@@ -232,7 +231,7 @@ class CheckpointError(ValueError):
 class Checkpoint:
     model_config: ModelConfig
     train_config: TrainConfig
-    params: ModelParams
+    params: dict[str, Tensor]
     opt: AdamState | None
     step: int
 
@@ -275,7 +274,7 @@ def save_checkpoint(path, ckpt: Checkpoint):
     dtype = np.dtype(ckpt.train_config.np_dtype).newbyteorder("<")
     arrays = [(name, t.data) for name, t in ckpt.params.items()]
     if ckpt.opt is not None:
-        for name in ckpt.params.names():
+        for name in ckpt.params:
             arrays.append((f"opt.m.{name}", ckpt.opt.m[name]))
             arrays.append((f"opt.v.{name}", ckpt.opt.v[name]))
     header_lines = [
@@ -372,8 +371,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{what} {key}: expected {size} elements, got {flat.size}")
         return flat.reshape(shape).astype(train_cfg.np_dtype)
 
-    params = ModelParams({name: Tensor(take(name, "parameter", shape), requires_grad=True)
-                          for name, shape in shapes.items()})
+    params = {name: Tensor(take(name, "parameter", shape), requires_grad=True)
+              for name, shape in shapes.items()}
     opt = None
     if opt_t >= 0:
         opt = AdamState(m={}, v={}, t=opt_t)

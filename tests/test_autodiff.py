@@ -1033,6 +1033,13 @@ class TestKernelPins:
         self.assert_same(got, self.attention_weights_backward_ref(y, q, kt, c, g))
 
     @cases
+    def test_softmax_rows_backward(self, dtype, lead, order, rng):
+        x = (rng.standard_normal(lead + (65, 17)) * 3.0).astype(dtype)
+        g = self.incoming(rng, x.shape, dtype, order)
+        y, got = kernel_backward(ad.softmax_rows, [Tensor(x, requires_grad=True)], g)
+        self.assert_same(got, [y * (g - (g * y).sum(-1, keepdims=True))])
+
+    @cases
     def test_scale_by_backward(self, dtype, lead, order, rng):
         a = rng.standard_normal(lead + (65, 8)).astype(dtype)
         s = np.array([[1.75]], dtype=dtype)

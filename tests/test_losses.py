@@ -231,6 +231,14 @@ class TestAttentionRegularization:
         with pytest.raises(ValueError):
             attention_regularization([], [], "other")
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_mask_gives_a_zero_in_the_maps_dtype(self, dtype):
+        maps = [Tensor(np.full((2, 2, 2), 0.25, dtype=dtype), requires_grad=True)]
+        l_attn = attention_regularization(maps, [None])
+        assert l_attn.dtype == dtype and l_attn.item() == 0.0
+        total, _ = total_loss(Tensor(np.ones((1, 1), dtype=dtype)), l_attn, 0.1)
+        assert total.dtype == dtype
+
 
 class TestTotalLoss:
     def test_lambda_zero(self):

@@ -1,5 +1,6 @@
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from conftest import tiny_config
 from lesionformer import autodiff as ad
 from lesionformer.autodiff import DimensionError, Tape, Tensor, finite_difference_check
 from lesionformer import model
-from lesionformer.model import (ModelConfig, ModelParams, embed, encoder_block,
+from lesionformer.model import (ModelConfig, check_finite, embed, encoder_block,
                                 forward, grad_cam, init_params,
                                 multi_scale_attention, patchify, unpatchify)
 
@@ -121,12 +122,12 @@ class TestEmbed:
         patches = Tensor(rng.random((cfg.num_patches, 16)))
 
         def f(w):
-            saved = p.tensors["patch_proj.w"]
-            p.tensors["patch_proj.w"] = w
+            saved = p["patch_proj.w"]
+            p["patch_proj.w"] = w
             try:
                 return ad.sum_all(embed(p, patches, cfg))
             finally:
-                p.tensors["patch_proj.w"] = saved
+                p["patch_proj.w"] = saved
 
         w = Tensor(p["patch_proj.w"].data.copy(), requires_grad=True)
         assert finite_difference_check(f, w) < 1e-5
@@ -222,13 +223,13 @@ class TestEncoderBlock:
         w = rng.standard_normal((cfg.num_patches + 1, cfg.embed_dim))
 
         def f(wq):
-            saved = p.tensors["layer0.wq"]
-            p.tensors["layer0.wq"] = wq
+            saved = p["layer0.wq"]
+            p["layer0.wq"] = wq
             try:
                 out, _ = encoder_block(p, 0, z, cfg)
                 return ad.sum_all(ad.mul(out, Tensor(w)))
             finally:
-                p.tensors["layer0.wq"] = saved
+                p["layer0.wq"] = saved
 
         wq = Tensor(p["layer0.wq"].data.copy(), requires_grad=True)
         assert finite_difference_check(f, wq) < 1e-4
@@ -407,15 +408,15 @@ class TestGradCam:
 
     @pytest.mark.parametrize("dtype, big", [(np.float32, 1e20), (np.float64, 1e200)])
     def test_check_finite_passes_values_whose_squares_overflow(self, dtype, big):
-        ModelParams({"head.w": Tensor(np.array([[big, 1.0]], dtype=dtype))}).check_finite()
+        check_finite({"head.w": Tensor(np.array([[big, 1.0]], dtype=dtype))})
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_check_finite_names_the_parameter(self, dtype, bad):
-        p = ModelParams({"cls": Tensor(np.ones((1, 2), dtype=dtype)),
-                         "head.w": Tensor(np.array([[bad, 1.0]], dtype=dtype))})
+        p = {"cls": Tensor(np.ones((1, 2), dtype=dtype)),
+             "head.w": Tensor(np.array([[bad, 1.0]], dtype=dtype))}
         with pytest.raises(ad.NumericError, match=r"parameter head\.w$"):
-            p.check_finite()
+            check_finite(p)
 
     @pytest.mark.parametrize("lead", [(1,), (2,)])
     def test_stack_is_dimension_error_before_any_work(self, lead, monkeypatch, rng):
@@ -488,11 +489,11 @@ class TestGradCamFrozenWeights:
     def test_frozen_forward_records_final_block_only(self, monkeypatch, rng):
         cfg = tiny_config(layers=2)
         live = init_params(cfg)
-        weights = ModelParams({name: Tensor(t.data) for name, t in live.items()})
+        weights = {name: Tensor(t.data) for name, t in live.items()}
         image = rng.random((8, 8, 1))
         live_ops, _, live_tape, _ = self.forward_backward(monkeypatch, live, image, cfg)
         ops, res, tape, grads = self.forward_backward(monkeypatch, weights, image, cfg)
-        assert (live_ops, ops) == (124, 60)
+        assert (live_ops, ops) == (123, 59)
         assert np.any(live_tape.grad(live["patch_proj.w"]) != 0)
         assert res.tokens.requires_grad
         assert np.any(tape.grad(res.tokens) != 0)
@@ -517,13 +518,19 @@ class TestConfigValidation:
             tiny_config(embed_dim=8, heads=3).validate()
 
 
+def bench_module(name):
+    """The benchmark's ``bench/<name>.py``, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
 def bench_forward_ops():
     """``FORWARD_OPS`` of the benchmark's tracer: the op kinds it reports."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.FORWARD_OPS
+    return bench_module("tracer").FORWARD_OPS
 
 
 class TestOpCensus:
@@ -531,7 +538,7 @@ class TestOpCensus:
     # benchmark reports a count for must stay present
     DEFAULT_FORWARD = {"matmul": 30, "transpose": 10, "add": 16, "scale": 1,
                        "scale_by": 16, "div_by": 1, "add_rowvec": 6,
-                       "slice_rows": 26, "slice_cols": 32, "concat_rows": 5,
+                       "slice_rows": 26, "slice_cols": 29, "concat_rows": 5,
                        "concat_cols": 2, "sum_all": 1, "softmax_rows": 3,
                        "attention_weights": 16, "layer_norm": 5, "gelu": 2,
                        "pool_grid": 4}
@@ -549,9 +556,33 @@ class TestOpCensus:
         params = init_params(cfg)
         forward(params, rng.random((cfg.image_h, cfg.image_w, cfg.channels)),
                 cfg, want_record=False)
-        assert sum(counts.values()) == 176
+        assert sum(counts.values()) == 173
         assert counts == self.DEFAULT_FORWARD
         assert set(bench_forward_ops()) <= set(counts)
+
+    @staticmethod
+    def forward_ops(monkeypatch, cfg, dtype=np.float64):
+        """Tape ops that one forward of one image records."""
+        count = [0]
+        original = ad.custom_op
+
+        def counting_custom_op(*args):
+            count[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(ad, "custom_op", counting_custom_op)
+        image = np.random.default_rng(0).random((cfg.image_h, cfg.image_w, cfg.channels))
+        forward(init_params(cfg, dtype), image, cfg, want_record=False)
+        return count[0]
+
+    def test_large_benchmark_config_op_count(self, monkeypatch):
+        workload = bench_module("run").WORKLOADS["train-large-f32"]
+        cfg = ModelConfig(**workload.model)
+        assert self.forward_ops(monkeypatch, cfg, np.dtype(workload.dtype)) == 233
+
+    def test_single_scale_records_no_pooled_key_or_value_slices(self, monkeypatch):
+        # 8 x 8, two layers, two heads, one scale
+        assert self.forward_ops(monkeypatch, tiny_config(layers=2, scales=1)) == 79
 
 
 class TestAttentionRecord:
@@ -564,6 +595,14 @@ class TestAttentionRecord:
         np.testing.assert_allclose(res.record.focus_map.ravel(), row / row.sum(),
                                    rtol=1e-12)
         assert np.array_equal(res.focus.data.ravel(), res.record.focus_map.ravel())
+        # each head's patch columns, added up, then the mean and the
+        # renormalisation, in the order and with the floats of the ops
+        acc = None
+        for head in res.record.attn[-1]:
+            row = head[0][..., 1:].copy()
+            acc = row if acc is None else acc + row
+        acc = acc * (1.0 / cfg.heads)
+        assert np.array_equal(res.focus.data, acc / acc.sum(axis=(-2, -1), keepdims=True))
 
     def test_no_layers_means_no_focus(self, rng):
         cfg = tiny_config(layers=0)

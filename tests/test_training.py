@@ -53,16 +53,14 @@ class TestAdam:
 
     def test_first_step_size_is_learning_rate(self):
         # with bias correction, |update| == lr * g/(|g|+eps') ~= lr on step 1
-        from lesionformer.model import ModelParams
-        p = ModelParams({"x": Tensor(np.zeros((1, 1)), requires_grad=True)})
+        p = {"x": Tensor(np.zeros((1, 1)), requires_grad=True)}
         state = init_adam(p)
         cfg = TrainConfig(learning_rate=0.1)
         adam_step(p, {"x": np.array([[3.0]])}, state, cfg)
         assert abs(abs(p["x"].data[0, 0]) - 0.1) < 1e-6
 
     def test_converges_on_quadratic(self):
-        from lesionformer.model import ModelParams
-        p = ModelParams({"x": Tensor(np.array([[5.0]]), requires_grad=True)})
+        p = {"x": Tensor(np.array([[5.0]]), requires_grad=True)}
         state = init_adam(p)
         cfg = TrainConfig(learning_rate=0.2)
         for _ in range(200):
@@ -90,8 +88,7 @@ class TestAdam:
     # sum of squares overflows and the guard takes its full scan
     @pytest.mark.parametrize("dtype, big", [(np.float32, 1.5e19), (np.float64, 1e154)])
     def test_gradient_whose_squares_sum_overflows_passes(self, dtype, big):
-        from lesionformer.model import ModelParams
-        p = ModelParams({"x": Tensor(np.zeros((1, 2), dtype=dtype), requires_grad=True)})
+        p = {"x": Tensor(np.zeros((1, 2), dtype=dtype), requires_grad=True)}
         g = np.array([[big, big]], dtype=dtype)
         with np.errstate(over="ignore"):
             assert not np.isfinite(np.sum(g * g))
@@ -113,7 +110,6 @@ class TestAdam:
     @pytest.mark.parametrize("shape", [(5, 7), (3, 5, 7)], ids=["matrix", "stack"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_step_matches_the_plain_expressions_bitwise(self, dtype, shape, order):
-        from lesionformer.model import ModelParams
         rng = np.random.default_rng(4)
         p0, m0, g1, g2 = (rng.standard_normal(shape).astype(dtype) for _ in range(4))
         v0 = np.abs(rng.standard_normal(shape)).astype(dtype)
@@ -121,7 +117,7 @@ class TestAdam:
             g1, g2 = (np.swapaxes(np.ascontiguousarray(np.swapaxes(g, -1, -2)), -1, -2)
                       for g in (g1, g2))
         cfg = TrainConfig(learning_rate=3e-3)
-        p = ModelParams({"x": Tensor(p0.copy(), requires_grad=True)})
+        p = {"x": Tensor(p0.copy(), requires_grad=True)}
         state = AdamState(m={"x": m0.copy()}, v={"x": v0.copy()}, t=4)
         ref = [a.copy() for a in (p0, m0, v0)]
         for step, (g, lr) in enumerate([(g1, 3e-3), (g2, 1.7e-3)], start=5):
@@ -138,7 +134,6 @@ class TestAdam:
         # 2**(maxexp/2) is the smallest power of two whose square overflows,
         # and the float below it is the largest finite one whose square is
         # finite
-        from lesionformer.model import ModelParams
         above = dtype(2.0 ** (np.finfo(dtype).maxexp // 2))
         below = np.nextafter(above, dtype(0))
         shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 6)), label="shape")
@@ -147,8 +142,8 @@ class TestAdam:
         over = data.draw(st.booleans(), label="over")
         pos = np.unravel_index(data.draw(st.integers(0, g.size - 1)), shape)
         g[pos] = data.draw(st.sampled_from([1, -1]), label="sign") * (above if over else below)
-        params = ModelParams({"first": Tensor(np.zeros((1, 2), dtype=dtype), requires_grad=True),
-                              "big": Tensor(np.ones(shape, dtype=dtype), requires_grad=True)})
+        params = {"first": Tensor(np.zeros((1, 2), dtype=dtype), requires_grad=True),
+                  "big": Tensor(np.ones(shape, dtype=dtype), requires_grad=True)}
         state = init_adam(params)
         grads = {"first": np.ones((1, 2), dtype=dtype), "big": g}
         if over:
@@ -166,11 +161,10 @@ class TestAdam:
 
     @pytest.mark.parametrize("bad", [np.nan, 1e200], ids=["nan", "square-overflows"])
     def test_bad_second_gradient_leaves_the_whole_state_unchanged(self, bad):
-        from lesionformer.model import ModelParams
         rng = np.random.default_rng(8)
         names = ("first", "second")
-        params = ModelParams({k: Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-                              for k in names})
+        params = {k: Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+                  for k in names}
         state = AdamState(m={k: rng.standard_normal((2, 3)) for k in names},
                           v={k: rng.random((2, 3)) for k in names}, t=3)
         before = clone_params(params), copy.deepcopy(state)
@@ -184,8 +178,7 @@ class TestAdam:
         assert state.t == 3
 
     def test_explicit_lr_override(self):
-        from lesionformer.model import ModelParams
-        p = ModelParams({"x": Tensor(np.zeros((1, 1)), requires_grad=True)})
+        p = {"x": Tensor(np.zeros((1, 1)), requires_grad=True)}
         state = init_adam(p)
         adam_step(p, {"x": np.array([[1.0]])}, state, TrainConfig(learning_rate=0.5),
                   lr=0.0)
@@ -537,7 +530,7 @@ class TestBatchedStep:
         for b in (1, 2, 8):
             counts.append(0)
             train_step(params, mc, tc, samples[:b], init_adam(params), w, tc.learning_rate)
-        assert counts == [190, 190, 190]
+        assert counts == [187, 187, 187]
 
     def test_model_without_layers_trains_on_masked_samples(self, tiny_config):
         _, _, tc, samples = fresh(tiny_config)
