@@ -583,29 +583,34 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def pool_grid(x: Tensor, side: int, window: int) -> Tensor:
-    """Average-pool rows of a side*side patch grid with a square window.
+    """Average-pool the last side*side rows, a patch grid in row-major
+    order, with a square window; any rows before them (such as a class
+    token) pass through unchanged.
 
-    Rows are in row-major grid order; output has (side/window)**2 rows.
-    Leading stack axes pass through.
+    The output has those rows, then (side/window)**2 pooled rows. Leading
+    stack axes pass through.
     """
     if x.data.ndim < 2:
         raise DimensionError(f"pool_grid expects at least 2-D, got {x.shape}")
     lead, (n, d) = x.shape[:-2], x.shape[-2:]
-    if n != side * side:
-        raise DimensionError(f"pool_grid: {n} rows cannot form a {side}x{side} grid")
+    keep = n - side * side
+    if keep < 0:
+        raise DimensionError(f"pool_grid: {n} rows cannot hold a {side}x{side} grid")
     if window < 1 or window > side or side % window != 0:
         raise DimensionError(f"pool_grid window {window} incompatible with grid side {side}")
-    if window == 1:
-        def backward_id(g):
-            return (g,)
-        return custom_op(x.data.copy(), (x,), backward_id, "pool_grid")
     g2 = side // window
-    blocks = x.data.reshape(lead + (g2, window, g2, window, d))
-    out = blocks.mean(axis=(-4, -2)).reshape(lead + (g2 * g2, d))
+    blocks_shape = lead + (g2, window, g2, window, d)
+    out = np.empty(lead + (keep + g2 * g2, d), dtype=x.dtype)
+    out[..., :keep, :] = x.data[..., :keep, :]
+    out[..., keep:, :] = x.data[..., keep:, :].reshape(blocks_shape).mean(
+        axis=(-4, -2)).reshape(lead + (g2 * g2, d))
 
     def backward(g):
-        gb = g.reshape(lead + (g2, 1, g2, 1, d)) / (window * window)
-        gx = np.broadcast_to(gb, lead + (g2, window, g2, window, d)).reshape(x.shape)
+        gx = np.empty(x.shape, dtype=g.dtype)
+        gx[..., :keep, :] = g[..., :keep, :]
+        # splitting only the row axis keeps the reshape a view of gx
+        np.divide(g[..., keep:, :].reshape(lead + (g2, 1, g2, 1, d)), window * window,
+                  out=gx[..., keep:, :].reshape(blocks_shape))
         return (gx,)
 
     return custom_op(out, (x,), backward, "pool_grid")

@@ -19,8 +19,8 @@ from .data import (ImageError, ManifestError, NetpbmError, SynthConfig,
 from .metrics import UndefinedMetricError
 from .model import ModelConfig, grad_cam, init_params
 from .training import (Checkpoint, CheckpointError, TrainConfig, config_lines,
-                       evaluate, init_adam, load_checkpoint, save_checkpoint,
-                       set_field, train)
+                       evaluate, load_checkpoint, save_checkpoint, set_field,
+                       train)
 
 
 class UsageError(ValueError):
@@ -111,13 +111,11 @@ def cmd_train(args):
         raise UsageError(f"eval_fraction {train_cfg.eval_fraction} leaves no "
                          f"training sample of {len(samples)}")
     params = init_params(model_cfg, dtype=train_cfg.np_dtype)
-    state = init_adam(params)
 
     log_fh = open(args.log, "w") if args.log else None
     try:
         log = (lambda line: print(line, file=log_fh)) if log_fh else None
-        logs, state = train(params, model_cfg, train_cfg, train_set,
-                            state=state, log=log)
+        logs, state = train(params, model_cfg, train_cfg, train_set, log=log)
     finally:
         if log_fh:
             log_fh.close()

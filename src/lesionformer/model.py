@@ -196,8 +196,8 @@ def multi_scale_attention(params: dict[str, Tensor], layer: int, x: Tensor,
                           cfg: ModelConfig, cls_only=False):
     """Multi-head attention fused over scales.
 
-    For scale s, key/value patch rows (class token excluded) are
-    average-pooled over the patch grid with window 2**s; per-scale
+    For scale s, key/value patch rows are average-pooled over the patch
+    grid with window 2**s and the class-token row is kept; per-scale
     outputs are combined with softmaxed learned scale weights, heads are
     concatenated and projected. Each scale's keys and values are built
     once on all D columns; a head cuts out its own dk columns.
@@ -211,20 +211,17 @@ def multi_scale_attention(params: dict[str, Tensor], layer: int, x: Tensor,
     """
     pre = f"layer{layer}."
     dk, S, G = cfg.head_dim, cfg.scales, cfg.grid_side
-    n = x.shape[-2]
 
     q = matmul(slice_rows(x, 0, 1) if cls_only else x, params[pre + "wq"])
     k = matmul(x, params[pre + "wk"])
     v = matmul(x, params[pre + "wv"])
     w = softmax_rows(params[pre + "scale_logits"])  # 1 x S
-    if S > 1:  # the pooled scales keep the class row and pool the patch rows
-        k_cls, k_pat = slice_rows(k, 0, 1), slice_rows(k, 1, n)
-        v_cls, v_pat = slice_rows(v, 0, 1), slice_rows(v, 1, n)
-    # per scale: transposed keys (D x n_s), values (n_s x D), weight (1 x 1)
+    # per scale: transposed keys (D x n_s), values (n_s x D), weight (1 x 1);
+    # pool_grid passes the class row through and pools the patch rows
     keys_t, values = [transpose(k)], [v]
     for s in range(1, S):
-        keys_t.append(transpose(concat_rows([k_cls, pool_grid(k_pat, G, 2 ** s)])))
-        values.append(concat_rows([v_cls, pool_grid(v_pat, G, 2 ** s)]))
+        keys_t.append(transpose(pool_grid(k, G, 2 ** s)))
+        values.append(pool_grid(v, G, 2 ** s))
     weights = [slice_cols(w, s, s + 1) for s in range(S)]
 
     head_outs = []

@@ -357,6 +357,53 @@ class TestStructuralOps:
                 assert finite_difference_check(f, x) < 1e-5
 
 
+class TestPoolGridLeadingRows:
+    """A row before the side*side grid rows (the class token) passes through
+    ``pool_grid``; the grid rows pool as they would alone."""
+
+    @staticmethod
+    def pooled(x, weights):
+        """pool_grid(x, 4, 2), and the gradient of sum(out * weights) w.r.t. x."""
+        with Tape() as tape:
+            out = ad.pool_grid(x, 4, 2)
+            tape.backward(ad.sum_all(ad.reshape(ad.mul(out, Tensor(weights)), (1, -1))))
+            return out.data, tape.grad(x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["matrix", "stack"])
+    def test_row_passes_through_and_grid_rows_pool_alone(self, lead, dtype, rng):
+        x = rng.standard_normal(lead + (17, 3)).astype(dtype)
+        g = rng.standard_normal(lead + (5, 3)).astype(dtype)
+        out, gx = self.pooled(Tensor(x, requires_grad=True), g)
+        grid_out, grid_gx = self.pooled(Tensor(x[..., 1:, :].copy(), requires_grad=True),
+                                        g[..., 1:, :].copy())
+        assert out.dtype == gx.dtype == dtype
+        assert out.shape == lead + (5, 3) and gx.shape == x.shape
+        assert out[..., :1, :].tobytes() == x[..., :1, :].tobytes()
+        assert out[..., 1:, :].tobytes() == grid_out.tobytes()
+        # the incoming gradient is g itself (1 * g), so row 0 hands it back
+        assert gx[..., :1, :].tobytes() == g[..., :1, :].tobytes()
+        assert gx[..., 1:, :].tobytes() == grid_gx.tobytes()
+
+    @pytest.mark.parametrize("dtype, h, tol", [(np.float32, 1e-2, 1e-2),
+                                               (np.float64, 1e-5, 1e-6)])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["matrix", "stack"])
+    def test_gradient_matches_finite_differences(self, lead, dtype, h, tol, rng):
+        w = Tensor(rng.standard_normal(lead + (5, 3)).astype(dtype))
+
+        def f(x):
+            out = ad.pool_grid(x, 4, 2)
+            return ad.sum_all(ad.reshape(ad.mul(out, ad.mul(out, w)), (1, -1)))
+
+        x = Tensor(rng.standard_normal(lead + (17, 3)).astype(dtype), requires_grad=True)
+        assert finite_difference_check(f, x, h=h) < tol
+
+    @pytest.mark.parametrize("shape", [(15, 3), (2, 15, 3), (0, 3)])
+    def test_fewer_rows_than_the_grid_is_an_error(self, shape):
+        with pytest.raises(DimensionError, match="cannot hold a 4x4 grid"):
+            ad.pool_grid(t(np.ones(shape)), 4, 2)
+
+
 def no_grad(g):
     return ()
 
@@ -604,13 +651,13 @@ class TestFirstGradient:
             np.testing.assert_array_equal(tape.grad(y), np.ones((3, 2)))
 
     def test_op_that_returns_the_incoming_gradient(self, rng):
-        # pool_grid with window 1 hands back its incoming gradient; x's later
+        # add hands its first input the incoming gradient itself; x's later
         # gradient must not leak into the intermediate p
         x = t(rng.standard_normal((4, 2)))
         w2 = rng.standard_normal((4, 2))
         with Tape() as tape:
             a = ad.sum_all(ad.mul(x, Tensor(w2)))
-            p = ad.pool_grid(x, 2, 1)
+            p = ad.add(x, Tensor(np.zeros_like(x.data)))
             tape.backward(ad.add(a, ad.sum_all(ad.mul(p, Tensor(self.W)))))
             np.testing.assert_array_equal(tape.grad(p), self.W)
             np.testing.assert_array_equal(tape.grad(x), self.W + w2)
