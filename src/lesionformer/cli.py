@@ -148,7 +148,9 @@ def cmd_gradcam(args):
     write_netpbm(f"{args.out}.heat.pgm", _to_uint8(upsampled))
     heat_rgb = np.zeros(image.shape[:2] + (3,))
     heat_rgb[:, :, 0] = upsampled
-    rgb = image if image.shape[2] == 3 else np.repeat(image, 3, axis=2)
+    # any channel count but 3 shows as gray: the mean of its channels
+    rgb = (image if image.shape[2] == 3
+           else np.repeat(image.mean(axis=2, keepdims=True), 3, axis=2))
     write_netpbm(f"{args.out}.overlay.ppm", _to_uint8(0.5 * rgb + 0.5 * heat_rgb))
     if not grid.any():
         why = ("the model has no encoder block, so no patch token reaches the "

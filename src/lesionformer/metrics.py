@@ -67,12 +67,15 @@ def roc_auc_binary(scores, binary_labels) -> float:
     nneg = int((y == 0).sum())
     if npos == 0 or nneg == 0:
         raise UndefinedMetricError("AUC needs at least one positive and one negative")
-    # tie-averaged 1-based ranks: a group of c equal scores at sorted
-    # positions last-c .. last-1 ranks 0.5 * ((last - c) + (last - 1)) + 1
-    _, group, counts = np.unique(s, return_inverse=True, return_counts=True)
-    last = np.cumsum(counts)
-    ranks = (0.5 * (2 * last - counts - 1) + 1.0)[group]
-    rank_sum = ranks[y == 1].sum()
+    # tie-averaged 1-based ranks: a run of c equal scores at sorted
+    # positions last-c .. last-1 ranks 0.5 * ((last - c) + (last - 1)) + 1.
+    # Tied scores share one rank, so the sort need not be stable.
+    order = np.argsort(s)
+    ss = s[order]
+    bounds = np.concatenate(([0], np.flatnonzero(ss[1:] != ss[:-1]) + 1, [len(ss)]))
+    last, counts = bounds[1:], np.diff(bounds)
+    ranks = np.repeat(0.5 * (2 * last - counts - 1) + 1.0, counts)  # in sorted order
+    rank_sum = ranks[y[order] == 1].sum()
     return float((rank_sum - npos * (npos + 1) / 2.0) / (npos * nneg))
 
 

@@ -1,9 +1,11 @@
 """Improved vision transformer for lesion classification.
 
 Patch embedding with a class token and learnable positional encodings,
-multi-scale fused multi-head self-attention (keys/values average-pooled
-over the patch grid per scale, combined with learned weights), a GELU
-MLP per pre-norm encoder block, attention-map extraction, and Grad-CAM.
+multi-scale fused multi-head self-attention (one multi-head attention per
+scale over keys/values average-pooled on the patch grid, the scales
+weighted by learned softmaxed weights and summed before the output
+projection), a GELU MLP per pre-norm encoder block, attention-map
+extraction, and Grad-CAM.
 """
 
 from __future__ import annotations
@@ -194,13 +196,14 @@ def embed(params: dict[str, Tensor], patches_t: Tensor, cfg: ModelConfig) -> Ten
 
 def multi_scale_attention(params: dict[str, Tensor], layer: int, x: Tensor,
                           cfg: ModelConfig, cls_only=False):
-    """Multi-head attention fused over scales.
+    """Multi-head attention fused over scales:
+    ``(sum_s w_s * MultiHead(Q, K_s, V_s)) @ wo``.
 
     For scale s, key/value patch rows are average-pooled over the patch
-    grid with window 2**s and the class-token row is kept; per-scale
-    outputs are combined with softmaxed learned scale weights, heads are
-    concatenated and projected. Each scale's keys and values are built
-    once on all D columns; a head cuts out its own dk columns.
+    grid with window 2**s and the class-token row is kept; ``w`` is the
+    softmax of the learned scale logits, and each ``MultiHead`` joins its
+    heads before ``wo``. Each scale's keys and values are built once on
+    all D columns; a head cuts out its own dk columns.
 
     Every row of ``x`` queries, or with ``cls_only`` the class token (row
     0) alone: the output is then its one row, and each attention matrix
@@ -216,28 +219,26 @@ def multi_scale_attention(params: dict[str, Tensor], layer: int, x: Tensor,
     k = matmul(x, params[pre + "wk"])
     v = matmul(x, params[pre + "wv"])
     w = softmax_rows(params[pre + "scale_logits"])  # 1 x S
-    # per scale: transposed keys (D x n_s), values (n_s x D), weight (1 x 1);
-    # pool_grid passes the class row through and pools the patch rows
+    # per scale: transposed keys (D x n_s) and values (n_s x D); pool_grid
+    # passes the class row through and pools the patch rows
     keys_t, values = [transpose(k)], [v]
     for s in range(1, S):
         keys_t.append(transpose(pool_grid(k, G, 2 ** s)))
         values.append(pool_grid(v, G, 2 ** s))
-    weights = [slice_cols(w, s, s + 1) for s in range(S)]
 
-    head_outs = []
-    attns = []
-    for lo in range(0, cfg.embed_dim, dk):
-        qh = slice_cols(q, lo, lo + dk)
-        combined = None
-        head_attns = []
-        for kt, vs, ws in zip(keys_t, values, weights):
+    cols = range(0, cfg.embed_dim, dk)
+    queries = [slice_cols(q, lo, lo + dk) for lo in cols]
+    attns = [[] for _ in cols]
+    fused = None
+    for s, (kt, vs) in enumerate(zip(keys_t, values)):
+        heads = []
+        for lo, qh, head_attns in zip(cols, queries, attns):
             attn = attention_weights(qh, slice_rows(kt, lo, lo + dk), 1.0 / math.sqrt(dk))
             head_attns.append(attn)
-            out_s = scale_by(matmul(attn, slice_cols(vs, lo, lo + dk)), ws)
-            combined = out_s if combined is None else add(combined, out_s)
-        head_outs.append(combined)
-        attns.append(head_attns)
-    return matmul(concat_cols(head_outs), params[pre + "wo"]), attns
+            heads.append(matmul(attn, slice_cols(vs, lo, lo + dk)))
+        out_s = scale_by(concat_cols(heads), slice_cols(w, s, s + 1))
+        fused = out_s if fused is None else add(fused, out_s)
+    return matmul(fused, params[pre + "wo"]), attns
 
 
 def encoder_block(params: dict[str, Tensor], layer: int, z: Tensor, cfg: ModelConfig,

@@ -330,6 +330,8 @@ def load_checkpoint(path) -> Checkpoint:
         model_cfg.validate()
         train_cfg.validate()
         step, opt_t, n_arrays = int(kv["step"]), int(kv["opt_t"]), int(kv["n_arrays"])
+        if opt_t < -1:
+            raise ValueError(f"opt_t must be >= -1 (-1: no optimizer state), got {opt_t}")
     except KeyError as e:
         raise CheckpointError(f"checkpoint header missing {e.args[0]}") from None
     except ValueError as e:  # also a header that is not UTF-8
@@ -342,6 +344,8 @@ def load_checkpoint(path) -> Checkpoint:
             (nlen,) = struct.unpack_from("<I", raw, pos)
             pos += 4
             name = raw[pos:pos + nlen].decode("utf-8")
+            if name in arrays:
+                raise CheckpointError(f"duplicate array {name}")
             pos += nlen
             (count,) = struct.unpack_from("<Q", raw, pos)
             pos += 8
@@ -359,13 +363,14 @@ def load_checkpoint(path) -> Checkpoint:
     if pos != len(raw):
         raise CheckpointError(f"{len(raw) - pos} trailing bytes after the last array")
 
-    # shapes come from the config, counts are validated against it
+    # shapes come from the config, counts are validated against it; every
+    # array is read exactly once
     shapes = param_shapes(model_cfg)
 
     def take(key, what, shape):
-        if key not in arrays:
+        flat = arrays.pop(key, None)
+        if flat is None:
             raise CheckpointError(f"checkpoint missing {what} {key}")
-        flat = arrays[key]
         size = math.prod(shape)
         if flat.size != size:
             raise CheckpointError(f"{what} {key}: expected {size} elements, got {flat.size}")
@@ -379,5 +384,7 @@ def load_checkpoint(path) -> Checkpoint:
         for name, shape in shapes.items():
             for moment, store in (("m", opt.m), ("v", opt.v)):
                 store[name] = take(f"opt.{moment}.{name}", "optimizer array", shape)
+    if arrays:
+        raise CheckpointError(f"unexpected array {next(iter(arrays))} (opt_t={opt_t})")
     return Checkpoint(model_config=model_cfg, train_config=train_cfg,
                       params=params, opt=opt, step=step)

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from lesionformer.cli import main, parse_configs
-from lesionformer.data import read_manifest, read_netpbm
-from lesionformer.model import ModelConfig
-from lesionformer.training import TrainConfig
+from lesionformer.data import read_manifest, read_netpbm, write_netpbm
+from lesionformer.model import ModelConfig, init_params
+from lesionformer.training import Checkpoint, TrainConfig, save_checkpoint
 
 
 def run(capsys, *argv):
@@ -190,6 +190,25 @@ class TestGradcam:
         if heat.max() > 0:
             assert err == ""
 
+    def test_two_channel_model_overlays_the_channel_mean(self, tmp_path, capsys):
+        # a P5 image adapted to 2 channels: the overlay's gray is their mean
+        mc = ModelConfig(image_h=8, image_w=8, channels=2, embed_dim=8, heads=2,
+                         layers=1)
+        tc = TrainConfig()
+        ckpt = tmp_path / "two.ckpt"
+        save_checkpoint(ckpt, Checkpoint(mc, tc, init_params(mc), None, step=0))
+        pixels = np.arange(64, dtype=np.uint8).reshape(8, 8) * 3
+        write_netpbm(tmp_path / "gray.pgm", pixels)
+        prefix = tmp_path / "cam"
+        code, out, err = run(capsys, "gradcam", "--image", str(tmp_path / "gray.pgm"),
+                             "--ckpt", str(ckpt), "--class", "0", "--out", str(prefix))
+        assert code == 0 and re.fullmatch(r"argmax=\(\d+,\d+\)\n", out)
+        overlay = read_netpbm(f"{prefix}.overlay.ppm")
+        assert overlay.shape == (8, 8, 3)
+        gray = np.clip(np.round(0.5 * pixels / 255.0 * 255.0), 0, 255).astype(np.uint8)
+        assert np.array_equal(overlay[:, :, 1], gray)
+        assert np.array_equal(overlay[:, :, 2], gray)
+
     def test_out_of_range_class_is_usage_error(self, dataset, trained, tmp_path,
                                                capsys):
         rows = read_manifest(dataset / "manifest.csv")
@@ -313,7 +332,11 @@ class TestMalformedHeader:
         lambda h: h.replace(b"model.image_h=8\n", b"model.image_h=x\n"),
         drop_line(b"step"),
         drop_line(b"n_arrays"),
-    ], ids=["non_utf8", "format_version", "image_h", "no_step", "no_n_arrays"])
+        # the trained checkpoint stores moments: -1 says it has none to read
+        lambda h: re.sub(rb"(?m)^opt_t=\d+$", b"opt_t=-1", h),
+        lambda h: re.sub(rb"(?m)^opt_t=\d+$", b"opt_t=-2", h),
+    ], ids=["non_utf8", "format_version", "image_h", "no_step", "no_n_arrays",
+            "moments_under_opt_t_minus_one", "opt_t_below_minus_one"])
     def test_eval_exits_with_data_error(self, dataset, trained, tmp_path, capsys,
                                         edit):
         raw = trained.read_bytes()
@@ -323,6 +346,44 @@ class TestMalformedHeader:
         code, _, err = run(capsys, "eval", "--data",
                            str(dataset / "manifest.csv"), "--ckpt", str(bad))
         assert_one_line_error(code, err, 2, "data error")
+
+
+class TestCheckpointArraySet:
+    """A checkpoint holds each array its header implies once, and no other
+    (``TestMalformedHeader`` edits ``opt_t`` under the stored moments)."""
+
+    @staticmethod
+    def first_record(raw):
+        (hlen,) = struct.unpack_from("<I", raw, 8)
+        pos = 12 + hlen
+        (nlen,) = struct.unpack_from("<I", raw, pos)
+        (count,) = struct.unpack_from("<Q", raw, pos + 4 + nlen)
+        return raw[pos:pos + 4 + nlen + 8 + count * 8]  # float64 checkpoint
+
+    @staticmethod
+    def appended(raw, record):
+        """``raw`` with one more array record and ``n_arrays`` counting it."""
+        return with_header(raw, lambda h: re.sub(
+            rb"(?m)^n_arrays=(\d+)$", lambda m: b"n_arrays=%d" % (int(m[1]) + 1),
+            h)) + record
+
+    @pytest.mark.parametrize("case", ["junk", "duplicate"])
+    def test_eval_exits_with_data_error(self, dataset, trained, tmp_path, capsys,
+                                        case):
+        raw = trained.read_bytes()
+        if case == "junk":
+            bad = self.appended(raw, struct.pack("<I", 4) + b"junk"
+                                + struct.pack("<Qd", 1, 0.0))
+            message = "unexpected array junk"
+        else:
+            bad = self.appended(raw, self.first_record(raw))
+            message = "duplicate array patch_proj.w"
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(bad)
+        code, _, err = run(capsys, "eval", "--data", str(dataset / "manifest.csv"),
+                           "--ckpt", str(path))
+        assert_one_line_error(code, err, 2, "data error")
+        assert message in err
 
 
 class TestHeaderShapesBeforeAllocation:

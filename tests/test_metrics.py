@@ -87,14 +87,22 @@ class TestBinaryAuc:
     def test_all_ties(self):
         assert roc_auc_binary([0.5, 0.5, 0.5], [0, 1, 1]) == 0.5
 
-    def test_matches_pairwise_brute_force(self, rng):
+    @pytest.mark.parametrize("n, signed_zeros", [(2, False), (20, False), (200, False),
+                                                 (20, True)])
+    def test_matches_pairwise_brute_force(self, rng, n, signed_zeros):
+        checked = 0
         for _ in range(10):
-            scores = np.round(rng.random(20), 1)  # coarse grid forces ties
-            labels = rng.integers(0, 2, size=20)
-            if labels.sum() in (0, 20):
+            scores = np.round(rng.random(n), 1)  # coarse grid forces ties
+            labels = rng.integers(0, 2, size=n)
+            if labels.sum() in (0, n):
                 continue
+            if signed_zeros:  # -0.0 (positives) and +0.0 (negatives) tie
+                scores = np.where(scores < 0.5, np.where(labels == 1, -0.0, 0.0), scores)
+                assert np.signbit(scores).any() and (scores == 0).sum() > np.signbit(scores).sum()
+            checked += 1
             got = roc_auc_binary(scores, labels)
             assert abs(got - brute_force_auc(scores, labels)) < 1e-12
+        assert checked
 
     def test_degenerate_labels_rejected(self):
         with pytest.raises(UndefinedMetricError):
