@@ -110,7 +110,10 @@ def cmd_train(args):
     if not train_set:
         raise UsageError(f"eval_fraction {train_cfg.eval_fraction} leaves no "
                          f"training sample of {len(samples)}")
-    params = init_params(model_cfg, dtype=train_cfg.np_dtype)
+    try:
+        params = init_params(model_cfg, dtype=train_cfg.np_dtype)
+    except (ValueError, MemoryError) as e:  # numpy refuses or fails the allocation
+        raise UsageError(f"cannot allocate the initial parameters: {e}") from None
 
     log_fh = open(args.log, "w") if args.log else None
     try:
@@ -214,7 +217,3 @@ def main(argv=None):
     except NumericError as e:
         print(f"numeric abort: {e}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

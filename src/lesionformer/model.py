@@ -55,10 +55,9 @@ class ModelConfig:
         if self.embed_dim % self.heads:
             raise DimensionError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        window = 2 ** (self.scales - 1)
-        if window > self.grid_side:
-            raise DimensionError(
-                f"pooling window {window} exceeds patch grid side {self.grid_side}")
+        if self.scales > (self.grid_side & -self.grid_side).bit_length():
+            raise DimensionError(f"scales {self.scales}: the pooling window 2**(scales-1) "
+                                 f"must divide the patch grid side {self.grid_side}")
         if self.image_h != self.image_w:
             raise DimensionError("only square images are supported")
 
@@ -123,7 +122,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every learnable array's name and shape, in parameter order."""
     cfg.validate()
     D, hidden = cfg.embed_dim, cfg.mlp_hidden
-    shapes = {"patch_proj.w": (D, cfg.patch * cfg.patch * cfg.channels),
+    shapes = {"patch_proj.w": (cfg.patch * cfg.patch * cfg.channels, D),
               "patch_proj.b": (1, D), "cls": (1, D), "pos": (cfg.num_patches + 1, D)}
     for i in range(cfg.layers):
         pre = f"layer{i}."
@@ -131,18 +130,19 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
                        pre + "wq": (D, D), pre + "wk": (D, D), pre + "wv": (D, D),
                        pre + "wo": (D, D), pre + "scale_logits": (1, cfg.scales),
                        pre + "ln2.g": (1, D), pre + "ln2.b": (1, D),
-                       pre + "mlp.w1": (hidden, D), pre + "mlp.b1": (1, hidden),
-                       pre + "mlp.w2": (D, hidden), pre + "mlp.b2": (1, D)})
+                       pre + "mlp.w1": (D, hidden), pre + "mlp.b1": (1, hidden),
+                       pre + "mlp.w2": (hidden, D), pre + "mlp.b2": (1, D)})
     shapes.update({"final_ln.g": (1, D), "final_ln.b": (1, D),
-                   "head.w": (cfg.classes, D), "head.b": (1, cfg.classes)})
+                   "head.w": (D, cfg.classes), "head.b": (1, cfg.classes)})
     return shapes
 
 
 def init_params(cfg: ModelConfig, dtype=np.float64) -> dict[str, Tensor]:
-    """Seeded init, drawn in parameter order: weights (names ``w*``)
-    uniform(+-sqrt(1/fan_in)) with fan_in their column count, positional
-    encodings and class token uniform(+-0.02), layer-norm gains (``g``)
-    one, biases and scale logits zero."""
+    """Seeded init, drawn in parameter order: weights (names ``w*``, stored
+    (in, out)) uniform(+-sqrt(1/fan_in)) with fan_in their row count,
+    positional encodings and class token uniform(+-0.02), layer-norm gains
+    (``g``) one, biases and scale logits zero. Every array is C-contiguous:
+    BLAS rounds a product with a strided view differently."""
     rng = np.random.default_rng(cfg.seed)
     t = {}
     for name, shape in param_shapes(cfg).items():
@@ -150,11 +150,14 @@ def init_params(cfg: ModelConfig, dtype=np.float64) -> dict[str, Tensor]:
         if leaf in ("cls", "pos"):
             arr = rng.uniform(-0.02, 0.02, size=shape)
         elif leaf.startswith("w"):
-            b = math.sqrt(1.0 / shape[1])
-            arr = rng.uniform(-b, b, size=shape)
+            b = math.sqrt(1.0 / shape[0])
+            if leaf in ("wq", "wk", "wv", "wo"):
+                arr = rng.uniform(-b, b, size=shape)
+            else:  # drawn in its old (out, in) order: every initial float stays the same
+                arr = rng.uniform(-b, b, size=shape[::-1]).T
         else:
             arr = np.ones(shape) if leaf == "g" else np.zeros(shape)
-        t[name] = Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
+        t[name] = Tensor(np.ascontiguousarray(arr, dtype=dtype), requires_grad=True)
     return t
 
 
@@ -188,8 +191,7 @@ def embed(params: dict[str, Tensor], patches_t: Tensor, cfg: ModelConfig) -> Ten
     if patches_t.shape[-2] != cfg.num_patches:
         raise DimensionError(
             f"got {patches_t.shape[-2]} patches, config expects {cfg.num_patches}")
-    z = add_rowvec(matmul(patches_t, transpose(params["patch_proj.w"])),
-                   params["patch_proj.b"])
+    z = add_rowvec(matmul(patches_t, params["patch_proj.w"]), params["patch_proj.b"])
     z = concat_rows([params["cls"], z])
     return add(z, params["pos"])
 
@@ -256,10 +258,8 @@ def encoder_block(params: dict[str, Tensor], layer: int, z: Tensor, cfg: ModelCo
     attn_out, attns = multi_scale_attention(params, layer, a, cfg, cls_only)
     z = add(slice_rows(z, 0, 1) if cls_only else z, attn_out)
     b = layer_norm(z, params[pre + "ln2.g"], params[pre + "ln2.b"])
-    hidden = gelu(add_rowvec(matmul(b, transpose(params[pre + "mlp.w1"])),
-                             params[pre + "mlp.b1"]))
-    mlp_out = add_rowvec(matmul(hidden, transpose(params[pre + "mlp.w2"])),
-                         params[pre + "mlp.b2"])
+    hidden = gelu(add_rowvec(matmul(b, params[pre + "mlp.w1"]), params[pre + "mlp.b1"]))
+    mlp_out = add_rowvec(matmul(hidden, params[pre + "mlp.w2"]), params[pre + "mlp.b2"])
     return add(z, mlp_out), attns
 
 
@@ -285,7 +285,7 @@ def forward(params: dict[str, Tensor], image: np.ndarray, cfg: ModelConfig,
     if not cfg.layers:
         z = slice_rows(z, 0, 1)
     z = layer_norm(z, params["final_ln.g"], params["final_ln.b"])
-    logits = add_rowvec(matmul(z, transpose(params["head.w"])), params["head.b"])
+    logits = add_rowvec(matmul(z, params["head.w"]), params["head.b"])
     if logits.data.ndim > 2:  # B x 1 x K class rows of a stack
         logits = reshape(logits, (logits.shape[0], cfg.classes))
     probs = softmax_rows(logits)

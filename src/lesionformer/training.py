@@ -220,7 +220,8 @@ def evaluate(params: dict[str, Tensor], model_cfg: ModelConfig, samples,
 # checkpoints
 
 MAGIC = b"LSNFRMT1"
-FORMAT_VERSION = 1
+# 2: patch_proj.w, mlp.w1, mlp.w2 and head.w (and their moments) stored (in, out)
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -318,8 +319,12 @@ def load_checkpoint(path) -> Checkpoint:
             if line:
                 k, _, v = line.partition("=")
                 kv[k] = v
-        if int(kv["format_version"]) != FORMAT_VERSION:
-            raise ValueError(f"unknown format version {kv['format_version']!r}")
+        version = kv["format_version"]
+        if int(version) != FORMAT_VERSION:
+            layout = ("stores patch_proj.w, mlp.w1, mlp.w2 and head.w (out, in)"
+                      if version == "1" else "is unknown")
+            raise ValueError(f"format version {version} {layout}; this code reads "
+                             f"version {FORMAT_VERSION}: retrain")
         model_cfg, train_cfg = ModelConfig(), TrainConfig()
         for prefix, cfg in (("model", model_cfg), ("train", train_cfg)):
             for f in dataclasses.fields(cfg):

@@ -4,6 +4,7 @@ import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import pytest
 from lesionformer.cli import main, parse_configs
 from lesionformer.data import read_manifest, read_netpbm, write_netpbm
 from lesionformer.model import ModelConfig, init_params
-from lesionformer.training import Checkpoint, TrainConfig, save_checkpoint
+from lesionformer.training import (FORMAT_VERSION, Checkpoint, TrainConfig,
+                                   save_checkpoint)
 
 
 def run(capsys, *argv):
@@ -85,6 +87,16 @@ class TestSynth:
         code, _, err = run(capsys, "synth", "--out", str(out), "--n", "4", *flags)
         assert_one_line_error(code, err, 1, "usage error:")
         assert not out.exists()
+
+    def test_runs_as_a_module_from_the_source_tree(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lesionformer", "synth", "--out", str(tmp_path / "m"),
+             "--n", "2", "--size", "8", "8"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert len(read_manifest(tmp_path / "m" / "manifest.csv")) == 2
 
 
 class TestTrain:
@@ -328,15 +340,15 @@ def drop_line(key):
 class TestMalformedHeader:
     @pytest.mark.parametrize("edit", [
         lambda h: b"\xff\xfe" + h,
-        lambda h: h.replace(b"format_version=1\n", b"format_version=x\n"),
+        lambda h: h.replace(b"format_version=%d\n" % FORMAT_VERSION, b"format_version=x\n"),
         lambda h: h.replace(b"model.image_h=8\n", b"model.image_h=x\n"),
         drop_line(b"step"),
         drop_line(b"n_arrays"),
         # the trained checkpoint stores moments: -1 says it has none to read
         lambda h: re.sub(rb"(?m)^opt_t=\d+$", b"opt_t=-1", h),
         lambda h: re.sub(rb"(?m)^opt_t=\d+$", b"opt_t=-2", h),
-    ], ids=["non_utf8", "format_version", "image_h", "no_step", "no_n_arrays",
-            "moments_under_opt_t_minus_one", "opt_t_below_minus_one"])
+    ], ids=["non_utf8", "format_version", "image_h", "no_step",
+            "no_n_arrays", "moments_under_opt_t_minus_one", "opt_t_below_minus_one"])
     def test_eval_exits_with_data_error(self, dataset, trained, tmp_path, capsys,
                                         edit):
         raw = trained.read_bytes()
@@ -346,6 +358,18 @@ class TestMalformedHeader:
         code, _, err = run(capsys, "eval", "--data",
                            str(dataset / "manifest.csv"), "--ckpt", str(bad))
         assert_one_line_error(code, err, 2, "data error")
+
+    def test_format_version_1_names_its_weight_layout(self, dataset, trained, tmp_path,
+                                                     capsys):
+        bad = tmp_path / "v1.ckpt"
+        bad.write_bytes(with_header(trained.read_bytes(), lambda h: h.replace(
+            b"format_version=%d\n" % FORMAT_VERSION, b"format_version=1\n")))
+        code, _, err = run(capsys, "eval", "--data",
+                           str(dataset / "manifest.csv"), "--ckpt", str(bad))
+        assert_one_line_error(
+            code, err, 2, "data error: bad checkpoint header: format version 1 stores "
+            "patch_proj.w, mlp.w1, mlp.w2 and head.w (out, in); this code reads "
+            f"version {FORMAT_VERSION}: retrain")
 
 
 class TestCheckpointArraySet:
@@ -434,7 +458,7 @@ class TestConfigRanges:
         "seed=-1", "epochs=0", "epochs=-1", "eval_fraction=1.5",
         "eval_fraction=-0.1", "eval_fraction=0.99", "lambda_attn=-1",
         "lambda_attn=nan", "weight_epsilon=0", "adam_eps=0",
-        "learning_rate=nan"])
+        "learning_rate=nan", "scales=1000000000000"])
     def test_train_exits_with_usage_error(self, dataset, tmp_path, capsys, pair):
         code, _, err = run(capsys, "train", "--data",
                            str(dataset / "manifest.csv"), "--out",
@@ -443,10 +467,19 @@ class TestConfigRanges:
         assert pair.partition("=")[0] in err
         assert not (tmp_path / "m.ckpt").exists()
 
+    def test_unallocatable_parameters_are_a_usage_error(self, dataset, tmp_path, capsys):
+        # numpy refuses a dimension this large without allocating anything
+        code, _, err = run(capsys, "train", "--data", str(dataset / "manifest.csv"),
+                           "--out", str(tmp_path / "m.ckpt"), "--log",
+                           str(tmp_path / "m.log"), *SMALL, "--config", "mlp_ratio=1e300")
+        assert_one_line_error(code, err, 1, "usage error")
+        assert "allocate the initial parameters" in err
+        assert list(tmp_path.iterdir()) == [dataset]
+
     @pytest.mark.parametrize("key, value", [
         (b"model.patch", b"0"), (b"model.heads", b"0"), (b"model.layers", b"-1"),
         (b"model.classes", b"0"), (b"train.epochs", b"0"),
-        (b"train.weight_epsilon", b"0.0")])
+        (b"train.weight_epsilon", b"0.0"), (b"model.scales", b"1000000000000")])
     def test_bad_header_value_is_data_error(self, dataset, trained, tmp_path,
                                             capsys, key, value):
         bad = tmp_path / "bad.ckpt"

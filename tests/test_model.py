@@ -108,7 +108,7 @@ class TestEmbed:
         cfg = ModelConfig(image_h=2, image_w=2, channels=1, patch=1,
                           embed_dim=2, heads=1, scales=1, layers=1, classes=2)
         p = init_params(cfg)
-        p["patch_proj.w"].data[:] = [[1.0], [0.0]]
+        p["patch_proj.w"].data[:] = [[1.0, 0.0]]
         p["patch_proj.b"].data[:] = 0.0
         p["pos"].data[:] = 0.0
         p["cls"].data[:] = 0.0
@@ -203,6 +203,8 @@ class TestMultiScaleAttention:
     def test_pooling_window_exceeding_grid_rejected(self):
         with pytest.raises(DimensionError):
             tiny_config(scales=4).validate()  # window 8 > grid side 2
+        with pytest.raises(DimensionError, match="scales"):
+            ModelConfig(image_h=24, image_w=24, scales=3).validate()  # window 4, grid side 6
 
 
 class TestEncoderBlock:
@@ -249,8 +251,7 @@ class TestEncoderBlock:
         z, _ = encoder_block(p, 0, z, cfg)
         z, _ = encoder_block(p, 1, z, cfg, cls_only=True)
         z = ad.layer_norm(z, p["final_ln.g"], p["final_ln.b"])
-        logits = ad.add_rowvec(ad.matmul(ad.slice_rows(z, 0, 1),
-                                         ad.transpose(p["head.w"])), p["head.b"])
+        logits = ad.add_rowvec(ad.matmul(ad.slice_rows(z, 0, 1), p["head.w"]), p["head.b"])
         assert np.array_equal(res.logits.data, logits.data)
 
 
@@ -497,7 +498,7 @@ class TestGradCamFrozenWeights:
         image = rng.random((8, 8, 1))
         live_ops, _, live_tape, _ = self.forward_backward(monkeypatch, live, image, cfg)
         ops, res, tape, grads = self.forward_backward(monkeypatch, weights, image, cfg)
-        assert (live_ops, ops) == (107, 51)
+        assert (live_ops, ops) == (101, 51)
         assert np.any(live_tape.grad(live["patch_proj.w"]) != 0)
         assert res.tokens.requires_grad
         assert np.any(tape.grad(res.tokens) != 0)
@@ -540,7 +541,7 @@ def bench_forward_ops():
 class TestOpCensus:
     # tape ops of one forward on the default config; every kind the traced
     # benchmark reports a count for must stay present
-    DEFAULT_FORWARD = {"matmul": 30, "transpose": 10, "add": 10, "scale": 1,
+    DEFAULT_FORWARD = {"matmul": 30, "transpose": 4, "add": 10, "scale": 1,
                        "scale_by": 4, "div_by": 1, "add_rowvec": 6,
                        "slice_rows": 18, "slice_cols": 29, "concat_rows": 1,
                        "concat_cols": 4, "sum_all": 1, "softmax_rows": 3,
@@ -560,9 +561,27 @@ class TestOpCensus:
         params = init_params(cfg)
         forward(params, rng.random((cfg.image_h, cfg.image_w, cfg.channels)),
                 cfg, want_record=False)
-        assert sum(counts.values()) == 145
+        assert sum(counts.values()) == 139
         assert counts == self.DEFAULT_FORWARD
         assert set(bench_forward_ops()) <= set(counts)
+
+    def test_no_parameter_is_transposed(self, monkeypatch, rng):
+        # every dense weight is stored (in, out) and used as x @ w
+        inputs = []
+        original = ad.custom_op
+
+        def recording_custom_op(out_data, ins, backward_fn, name):
+            if name == "transpose":
+                inputs.extend(ins)
+            return original(out_data, ins, backward_fn, name)
+
+        monkeypatch.setattr(ad, "custom_op", recording_custom_op)
+        cfg = ModelConfig()
+        params = init_params(cfg)
+        forward(params, rng.random((cfg.image_h, cfg.image_w, cfg.channels)),
+                cfg, want_record=False)
+        assert len(inputs) == self.DEFAULT_FORWARD["transpose"]
+        assert not {id(t) for t in inputs} & {id(t) for t in params.values()}
 
     @staticmethod
     def forward_ops(monkeypatch, cfg, dtype=np.float64):
@@ -582,11 +601,11 @@ class TestOpCensus:
     def test_large_benchmark_config_op_count(self, monkeypatch):
         workload = bench_module("run").WORKLOADS["train-large-f32"]
         cfg = ModelConfig(**workload.model)
-        assert self.forward_ops(monkeypatch, cfg, np.dtype(workload.dtype)) == 191
+        assert self.forward_ops(monkeypatch, cfg, np.dtype(workload.dtype)) == 185
 
     def test_single_scale_records_no_pooled_key_or_value_slices(self, monkeypatch):
         # 8 x 8, two layers, two heads, one scale
-        assert self.forward_ops(monkeypatch, tiny_config(layers=2, scales=1)) == 77
+        assert self.forward_ops(monkeypatch, tiny_config(layers=2, scales=1)) == 71
 
 
 @pytest.mark.parametrize("name", sorted({wl.golden: name for name, wl in
