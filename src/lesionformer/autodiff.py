@@ -11,8 +11,9 @@ gradient may be shared or read-only, and no backward writes into the one
 it receives. The tape writes only into arrays it allocated: a second
 gradient allocates the sum once, and later ones add into it in place. A
 slice's backward returns a :class:`Block`, which the tape adds into the
-input's gradient at the slice, so no slice builds a full-size array. A tape
-lives for one forward/backward pass and is discarded afterwards.
+input's gradient at the slice, so no slice builds a full-size array. An op
+may have several outputs (see :func:`custom_op`). A tape lives for one
+forward/backward pass and is discarded afterwards.
 """
 
 from __future__ import annotations
@@ -89,9 +90,10 @@ class Tape:
     """
 
     def __init__(self):
-        self._records = []  # (out, inputs, backward_fn)
+        self._records = []  # (out or tuple of outs, inputs, backward_fn)
         self._output_ids = set()
         self._grads = None
+        self._blocks = None
 
     def __enter__(self):
         if _ACTIVE_TAPE.get() is not None:
@@ -104,7 +106,10 @@ class Tape:
         return False
 
     def _record(self, out, inputs, backward_fn):
-        self._output_ids.add(id(out))
+        if type(out) is tuple:
+            self._output_ids.update(map(id, out))
+        else:
+            self._output_ids.add(id(out))
         self._records.append((out, inputs, backward_fn))
 
     def backward(self, loss):
@@ -118,23 +123,35 @@ class Tape:
         copy. Each sum adds in the order the gradients arrive. Entries
         outside a block are left as they are, so a -0.0 there stays -0.0
         where adding a zero-filled array would have made it +0.0.
+
+        The tape keeps each tensor's gradient, and each block's array,
+        until it is discarded: arrays freed one by one in mid-backward let
+        the allocator return memory to the system, and the next step then
+        faults it back in.
         """
         if loss.data.size != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.data.shape}")
         if id(loss) not in self._output_ids:
             raise TapeError("loss tensor was not produced on this tape")
         grads = {id(loss): np.ones_like(loss.data)}
+        blocks = []  # every block's array, kept as the dense gradients are
         owned = set()  # ids of the tensors whose gradient this tape allocated
         for out, inputs, backward_fn in reversed(self._records):
-            g = grads.get(id(out))
-            if g is None:
-                continue
+            if type(out) is tuple:
+                g = tuple(grads.get(id(o)) for o in out)
+                if all(gi is None for gi in g):
+                    continue
+            else:
+                g = grads.get(id(out))
+                if g is None:
+                    continue
             for t, gi in zip(inputs, backward_fn(g)):
                 if gi is None or not t.requires_grad:
                     continue
                 key = id(t)
                 acc = grads.get(key)
                 if type(gi) is Block:
+                    blocks.append(gi.grad)
                     if acc is None:
                         acc = np.zeros_like(t.data)
                         acc[gi.index] = gi.grad
@@ -154,7 +171,7 @@ class Tape:
                     acc = np.add(acc, gi, out=np.empty_like(acc))
                     owned.add(key)
                 grads[key] = acc
-        self._grads = grads
+        self._grads, self._blocks = grads, blocks
         return grads
 
     def grad(self, t):
@@ -186,21 +203,31 @@ def custom_op(out_data, inputs, backward_fn, name):
     """Register an op result on the active tape (if any) and return it.
 
     ``out_data`` must be a fresh float32 or float64 array, which the output
-    tensor holds as it is. ``backward_fn(grad_out)`` must return one
-    gradient array, :class:`Block` or None per input, in order. Every
-    output is checked: any NaN or +/-Inf element raises ``NumericError``
-    naming the op. Finite values whose squares or sum overflow are allowed.
+    tensor holds as it is, or a tuple of them for an op with several
+    outputs, which then returns a tuple of tensors. ``backward_fn`` gets the
+    output's gradient, or for several outputs a tuple with one gradient per
+    output and None where none arrived, and must return one gradient
+    array, :class:`Block` or None per input, in order. Every output is
+    checked: any NaN or +/-Inf element raises ``NumericError`` naming the
+    op. Finite values whose squares or sum overflow are allowed.
     """
-    if not all_finite(out_data):
-        raise NumericError(f"non-finite values produced by {name}")
+    several = type(out_data) is tuple
+    arrays = out_data if several else (out_data,)
+    for arr in arrays:
+        if not all_finite(arr):
+            raise NumericError(f"non-finite values produced by {name}")
     requires = False
     for t in inputs:
         if t.requires_grad:
             requires = True
             break
-    out = Tensor.__new__(Tensor)
-    out.data = out_data
-    out.requires_grad = requires
+    outs = []
+    for arr in arrays:
+        t = Tensor.__new__(Tensor)
+        t.data = arr
+        t.requires_grad = requires
+        outs.append(t)
+    out = tuple(outs) if several else outs[0]
     tape = _ACTIVE_TAPE.get()
     if tape is not None and requires:
         tape._record(out, list(inputs), backward_fn)
@@ -475,34 +502,63 @@ def softmax_rows(x: Tensor) -> Tensor:
     return custom_op(y, (x,), backward, "softmax_rows")
 
 
-def attention_weights(q: Tensor, kt: Tensor, c: float) -> Tensor:
-    """``softmax_rows(scale(matmul(q, kt), c))`` as one op, with the same floats.
+def head_attention(q: Tensor, kt: Tensor, v: Tensor, lo: int, hi: int, c: float):
+    """One attention head as one op with two outputs: ``(weights @ v_h,
+    weights)``, where ``weights = softmax_rows(c * q_h @ kt_h)``.
 
-    ``q`` is n x d and ``kt`` d x m, or stacks of them with equal leading
-    axes. The product is scaled in place, then takes ``softmax_rows``'
-    kernels, so the tape keeps the weights and no scores.
+    ``q_h`` is columns ``lo:hi`` of the n x D queries ``q``, ``kt_h`` rows
+    ``lo:hi`` of the D x m transposed keys ``kt``, and ``v_h`` columns
+    ``lo:hi`` of the m x D values ``v``; stacks need equal leading axes.
+    The floats are those of the chain of slice ops, ``matmul``, ``scale``,
+    ``softmax_rows`` and ``matmul``: the head's parts are C-contiguous
+    copies, as the slices made (BLAS rounds by layout), and the tape keeps
+    the weights and no scores. Each input's gradient is a :class:`Block`.
     """
-    qd, kd = q.data, kt.data
-    if (qd.ndim < 2 or kd.ndim != qd.ndim or qd.shape[-1] != kd.shape[-2]
-            or qd.shape[:-2] != kd.shape[:-2]):
-        raise DimensionError(f"attention_weights shapes incompatible: {q.shape} x {kt.shape}")
+    qd, kd, vd = q.data, kt.data, v.data
+    if (qd.ndim < 2 or kd.ndim != qd.ndim or vd.ndim != qd.ndim
+            or qd.shape[-1] != kd.shape[-2] or vd.shape[-2:] != (kd.shape[-1], kd.shape[-2])
+            or not qd.shape[:-2] == kd.shape[:-2] == vd.shape[:-2]):
+        raise DimensionError(f"head_attention shapes incompatible: "
+                             f"{q.shape} x {kt.shape} x {v.shape}")
+    if not 0 <= lo < hi <= qd.shape[-1]:
+        raise DimensionError(f"head_attention [{lo}:{hi}] out of range for {q.shape}")
     c = float(c)
-    y = qd @ kd
+    cols, rows = (..., slice(lo, hi)), (..., slice(lo, hi), slice(None))
+    qh, kh, vh = qd[cols].copy(), kd[rows].copy(), vd[cols].copy()
+    y = qh @ kh
     y *= c
     # a -inf score would leave an exact 0 after the softmax; the scaled
     # scores are non-finite wherever the product is, so one check covers both
     if not all_finite(y):
-        raise NumericError("non-finite values produced by attention_weights")
+        raise NumericError("non-finite values produced by head_attention")
     _softmax(y)
+    kept = []
 
-    def backward(g):
+    def backward(grads):
+        g_out, gy = grads  # gy: the weights' gradient
+        scores = q.requires_grad or kt.requires_grad
+        gv = None
+        if g_out is not None:
+            # matmul's backward; the weights' two gradients are summed in
+            # the order they arrive, in the first one's layout
+            if v.requires_grad:
+                gv = Block(cols, _swap(y) @ g_out)
+            if scores:
+                from_values = g_out @ _swap(vh)
+                gy = from_values if gy is None else np.add(gy, from_values,
+                                                           out=np.empty_like(gy))
+        if gy is None or not scores:
+            return (None, None, gv)
+        # kept while the tape keeps this op, as the tape keeps its gradients
+        # (see Tape.backward)
+        kept.append(gy)
         # softmax, then scale, then matmul backward, in the chain's order
-        gs = _softmax_backward(y, g)
+        gs = _softmax_backward(y, gy)
         gs *= c
-        return (gs @ _swap(kd) if q.requires_grad else None,
-                _swap(qd) @ gs if kt.requires_grad else None)
+        return (Block(cols, gs @ _swap(kh)) if q.requires_grad else None,
+                Block(rows, _swap(qh) @ gs) if kt.requires_grad else None, gv)
 
-    return custom_op(y, (q, kt), backward, "attention_weights")
+    return custom_op((y @ vh, y), (q, kt, v), backward, "head_attention")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

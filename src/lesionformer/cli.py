@@ -206,7 +206,10 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        # the guards raise NumericError on every non-finite value, so NumPy's
+        # floating-point warnings would only add lines before the abort
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -17,8 +17,8 @@ from functools import reduce
 import numpy as np
 
 from .autodiff import (DimensionError, NumericError, Tape, Tensor, add,
-                       add_rowvec, all_finite, attention_weights, concat_cols,
-                       concat_rows, div_by, gelu, layer_norm, matmul,
+                       add_rowvec, all_finite, concat_cols, concat_rows,
+                       div_by, gelu, head_attention, layer_norm, matmul,
                        pool_grid, reshape, scale, scale_by, slice_cols,
                        slice_rows, softmax_rows, sum_all, transpose)
 
@@ -205,7 +205,8 @@ def multi_scale_attention(params: dict[str, Tensor], layer: int, x: Tensor,
     grid with window 2**s and the class-token row is kept; ``w`` is the
     softmax of the learned scale logits, and each ``MultiHead`` joins its
     heads before ``wo``. Each scale's keys and values are built once on
-    all D columns; a head cuts out its own dk columns.
+    all D columns; each head and scale is one :func:`head_attention` op,
+    which cuts out the head's dk columns.
 
     Every row of ``x`` queries, or with ``cls_only`` the class token (row
     0) alone: the output is then its one row, and each attention matrix
@@ -229,15 +230,14 @@ def multi_scale_attention(params: dict[str, Tensor], layer: int, x: Tensor,
         values.append(pool_grid(v, G, 2 ** s))
 
     cols = range(0, cfg.embed_dim, dk)
-    queries = [slice_cols(q, lo, lo + dk) for lo in cols]
     attns = [[] for _ in cols]
     fused = None
     for s, (kt, vs) in enumerate(zip(keys_t, values)):
         heads = []
-        for lo, qh, head_attns in zip(cols, queries, attns):
-            attn = attention_weights(qh, slice_rows(kt, lo, lo + dk), 1.0 / math.sqrt(dk))
+        for lo, head_attns in zip(cols, attns):
+            out, attn = head_attention(q, kt, vs, lo, lo + dk, 1.0 / math.sqrt(dk))
             head_attns.append(attn)
-            heads.append(matmul(attn, slice_cols(vs, lo, lo + dk)))
+            heads.append(out)
         out_s = scale_by(concat_cols(heads), slice_cols(w, s, s + 1))
         fused = out_s if fused is None else add(fused, out_s)
     return matmul(fused, params[pre + "wo"]), attns

@@ -299,6 +299,13 @@ def save_checkpoint(path, ckpt: Checkpoint):
         fh.write(b"".join(parts))
 
 
+def _short(n):
+    """``n`` in digits, or past 15 digits as its first three and its power
+    of ten (``1.02e+301``), so that an error stays one short line."""
+    digits = str(n)
+    return digits if len(digits) <= 15 else f"{digits[0]}.{digits[1:3]}e+{len(digits) - 1}"
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -378,7 +385,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"checkpoint missing {what} {key}")
         size = math.prod(shape)
         if flat.size != size:
-            raise CheckpointError(f"{what} {key}: expected {size} elements, got {flat.size}")
+            raise CheckpointError(f"{what} {key}: expected {_short(size)} elements, "
+                                  f"got {flat.size}")
         return flat.reshape(shape).astype(train_cfg.np_dtype)
 
     params = {name: Tensor(take(name, "parameter", shape), requires_grad=True)

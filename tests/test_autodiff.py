@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -489,7 +490,10 @@ class TestOpDtype:
         "sum_all": lambda make: ad.sum_all(make(3, 4)),
         "sqrt": lambda make: ad.sqrt(make(3, 4)),
         "softmax_rows": lambda make: ad.softmax_rows(make(3, 4)),
-        "attention_weights": lambda make: ad.attention_weights(make(3, 4), make(4, 5), 0.5),
+        "head_attention_out": lambda make: ad.head_attention(
+            make(3, 4), make(4, 5), make(5, 4), 1, 3, 0.5)[0],
+        "head_attention_weights": lambda make: ad.head_attention(
+            make(3, 4), make(4, 5), make(5, 4), 1, 3, 0.5)[1],
         "layer_norm": lambda make: ad.layer_norm(make(3, 4), make(1, 4), make(1, 4)),
         "gelu": lambda make: ad.gelu(make(3, 4)),
         "pool_grid": lambda make: ad.pool_grid(make(4, 3), 2, 2),
@@ -808,6 +812,26 @@ class TestBlockGradients:
         assert g[0, 1] == 0.0 and np.signbit(g[0, 1])
         assert g[1, 1] == 2.0 and not g[:, [0, 2]].any()
 
+    def test_the_tape_keeps_each_block_until_it_is_discarded(self):
+        # as it keeps every gradient in its map: arrays freed one by one in
+        # mid-backward let the allocator hand memory back, to be faulted in
+        # again by the next step
+        x = t(np.ones((2, 3)))
+        kept = []
+
+        def backward(g):
+            block = g * 2.0
+            kept.append(weakref.ref(block))
+            return (ad.Block((..., slice(1, 2)), block),)
+
+        with Tape() as tape:
+            y = ad.custom_op(x.data[:, 1:2].copy(), (x,), backward, "probe_op")
+            tape.backward(ad.sum_all(y))
+        assert kept[0]() is not None
+        np.testing.assert_array_equal(tape.grad(x), [[0.0, 2.0, 0.0]] * 2)
+        del tape
+        assert kept[0]() is None
+
     def test_backward_of_four_column_slices_allocates_under_twice_the_input(self, rng):
         x = t(rng.standard_normal((8, 65, 32)))
         with Tape() as tape:
@@ -865,8 +889,8 @@ class TestReadOnlyIncomingGradient:
         "sum_all_stack": ad.sum_all,
         "sqrt": ad.sqrt,
         "softmax_rows": ad.softmax_rows,
-        "attention_weights": lambda x: ad.attention_weights(
-            x, t(TestReadOnlyIncomingGradient.X), 0.5),
+        "head_attention": lambda x: ad.add(*ad.head_attention(
+            x, t(TestReadOnlyIncomingGradient.X), t(TestReadOnlyIncomingGradient.X), 0, 4, 0.5)),
         "layer_norm": lambda x: ad.layer_norm(x, t(TestReadOnlyIncomingGradient.M[:1]),
                                               t(TestReadOnlyIncomingGradient.M[1:2])),
         "gelu": ad.gelu,
@@ -893,25 +917,111 @@ class TestReadOnlyIncomingGradient:
         assert grads[0] == grads[1]
 
 
-def attention_chain(q, kt, c):
-    return ad.softmax_rows(ad.scale(ad.matmul(q, kt), c))
+def square_and_cube(x, seen=None):
+    """A toy op with two outputs, ``x * x`` and ``x * x * x``; ``seen``
+    collects the gradients its backward receives."""
+    xd = x.data
+
+    def backward(grads):
+        if seen is not None:
+            seen.append(grads)
+        g_square, g_cube = grads
+        gx = np.zeros_like(xd)
+        if g_square is not None:
+            gx += 2.0 * xd * g_square
+        if g_cube is not None:
+            gx += 3.0 * xd * xd * g_cube
+        return (gx,)
+
+    return ad.custom_op((xd * xd, xd * xd * xd), (x,), backward, "square_and_cube")
 
 
-class TestAttentionWeights:
+class TestSeveralOutputs:
+    """An op may record a tuple of outputs; its backward gets one gradient
+    per output, None where none arrived."""
+
+    @pytest.mark.parametrize("read", [(True, False), (False, True), (True, True)],
+                             ids=["first", "second", "both"])
+    def test_gradients_match_finite_differences(self, read, rng):
+        def f(x):
+            parts = [weighted_sum(o) for o, keep in zip(square_and_cube(x), read) if keep]
+            return parts[0] if len(parts) == 1 else ad.add(*parts)
+
+        assert finite_difference_check(f, t(rng.standard_normal((3, 4)))) < 1e-6
+
+    @pytest.mark.parametrize("read", [0, 1])
+    def test_an_output_nothing_reads_gets_none(self, read, rng):
+        seen = []
+        x = t(rng.standard_normal((3, 4)))
+        with Tape() as tape:
+            outs = square_and_cube(x, seen)
+            tape.backward(weighted_sum(outs[read]))
+        (grads,) = seen
+        assert type(grads) is tuple and len(grads) == 2
+        assert grads[1 - read] is None
+        assert grads[read].shape == (3, 4)
+
+    def test_an_op_no_output_of_which_is_read_is_skipped(self, rng):
+        seen = []
+        x = t(rng.standard_normal((3, 4)))
+        with Tape() as tape:
+            square_and_cube(x, seen)
+            tape.backward(weighted_sum(ad.scale(x, 2.0)))
+        assert seen == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_second_output_names_the_op(self, bad):
+        with pytest.raises(NumericError, match="two_outputs"):
+            ad.custom_op((np.ones((2, 2)), np.array([[1.0, bad]])), (), no_grad, "two_outputs")
+
+    @pytest.mark.parametrize("which, want", [(0, 6.0), (1, 27.0)])
+    def test_either_output_is_a_loss(self, which, want):
+        x = t([[3.0]])
+        with Tape() as tape:
+            out = square_and_cube(x)[which]
+            tape.backward(out)
+            assert tape.grad(x)[0, 0] == want
+            assert tape.grad(out)[0, 0] == 1.0
+
+    def test_outputs_are_tensors_of_the_op_arrays(self):
+        a, b = np.ones((2, 2), dtype=np.float32), np.zeros((1, 3))
+        outs = ad.custom_op((a, b), (t([[1.0]]),), no_grad, "two_outputs")
+        assert type(outs) is tuple and len(outs) == 2
+        assert outs[0].data is a and outs[1].data is b
+        assert all(o.requires_grad for o in outs)
+
+
+def head_chain(q, kt, v, lo, hi, c):
+    """:func:`ad.head_attention` as the chain of primitive ops it replaces."""
+    weights = ad.softmax_rows(ad.scale(ad.matmul(ad.slice_cols(q, lo, hi),
+                                                 ad.slice_rows(kt, lo, hi)), c))
+    return ad.matmul(weights, ad.slice_cols(v, lo, hi)), weights
+
+
+class TestHeadAttention:
     @pytest.mark.parametrize("lead", [(), (2,)], ids=["matrix", "stack"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bitwise_equal_to_the_chain(self, dtype, lead, rng):
-        q0 = rng.standard_normal(lead + (65, 8)).astype(dtype)
-        k0 = rng.standard_normal(lead + (8, 17)).astype(dtype)
-        w = Tensor(rng.standard_normal(lead + (65, 17)).astype(dtype))
+    @pytest.mark.parametrize("read", ["out", "weights", "both"])
+    def test_bitwise_equal_to_the_chain(self, dtype, lead, read, rng):
+        q0 = rng.standard_normal(lead + (65, 32)).astype(dtype)
+        k0 = rng.standard_normal(lead + (32, 17)).astype(dtype)
+        v0 = rng.standard_normal(lead + (17, 32)).astype(dtype)
+        wo = Tensor(rng.standard_normal(lead + (65, 8)).astype(dtype))
+        ww = Tensor(rng.standard_normal(lead + (65, 17)).astype(dtype))
         results = []
-        for op in (ad.attention_weights, attention_chain):
-            q = Tensor(q0.copy(), requires_grad=True)
-            kt = Tensor(k0.copy(), requires_grad=True)
+        for op in (ad.head_attention, head_chain):
+            q, kt, v = (Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
             with Tape() as tape:
-                y = op(q, kt, 1.0 / math.sqrt(8))
-                tape.backward(ad.sum_all(ad.reshape(ad.mul(y, w), (1, -1))))
-                results.append((y.data, tape.grad(q), tape.grad(kt)))
+                out, y = op(q, kt, v, 8, 16, 1.0 / math.sqrt(8))
+                # the weights' own gradient arrives first, as the focus map's does
+                parts = {"weights": [ad.mul(y, ww)], "out": [ad.mul(out, wo)]}
+                parts["both"] = parts["weights"] + parts["out"]
+                loss = None
+                for p in parts[read]:
+                    s = ad.sum_all(ad.reshape(p, (1, -1)))
+                    loss = s if loss is None else ad.add(s, loss)
+                tape.backward(loss)
+                results.append((out.data, y.data, tape.grad(q), tape.grad(kt), tape.grad(v)))
         for fused, chain in zip(*results):
             assert fused.dtype == chain.dtype == dtype
             assert fused.shape == chain.shape
@@ -919,14 +1029,20 @@ class TestAttentionWeights:
 
     @pytest.mark.parametrize("lead", [(), (2,)], ids=["matrix", "stack"])
     def test_gradients_match_finite_differences(self, lead, rng):
-        q0 = rng.standard_normal(lead + (5, 3))
-        k0 = rng.standard_normal(lead + (3, 4))
+        q0 = rng.standard_normal(lead + (5, 4))
+        k0 = rng.standard_normal(lead + (4, 3))
+        v0 = rng.standard_normal(lead + (3, 4))
+
+        def loss(q, kt, v):
+            out, y = ad.head_attention(q, kt, v, 1, 3, 0.5)
+            return ad.add(weighted_sum(out), weighted_sum(y))
+
         assert finite_difference_check(
-            lambda q: weighted_sum(ad.attention_weights(q, t(k0, grad=False), 0.5)),
-            t(q0)) < 1e-6
+            lambda q: loss(q, t(k0, grad=False), t(v0, grad=False)), t(q0)) < 1e-6
         assert finite_difference_check(
-            lambda kt: weighted_sum(ad.attention_weights(t(q0, grad=False), kt, 0.5)),
-            t(k0)) < 1e-6
+            lambda kt: loss(t(q0, grad=False), kt, t(v0, grad=False)), t(k0)) < 1e-6
+        assert finite_difference_check(
+            lambda v: loss(t(q0, grad=False), t(k0, grad=False), v), t(v0)) < 1e-6
 
     # row 1 of q times column 0 of kt is the only non-finite score, so for
     # -inf the row max stays finite and the softmax would give an exact 0
@@ -935,20 +1051,29 @@ class TestAttentionWeights:
     def test_non_finite_product_names_the_op(self, v):
         q = t([[1.0, 1.0], [v, 1.0], [1.0, 1.0]])
         kt = t([[10.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        with pytest.raises(NumericError, match="attention_weights"):
-            ad.attention_weights(q, kt, 0.5)
+        with pytest.raises(NumericError, match="head_attention"):
+            ad.head_attention(q, kt, t(np.ones((3, 2))), 0, 2, 0.5)
 
-    @pytest.mark.parametrize("qs, ks", [((3, 4), (5, 2)), ((2, 3, 4), (4, 5)),
-                                        ((2, 3, 4), (3, 4, 5)), ((4,), (4, 2))])
-    def test_shape_mismatch_rejected(self, qs, ks):
-        with pytest.raises(DimensionError, match="attention_weights"):
-            ad.attention_weights(t(np.ones(qs)), t(np.ones(ks)), 1.0)
+    @pytest.mark.parametrize("qs, ks, vs", [
+        ((3, 4), (5, 2), (2, 4)), ((3, 4), (4, 2), (3, 4)), ((3, 4), (4, 2), (2, 5)),
+        ((2, 3, 4), (4, 5), (5, 4)), ((2, 3, 4), (3, 4, 5), (3, 5, 4)),
+        ((2, 3, 4), (2, 4, 5), (5, 4)), ((4,), (4, 2), (2, 4))])
+    def test_shape_mismatch_rejected(self, qs, ks, vs):
+        with pytest.raises(DimensionError, match="head_attention"):
+            ad.head_attention(t(np.ones(qs)), t(np.ones(ks)), t(np.ones(vs)), 0, 2, 1.0)
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 2), (2, 2), (3, 2), (2, 5)])
+    def test_head_columns_out_of_range_rejected(self, lo, hi):
+        with pytest.raises(DimensionError, match="head_attention"):
+            ad.head_attention(t(np.ones((3, 4))), t(np.ones((4, 5))), t(np.ones((5, 4))),
+                              lo, hi, 1.0)
 
     def test_default_train_step_matches_the_chain_bitwise(self, monkeypatch):
         cfg, tcfg = model.ModelConfig(), TrainConfig()
         batch = synth_generate(tcfg.batch_size, SynthConfig(seed=4))
         assert all(s.mask is not None for s in batch)
         weights = losses.class_weights([0.5, 0.25, 0.25], tcfg.weight_epsilon)
+        calls = []
 
         def step():
             params = model.init_params(cfg)
@@ -957,9 +1082,15 @@ class TestAttentionWeights:
             return [a.tobytes() for name, p in params.items()
                     for a in (p.data, state.m[name], state.v[name])]
 
+        def counted_chain(*args):
+            calls.append(args[3:5])
+            return head_chain(*args)
+
         fused = step()
-        monkeypatch.setattr(model, "attention_weights", attention_chain)
+        monkeypatch.setattr(model, "head_attention", counted_chain)
         assert step() == fused
+        # one call per layer, scale and head
+        assert len(calls) == cfg.layers * cfg.scales * cfg.heads
 
 
 def handing_back(x, g):
@@ -1008,14 +1139,20 @@ class TestKernelPins:
         return out, [g * grad]
 
     @staticmethod
-    def attention_weights_backward_ref(y, q, kt, c, g):
-        gs = g - (g * y).sum(axis=-1, keepdims=True)
+    def head_attention_backward_ref(y, q, kt, v, lo, hi, c, g_out, g_weights):
+        qh, kh, vh = q[..., lo:hi], kt[..., lo:hi, :], v[..., lo:hi]
+        gy = g_weights + g_out @ np.swapaxes(vh, -1, -2)
+        gs = gy - (gy * y).sum(axis=-1, keepdims=True)
         gs *= y
         gs *= c
-        # the kernel keeps its score gradient in the layout of g * y, which
-        # is row-major here even for a column-major g
+        # the kernel keeps its score gradient in the layout of gy * y, which
+        # is row-major here even for column-major incoming gradients
         gs = np.ascontiguousarray(gs)
-        return [gs @ np.swapaxes(kt, -1, -2), np.swapaxes(q, -1, -2) @ gs]
+        grads = [np.zeros_like(q), np.zeros_like(kt), np.zeros_like(v)]
+        grads[0][..., lo:hi] = gs @ np.swapaxes(kh, -1, -2)
+        grads[1][..., lo:hi, :] = np.swapaxes(qh, -1, -2) @ gs
+        grads[2][..., lo:hi] = np.swapaxes(y, -1, -2) @ g_out
+        return grads
 
     @staticmethod
     def scale_by_backward_ref(a, s, g):
@@ -1069,15 +1206,24 @@ class TestKernelPins:
         assert got[0].strides == ref[0].strides
 
     @cases
-    def test_attention_weights_backward(self, dtype, lead, order, rng):
-        q = rng.standard_normal(lead + (65, 8)).astype(dtype)
-        kt = rng.standard_normal(lead + (8, 65)).astype(dtype)
-        g = self.incoming(rng, lead + (65, 65), dtype, order)
+    def test_head_attention_backward(self, dtype, lead, order, rng):
+        q = rng.standard_normal(lead + (65, 32)).astype(dtype)
+        kt = rng.standard_normal(lead + (32, 65)).astype(dtype)
+        v = rng.standard_normal(lead + (65, 32)).astype(dtype)
+        g_out = self.incoming(rng, lead + (65, 8), dtype, order)
+        g_weights = self.incoming(rng, lead + (65, 65), dtype, order)
         c = 1.0 / math.sqrt(8)
-        y, got = kernel_backward(
-            lambda a, b: ad.attention_weights(a, b, c),
-            [Tensor(q, requires_grad=True), Tensor(kt, requires_grad=True)], g)
-        self.assert_same(got, self.attention_weights_backward_ref(y, q, kt, c, g))
+        inputs = [Tensor(a, requires_grad=True) for a in (q, kt, v)]
+        with Tape() as tape:
+            out, y = ad.head_attention(*inputs, 8, 16, c)
+            # the weights' gradient arrives first, as the focus map's does
+            loss = ad.add(ad.sum_all(ad.reshape(handing_back(y, g_weights), (1, -1))),
+                          ad.sum_all(ad.reshape(handing_back(out, g_out), (1, -1))))
+            tape.backward(loss)
+            got = [tape.grad(x) for x in inputs]
+        self.assert_same([out.data], [y.data @ np.ascontiguousarray(v[..., 8:16])])
+        self.assert_same(got, self.head_attention_backward_ref(
+            y.data, q, kt, v, 8, 16, c, g_out, g_weights))
 
     @cases
     def test_softmax_rows_backward(self, dtype, lead, order, rng):

@@ -491,6 +491,32 @@ class TestConfigRanges:
         assert key.decode().partition(".")[2] in err
 
 
+class TestOneLineAborts:
+    def test_huge_mlp_ratio_header_names_the_parameter_in_one_short_line(
+            self, dataset, trained, tmp_path, capsys):
+        # the config is valid, but the MLP width it implies has 300 digits
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(with_header(trained.read_bytes(), lambda h: re.sub(
+            rb"(?m)^model\.mlp_ratio=.*$", b"model.mlp_ratio=1e300", h)))
+        code, _, err = run(capsys, "eval", "--data",
+                           str(dataset / "manifest.csv"), "--ckpt", str(bad))
+        assert_one_line_error(code, err, 2, "data error")
+        assert "layer0.mlp.w1" in err
+        assert len(err.strip()) < 200
+
+    def test_overflowing_learning_rate_aborts_in_one_line(self, dataset, tmp_path):
+        # a child process, so that NumPy's warnings print as they would for a user
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lesionformer", "train", "--data",
+             str(dataset / "manifest.csv"), "--out", str(tmp_path / "m.ckpt"), *SMALL,
+             "--config", "learning_rate=1e308"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert_one_line_error(proc.returncode, proc.stderr, 3, "numeric abort:")
+        assert not (tmp_path / "m.ckpt").exists()
+
+
 class TestManifestLabels:
     @pytest.fixture
     def bad_label(self, dataset):

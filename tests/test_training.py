@@ -530,7 +530,7 @@ class TestBatchedStep:
         for b in (1, 2, 8):
             counts.append(0)
             train_step(params, mc, tc, samples[:b], init_adam(params), w, tc.learning_rate)
-        assert counts == [153, 153, 153]
+        assert counts == [97, 97, 97]
 
     def test_model_without_layers_trains_on_masked_samples(self, tiny_config):
         _, _, tc, samples = fresh(tiny_config)
