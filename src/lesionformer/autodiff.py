@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import threading
 
 import numpy as np
 
@@ -482,9 +483,10 @@ def _softmax(y):
     return y
 
 
-def _softmax_backward(y, g):
-    """``y * (g - (g * y).sum(-1))``, the softmax input's gradient, laid out as ``g * y``."""
-    gs = g * y
+def _softmax_backward(y, g, out=None):
+    """``y * (g - (g * y).sum(-1))``, the softmax input's gradient, laid out
+    as ``g * y`` or written into ``out``."""
+    gs = np.multiply(g, y, out=out)
     np.subtract(g, gs.sum(axis=-1, keepdims=True), out=gs)
     gs *= y
     return gs
@@ -502,63 +504,147 @@ def softmax_rows(x: Tensor) -> Tensor:
     return custom_op(y, (x,), backward, "softmax_rows")
 
 
-def head_attention(q: Tensor, kt: Tensor, v: Tensor, lo: int, hi: int, c: float):
-    """One attention head as one op with two outputs: ``(weights @ v_h,
-    weights)``, where ``weights = softmax_rows(c * q_h @ kt_h)``.
+# A group of heads keeps its score stack within 2 MiB, the per-core L2
+# cache of the 2-core Xeon the benchmarks were measured on, so that one
+# group's product, scale, softmax and value product run on cached scores.
+# A default batch of 8 (four heads: 1.08 MB) and any one image run as one
+# group: on one image, the same op looping over its heads one at a time
+# evaluated 9% fewer images per second. 4 x 257 x 257 float32 scores run
+# one head per group, where one four-head group (4.2 MB) made the op's
+# forward 5% and its forward and backward 8% slower. Bounding the three
+# score stacks the backward holds instead (two-head groups at batch 8)
+# trained no faster.
+_HEAD_GROUP_BYTES = 2 * 1024 * 1024
 
-    ``q_h`` is columns ``lo:hi`` of the n x D queries ``q``, ``kt_h`` rows
-    ``lo:hi`` of the D x m transposed keys ``kt``, and ``v_h`` columns
-    ``lo:hi`` of the m x D values ``v``; stacks need equal leading axes.
-    The floats are those of the chain of slice ops, ``matmul``, ``scale``,
-    ``softmax_rows`` and ``matmul``: the head's parts are C-contiguous
-    copies, as the slices made (BLAS rounds by layout), and the tape keeps
-    the weights and no scores. Each input's gradient is a :class:`Block`.
+
+class _Scratch(threading.local):
+    """Per-thread flat buffers, one per (role, dtype), each grown to the
+    largest request so far; threads never share one. A buffer is never
+    shrunk or freed while its thread lives, so one backward on a large
+    batch keeps its size: at the default config and a batch of 256, the
+    two score-sized buffers hold about 8.7 MB each."""
+
+    def __init__(self):
+        self.buffers = {}
+
+    def view(self, role, shape, dtype):
+        """A C-contiguous ``shape`` view of the (``role``, ``dtype``) buffer.
+        Its contents are stale, and the next request for the role reuses
+        its memory, so nothing may keep it past the call that asked."""
+        size = math.prod(shape)
+        key = (role, dtype)
+        buf = self.buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self.buffers[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+_scratch = _Scratch()
+
+
+def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float):
+    """``heads`` attention heads as one op. Its ``2 * heads`` outputs are
+    the heads' results ``weights_h @ v_h``, then their weights
+    ``weights_h = softmax_rows(c * q_h @ kt_h)``.
+
+    With dk = D / heads, head h reads columns ``h*dk:(h+1)*dk`` of the
+    n x D queries ``q`` and of the m x D values ``v``, and the same rows of
+    the D x m transposed keys ``kt``; stacks need equal leading axes. The
+    heads run in groups whose scores fit ``_HEAD_GROUP_BYTES``, one stacked
+    product, scale, softmax and value product per group, and each output
+    is one head's view of its group's stack, heads on axis 0. The floats are
+    those of the chain of slice ops, ``matmul``, ``scale``,
+    ``softmax_rows`` and ``matmul`` per head: each head's parts are
+    C-contiguous matrices, as the slices made (BLAS rounds by layout), and
+    the tape keeps the weights and no scores. The backward's stacked
+    temporaries live in a per-thread scratch; the gradients it returns
+    are fresh dense arrays.
     """
     qd, kd, vd = q.data, kt.data, v.data
     if (qd.ndim < 2 or kd.ndim != qd.ndim or vd.ndim != qd.ndim
             or qd.shape[-1] != kd.shape[-2] or vd.shape[-2:] != (kd.shape[-1], kd.shape[-2])
             or not qd.shape[:-2] == kd.shape[:-2] == vd.shape[:-2]):
-        raise DimensionError(f"head_attention shapes incompatible: "
+        raise DimensionError(f"multi_head_attention shapes incompatible: "
                              f"{q.shape} x {kt.shape} x {v.shape}")
-    if not 0 <= lo < hi <= qd.shape[-1]:
-        raise DimensionError(f"head_attention [{lo}:{hi}] out of range for {q.shape}")
-    c = float(c)
-    cols, rows = (..., slice(lo, hi)), (..., slice(lo, hi), slice(None))
-    qh, kh, vh = qd[cols].copy(), kd[rows].copy(), vd[cols].copy()
-    y = qh @ kh
-    y *= c
-    # a -inf score would leave an exact 0 after the softmax; the scaled
-    # scores are non-finite wherever the product is, so one check covers both
-    if not all_finite(y):
-        raise NumericError("non-finite values produced by head_attention")
-    _softmax(y)
-    kept = []
+    lead, (n, d), m = qd.shape[:-2], qd.shape[-2:], kd.shape[-1]
+    if not 0 < heads <= d or d % heads:
+        raise DimensionError(f"multi_head_attention: {heads} heads do not split "
+                             f"{d} columns evenly")
+    dk, c = d // heads, float(c)
+    dtype = np.result_type(qd, kd, vd)
+
+    # axis orders that bring the heads' axis to the front
+    nl = len(lead)
+    cols_first = (nl + 1, *range(nl + 1), nl + 2)
+    rows_first = (nl, *range(nl), nl + 1, nl + 2)
+
+    def split_cols(a, rows):
+        """The heads' column blocks of (*lead, rows, D) ``a``: (heads, *lead, rows, dk)."""
+        return a.reshape(lead + (rows, heads, dk)).transpose(cols_first)
+
+    def split_rows(a):
+        """The heads' row blocks of (*lead, D, m) ``a``: (heads, *lead, dk, m)."""
+        return a.reshape(lead + (heads, dk, m)).transpose(rows_first)
+
+    step = max(1, _HEAD_GROUP_BYTES // max(1, math.prod(lead) * n * m * dtype.itemsize))
+    groups, outs, weights = [], [], []  # per group: its heads and their parts and weights
+    for lo in range(0, heads, step):
+        g = slice(lo, min(lo + step, heads))
+        qh = np.ascontiguousarray(split_cols(qd, n)[g])
+        kh = np.ascontiguousarray(split_rows(kd)[g])
+        vh = np.ascontiguousarray(split_cols(vd, m)[g])
+        y = qh @ kh
+        y *= c
+        # a -inf score would leave an exact 0 after the softmax; the scaled
+        # scores are non-finite wherever the product is, so one check covers both
+        if not all_finite(y):
+            raise NumericError("non-finite values produced by multi_head_attention")
+        _softmax(y)
+        outs.extend(y @ vh)
+        weights.extend(y)
+        groups.append((g, qh, kh, vh, y))
 
     def backward(grads):
-        g_out, gy = grads  # gy: the weights' gradient
+        g_outs, g_weights = grads[:heads], grads[heads:]
         scores = q.requires_grad or kt.requires_grad
-        gv = None
-        if g_out is not None:
-            # matmul's backward; the weights' two gradients are summed in
-            # the order they arrive, in the first one's layout
-            if v.requires_grad:
-                gv = Block(cols, _swap(y) @ g_out)
-            if scores:
-                from_values = g_out @ _swap(vh)
-                gy = from_values if gy is None else np.add(gy, from_values,
-                                                           out=np.empty_like(gy))
-        if gy is None or not scores:
-            return (None, None, gv)
-        # kept while the tape keeps this op, as the tape keeps its gradients
-        # (see Tape.backward)
-        kept.append(gy)
-        # softmax, then scale, then matmul backward, in the chain's order
-        gs = _softmax_backward(y, gy)
-        gs *= c
-        return (Block(cols, gs @ _swap(kh)) if q.requires_grad else None,
-                Block(rows, _swap(qh) @ gs) if kt.requires_grad else None, gv)
+        values = v.requires_grad and any(gi is not None for gi in g_outs)
+        gq = np.empty(lead + (n, d), dtype) if q.requires_grad else None
+        gkt = np.empty(lead + (d, m), dtype) if kt.requires_grad else None
+        gv = np.empty(lead + (m, d), dtype) if values else None
+        for g, qh, kh, vh, y in groups:
+            hs = range(heads)[g]
+            go = None
+            if any(g_outs[h] is not None for h in hs):
+                go = _scratch.view("out", (len(hs),) + lead + (n, dk), dtype)
+                for i, h in enumerate(hs):
+                    go[i] = 0.0 if g_outs[h] is None else g_outs[h]
+            if values:
+                if go is None:
+                    split_cols(gv, m)[g] = 0.0
+                else:  # matmul's backward
+                    np.matmul(_swap(y), go, out=split_cols(gv, m)[g])
+            if not scores:
+                continue
+            # the weights' gradient: the values' term plus the weights' own
+            gy = _scratch.view("weights", y.shape, dtype)
+            if go is not None:
+                np.matmul(go, _swap(vh), out=gy)
+            for i, h in enumerate(hs):
+                gw = g_weights[h]
+                if go is None:
+                    gy[i] = 0.0 if gw is None else gw
+                elif gw is not None:
+                    np.add(gy[i], gw, out=gy[i])
+            # softmax, then scale, then matmul backward, in the chain's order
+            gs = _softmax_backward(y, gy, out=_scratch.view("softmax", y.shape, dtype))
+            gs *= c
+            if gq is not None:
+                np.matmul(gs, _swap(kh), out=split_cols(gq, n)[g])
+            if gkt is not None:
+                np.matmul(_swap(qh), gs, out=split_rows(gkt)[g])
+        return (gq, gkt, gv)
 
-    return custom_op((y @ vh, y), (q, kt, v), backward, "head_attention")
+    return custom_op(tuple(outs + weights), (q, kt, v), backward, "multi_head_attention")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

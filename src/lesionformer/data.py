@@ -239,6 +239,9 @@ def _quota_counts(n, proportions):
 
 
 def _paint_lesion(image, mask, label, rng):
+    """Paint one lesion of class ``label``. Each color is an RGB triple,
+    repeated cyclically over ``c`` channels (its first ``c`` entries for
+    ``c <= 3``)."""
     h, w, c = image.shape
     cy = rng.uniform(0.32, 0.68) * h
     cx = rng.uniform(0.32, 0.68) * w
@@ -255,21 +258,21 @@ def _paint_lesion(image, mask, label, rng):
     noise = rng.uniform(-0.03, 0.03, size=(h, w, c))
     if label == 0:
         # dark disk
-        color = np.array([0.10, 0.08, 0.08][:c])
+        color = np.resize([0.10, 0.08, 0.08], c)
         image[inside] = np.clip(color + noise[inside], 0.0, 1.0)
     elif label == 1:
         # bright ring with a mid-tone core
         ring = inside & (r2 > 0.55)
         core = inside & ~ring
-        ring_color = np.array([0.92, 0.58, 0.35][:c])
-        core_color = np.array([0.48, 0.30, 0.22][:c])
+        ring_color = np.resize([0.92, 0.58, 0.35], c)
+        core_color = np.resize([0.48, 0.30, 0.22], c)
         image[ring] = np.clip(ring_color + noise[ring], 0.0, 1.0)
         image[core] = np.clip(core_color + noise[core], 0.0, 1.0)
     else:
         # high-contrast speckle
         spots = rng.random((h, w)) < 0.5
-        bright = np.array([0.88, 0.84, 0.50][:c])
-        dark = np.array([0.28, 0.22, 0.12][:c])
+        bright = np.resize([0.88, 0.84, 0.50], c)
+        dark = np.resize([0.28, 0.22, 0.12], c)
         image[inside & spots] = np.clip(bright + noise[inside & spots], 0.0, 1.0)
         image[inside & ~spots] = np.clip(dark + noise[inside & ~spots], 0.0, 1.0)
 
@@ -298,6 +301,8 @@ def synth_generate(n, cfg: SynthConfig) -> list[Sample]:
         raise ValueError(f"n must be >= 1, got {n}")
     if min(cfg.height, cfg.width) < 1:
         raise ValueError(f"image size {cfg.height}x{cfg.width} must be at least 1x1")
+    if cfg.channels < 1:
+        raise ValueError(f"channels must be >= 1, got {cfg.channels}")
     if cfg.seed < 0:
         raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     shares = cfg.imbalance[:cfg.classes]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import (DimensionError, NumericError, Tape, Tensor, add,
                        add_rowvec, all_finite, concat_cols, concat_rows,
-                       div_by, gelu, head_attention, layer_norm, matmul,
+                       div_by, gelu, layer_norm, matmul, multi_head_attention,
                        pool_grid, reshape, scale, scale_by, slice_cols,
                        slice_rows, softmax_rows, sum_all, transpose)
 
@@ -205,8 +205,8 @@ def multi_scale_attention(params: dict[str, Tensor], layer: int, x: Tensor,
     grid with window 2**s and the class-token row is kept; ``w`` is the
     softmax of the learned scale logits, and each ``MultiHead`` joins its
     heads before ``wo``. Each scale's keys and values are built once on
-    all D columns; each head and scale is one :func:`head_attention` op,
-    which cuts out the head's dk columns.
+    all D columns; each scale's heads are one :func:`multi_head_attention`
+    op, which cuts out each head's dk columns.
 
     Every row of ``x`` queries, or with ``cls_only`` the class token (row
     0) alone: the output is then its one row, and each attention matrix
@@ -216,7 +216,7 @@ def multi_scale_attention(params: dict[str, Tensor], layer: int, x: Tensor,
     Returns (output, attention tensors indexed ``[head][scale]``).
     """
     pre = f"layer{layer}."
-    dk, S, G = cfg.head_dim, cfg.scales, cfg.grid_side
+    dk, S, G, H = cfg.head_dim, cfg.scales, cfg.grid_side, cfg.heads
 
     q = matmul(slice_rows(x, 0, 1) if cls_only else x, params[pre + "wq"])
     k = matmul(x, params[pre + "wk"])
@@ -229,16 +229,13 @@ def multi_scale_attention(params: dict[str, Tensor], layer: int, x: Tensor,
         keys_t.append(transpose(pool_grid(k, G, 2 ** s)))
         values.append(pool_grid(v, G, 2 ** s))
 
-    cols = range(0, cfg.embed_dim, dk)
-    attns = [[] for _ in cols]
+    attns = [[] for _ in range(H)]
     fused = None
     for s, (kt, vs) in enumerate(zip(keys_t, values)):
-        heads = []
-        for lo, head_attns in zip(cols, attns):
-            out, attn = head_attention(q, kt, vs, lo, lo + dk, 1.0 / math.sqrt(dk))
+        outs = multi_head_attention(q, kt, vs, H, 1.0 / math.sqrt(dk))
+        for head_attns, attn in zip(attns, outs[H:]):
             head_attns.append(attn)
-            heads.append(out)
-        out_s = scale_by(concat_cols(heads), slice_cols(w, s, s + 1))
+        out_s = scale_by(concat_cols(outs[:H]), slice_cols(w, s, s + 1))
         fused = out_s if fused is None else add(fused, out_s)
     return matmul(fused, params[pre + "wo"]), attns
 

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import sys
 import threading
 import tracemalloc
 import weakref
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -490,10 +492,10 @@ class TestOpDtype:
         "sum_all": lambda make: ad.sum_all(make(3, 4)),
         "sqrt": lambda make: ad.sqrt(make(3, 4)),
         "softmax_rows": lambda make: ad.softmax_rows(make(3, 4)),
-        "head_attention_out": lambda make: ad.head_attention(
-            make(3, 4), make(4, 5), make(5, 4), 1, 3, 0.5)[0],
-        "head_attention_weights": lambda make: ad.head_attention(
-            make(3, 4), make(4, 5), make(5, 4), 1, 3, 0.5)[1],
+        "multi_head_attention_out": lambda make: ad.multi_head_attention(
+            make(3, 4), make(4, 5), make(5, 4), 2, 0.5)[1],
+        "multi_head_attention_weights": lambda make: ad.multi_head_attention(
+            make(3, 4), make(4, 5), make(5, 4), 2, 0.5)[3],
         "layer_norm": lambda make: ad.layer_norm(make(3, 4), make(1, 4), make(1, 4)),
         "gelu": lambda make: ad.gelu(make(3, 4)),
         "pool_grid": lambda make: ad.pool_grid(make(4, 3), 2, 2),
@@ -889,8 +891,8 @@ class TestReadOnlyIncomingGradient:
         "sum_all_stack": ad.sum_all,
         "sqrt": ad.sqrt,
         "softmax_rows": ad.softmax_rows,
-        "head_attention": lambda x: ad.add(*ad.head_attention(
-            x, t(TestReadOnlyIncomingGradient.X), t(TestReadOnlyIncomingGradient.X), 0, 4, 0.5)),
+        "multi_head_attention": lambda x: ad.concat_cols(ad.multi_head_attention(
+            x, t(TestReadOnlyIncomingGradient.X), t(TestReadOnlyIncomingGradient.X), 2, 0.5)),
         "layer_norm": lambda x: ad.layer_norm(x, t(TestReadOnlyIncomingGradient.M[:1]),
                                               t(TestReadOnlyIncomingGradient.M[1:2])),
         "gelu": ad.gelu,
@@ -992,50 +994,75 @@ class TestSeveralOutputs:
 
 
 def head_chain(q, kt, v, lo, hi, c):
-    """:func:`ad.head_attention` as the chain of primitive ops it replaces."""
+    """One head of :func:`ad.multi_head_attention` as a chain of primitive ops."""
     weights = ad.softmax_rows(ad.scale(ad.matmul(ad.slice_cols(q, lo, hi),
                                                  ad.slice_rows(kt, lo, hi)), c))
     return ad.matmul(weights, ad.slice_cols(v, lo, hi)), weights
 
 
-class TestHeadAttention:
+def heads_chain(q, kt, v, heads, c):
+    """:func:`ad.multi_head_attention` as the chain of primitive ops it
+    replaces, head by head: the heads' outputs, then their weights."""
+    dk = q.shape[-1] // heads
+    pairs = [head_chain(q, kt, v, lo, lo + dk, c) for lo in range(0, q.shape[-1], dk)]
+    return tuple(out for out, _ in pairs) + tuple(w for _, w in pairs)
+
+
+@pytest.fixture(params=["grouped", "one_head_per_group"])
+def head_groups(request, monkeypatch):
+    """Every case runs with the default head groups, and again with a group
+    bound so small that each head is a group of its own."""
+    if request.param == "one_head_per_group":
+        monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", 1)
+    return request.param
+
+
+class TestMultiHeadAttention:
+    HEADS = 4
+
     @pytest.mark.parametrize("lead", [(), (2,)], ids=["matrix", "stack"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("read", ["out", "weights", "both"])
-    def test_bitwise_equal_to_the_chain(self, dtype, lead, read, rng):
+    @pytest.mark.parametrize("read", ["out", "weights", "both", "one_out_unread"])
+    def test_bitwise_equal_to_the_chain_head_by_head(self, head_groups, dtype, lead,
+                                                      read, rng):
+        H = self.HEADS
         q0 = rng.standard_normal(lead + (65, 32)).astype(dtype)
         k0 = rng.standard_normal(lead + (32, 17)).astype(dtype)
         v0 = rng.standard_normal(lead + (17, 32)).astype(dtype)
-        wo = Tensor(rng.standard_normal(lead + (65, 8)).astype(dtype))
-        ww = Tensor(rng.standard_normal(lead + (65, 17)).astype(dtype))
+        wo = [Tensor(rng.standard_normal(lead + (65, 8)).astype(dtype)) for _ in range(H)]
+        ww = [Tensor(rng.standard_normal(lead + (65, 17)).astype(dtype)) for _ in range(H)]
         results = []
-        for op in (ad.head_attention, head_chain):
+        for op in (ad.multi_head_attention, heads_chain):
             q, kt, v = (Tensor(a.copy(), requires_grad=True) for a in (q0, k0, v0))
             with Tape() as tape:
-                out, y = op(q, kt, v, 8, 16, 1.0 / math.sqrt(8))
-                # the weights' own gradient arrives first, as the focus map's does
-                parts = {"weights": [ad.mul(y, ww)], "out": [ad.mul(out, wo)]}
-                parts["both"] = parts["weights"] + parts["out"]
+                outs = op(q, kt, v, H, 1.0 / math.sqrt(8))
+                # the weights' own gradients arrive first, as the focus map's do
+                parts = []
+                if read != "out":
+                    parts += [ad.mul(y, w) for y, w in zip(outs[H:], ww)]
+                if read != "weights":
+                    parts += [ad.mul(o, w) for h, (o, w) in enumerate(zip(outs[:H], wo))
+                              if not (read == "one_out_unread" and h == 1)]
                 loss = None
-                for p in parts[read]:
+                for p in parts:
                     s = ad.sum_all(ad.reshape(p, (1, -1)))
                     loss = s if loss is None else ad.add(s, loss)
                 tape.backward(loss)
-                results.append((out.data, y.data, tape.grad(q), tape.grad(kt), tape.grad(v)))
+                results.append([o.data for o in outs] + [tape.grad(x) for x in (q, kt, v)])
+        assert len(results[0]) == 2 * H + 3
         for fused, chain in zip(*results):
             assert fused.dtype == chain.dtype == dtype
             assert fused.shape == chain.shape
             assert fused.tobytes() == chain.tobytes()
 
     @pytest.mark.parametrize("lead", [(), (2,)], ids=["matrix", "stack"])
-    def test_gradients_match_finite_differences(self, lead, rng):
+    def test_gradients_match_finite_differences(self, head_groups, lead, rng):
         q0 = rng.standard_normal(lead + (5, 4))
         k0 = rng.standard_normal(lead + (4, 3))
         v0 = rng.standard_normal(lead + (3, 4))
 
         def loss(q, kt, v):
-            out, y = ad.head_attention(q, kt, v, 1, 3, 0.5)
-            return ad.add(weighted_sum(out), weighted_sum(y))
+            return reduce(ad.add, map(weighted_sum, ad.multi_head_attention(q, kt, v, 2, 0.5)))
 
         assert finite_difference_check(
             lambda q: loss(q, t(k0, grad=False), t(v0, grad=False)), t(q0)) < 1e-6
@@ -1048,25 +1075,25 @@ class TestHeadAttention:
     # -inf the row max stays finite and the softmax would give an exact 0
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("v", [1e308, -1e308, np.nan], ids=["+inf", "-inf", "nan"])
-    def test_non_finite_product_names_the_op(self, v):
-        q = t([[1.0, 1.0], [v, 1.0], [1.0, 1.0]])
-        kt = t([[10.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-        with pytest.raises(NumericError, match="head_attention"):
-            ad.head_attention(q, kt, t(np.ones((3, 2))), 0, 2, 0.5)
+    def test_non_finite_product_names_the_op(self, head_groups, v):
+        q = t([[1.0, 1.0, 0.5, 0.5], [v, 1.0, 0.5, 0.5], [1.0, 1.0, 0.5, 0.5]])
+        kt = t([[10.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5]])
+        with pytest.raises(NumericError, match="multi_head_attention"):
+            ad.multi_head_attention(q, kt, t(np.ones((3, 4))), 2, 0.5)
 
     @pytest.mark.parametrize("qs, ks, vs", [
         ((3, 4), (5, 2), (2, 4)), ((3, 4), (4, 2), (3, 4)), ((3, 4), (4, 2), (2, 5)),
         ((2, 3, 4), (4, 5), (5, 4)), ((2, 3, 4), (3, 4, 5), (3, 5, 4)),
         ((2, 3, 4), (2, 4, 5), (5, 4)), ((4,), (4, 2), (2, 4))])
     def test_shape_mismatch_rejected(self, qs, ks, vs):
-        with pytest.raises(DimensionError, match="head_attention"):
-            ad.head_attention(t(np.ones(qs)), t(np.ones(ks)), t(np.ones(vs)), 0, 2, 1.0)
+        with pytest.raises(DimensionError, match="multi_head_attention"):
+            ad.multi_head_attention(t(np.ones(qs)), t(np.ones(ks)), t(np.ones(vs)), 2, 1.0)
 
-    @pytest.mark.parametrize("lo, hi", [(-1, 2), (2, 2), (3, 2), (2, 5)])
-    def test_head_columns_out_of_range_rejected(self, lo, hi):
-        with pytest.raises(DimensionError, match="head_attention"):
-            ad.head_attention(t(np.ones((3, 4))), t(np.ones((4, 5))), t(np.ones((5, 4))),
-                              lo, hi, 1.0)
+    @pytest.mark.parametrize("heads", [0, -1, 3, 5])
+    def test_heads_that_do_not_split_the_columns_rejected(self, heads):
+        with pytest.raises(DimensionError, match="multi_head_attention"):
+            ad.multi_head_attention(t(np.ones((3, 4))), t(np.ones((4, 5))),
+                                    t(np.ones((5, 4))), heads, 1.0)
 
     def test_default_train_step_matches_the_chain_bitwise(self, monkeypatch):
         cfg, tcfg = model.ModelConfig(), TrainConfig()
@@ -1083,14 +1110,85 @@ class TestHeadAttention:
                     for a in (p.data, state.m[name], state.v[name])]
 
         def counted_chain(*args):
-            calls.append(args[3:5])
-            return head_chain(*args)
+            calls.append(args[3])
+            return heads_chain(*args)
 
         fused = step()
-        monkeypatch.setattr(model, "head_attention", counted_chain)
+        monkeypatch.setattr(model, "multi_head_attention", counted_chain)
         assert step() == fused
-        # one call per layer, scale and head
-        assert len(calls) == cfg.layers * cfg.scales * cfg.heads
+        # one call per layer and scale, each for every head
+        assert calls == [cfg.heads] * (cfg.layers * cfg.scales)
+
+
+class TestBackwardScratch:
+    """The op's backward keeps its stacked temporaries in a per-thread
+    scratch that it reuses; what it hands back must not live there."""
+
+    @staticmethod
+    def gradients(rng, lead=(2,), dtype=np.float64):
+        """The op's gradients of q, kt and v on fresh random inputs."""
+        q, kt, v = (Tensor(rng.standard_normal(lead + s).astype(dtype), requires_grad=True)
+                    for s in ((9, 8), (8, 5), (5, 8)))
+        with Tape() as tape:
+            outs = ad.multi_head_attention(q, kt, v, 2, 0.5)
+            tape.backward(reduce(ad.add, map(weighted_sum, outs)))
+            return [tape.grad(x) for x in (q, kt, v)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_gradient_shares_memory_with_the_scratch(self, head_groups, dtype, rng):
+        grads = self.gradients(rng, dtype=dtype)
+        buffers = list(ad._scratch.buffers.values())
+        assert {(role, dt) for role, dt in ad._scratch.buffers} >= {
+            ("out", np.dtype(dtype)), ("weights", np.dtype(dtype)),
+            ("softmax", np.dtype(dtype))}
+        for g in grads:
+            assert g.dtype == dtype
+            assert not any(np.shares_memory(g, buf) for buf in buffers)
+
+    def test_a_second_backward_leaves_the_first_gradients_as_they_were(
+            self, head_groups, rng):
+        first = self.gradients(rng)
+        before = [g.tobytes() for g in first]
+        second = self.gradients(rng)
+        assert [g.tobytes() for g in second] != before
+        assert [g.tobytes() for g in first] == before
+
+    def test_threads_running_grad_cam_and_train_steps_give_the_serial_bytes(self):
+        # more threads than cores, switching often, each on its own parameters
+        cfg, tcfg = model.ModelConfig(), TrainConfig()
+        weights = losses.class_weights([0.5, 0.25, 0.25], tcfg.weight_epsilon)
+        seeds = (1, 2, 3)
+
+        def work(seed, barrier=None):
+            params = model.init_params(dataclasses.replace(cfg, seed=seed))
+            batch = synth_generate(tcfg.batch_size, SynthConfig(seed=seed))
+            state = init_adam(params)
+            if barrier is not None:
+                barrier.wait(timeout=60)
+            got = []
+            for i in range(4):
+                got.append(model.grad_cam(params, batch[i].image, i % cfg.classes, cfg)[0])
+                train_step(params, cfg, tcfg, batch, state, weights, tcfg.learning_rate)
+            return [a.tobytes() for a in got + [p.data for p in params.values()]]
+
+        serial = [work(seed) for seed in seeds]
+        barrier, results = threading.Barrier(len(seeds)), [None] * len(seeds)
+
+        def run(i):
+            results[i] = work(seeds[i], barrier)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(seeds))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert results == serial
 
 
 def handing_back(x, g):
@@ -1139,19 +1237,22 @@ class TestKernelPins:
         return out, [g * grad]
 
     @staticmethod
-    def head_attention_backward_ref(y, q, kt, v, lo, hi, c, g_out, g_weights):
-        qh, kh, vh = q[..., lo:hi], kt[..., lo:hi, :], v[..., lo:hi]
-        gy = g_weights + g_out @ np.swapaxes(vh, -1, -2)
-        gs = gy - (gy * y).sum(axis=-1, keepdims=True)
-        gs *= y
-        gs *= c
-        # the kernel keeps its score gradient in the layout of gy * y, which
-        # is row-major here even for column-major incoming gradients
-        gs = np.ascontiguousarray(gs)
+    def multi_head_attention_backward_ref(ys, q, kt, v, c, g_outs, g_weights):
+        dk = q.shape[-1] // len(ys)
         grads = [np.zeros_like(q), np.zeros_like(kt), np.zeros_like(v)]
-        grads[0][..., lo:hi] = gs @ np.swapaxes(kh, -1, -2)
-        grads[1][..., lo:hi, :] = np.swapaxes(qh, -1, -2) @ gs
-        grads[2][..., lo:hi] = np.swapaxes(y, -1, -2) @ g_out
+        for lo, y, g_out, g_w in zip(range(0, q.shape[-1], dk), ys, g_outs, g_weights):
+            hi = lo + dk
+            qh, kh, vh = q[..., lo:hi], kt[..., lo:hi, :], v[..., lo:hi]
+            gy = g_w + g_out @ np.swapaxes(vh, -1, -2)
+            gs = gy - (gy * y).sum(axis=-1, keepdims=True)
+            gs *= y
+            gs *= c
+            # the kernel keeps its score gradient in the layout of gy * y, which
+            # is row-major here even for column-major incoming gradients
+            gs = np.ascontiguousarray(gs)
+            grads[0][..., lo:hi] = gs @ np.swapaxes(kh, -1, -2)
+            grads[1][..., lo:hi, :] = np.swapaxes(qh, -1, -2) @ gs
+            grads[2][..., lo:hi] = np.swapaxes(y, -1, -2) @ g_out
         return grads
 
     @staticmethod
@@ -1206,24 +1307,26 @@ class TestKernelPins:
         assert got[0].strides == ref[0].strides
 
     @cases
-    def test_head_attention_backward(self, dtype, lead, order, rng):
+    def test_multi_head_attention_backward(self, head_groups, dtype, lead, order, rng):
         q = rng.standard_normal(lead + (65, 32)).astype(dtype)
         kt = rng.standard_normal(lead + (32, 65)).astype(dtype)
         v = rng.standard_normal(lead + (65, 32)).astype(dtype)
-        g_out = self.incoming(rng, lead + (65, 8), dtype, order)
-        g_weights = self.incoming(rng, lead + (65, 65), dtype, order)
+        g_outs = [self.incoming(rng, lead + (65, 8), dtype, order) for _ in range(4)]
+        g_weights = [self.incoming(rng, lead + (65, 65), dtype, order) for _ in range(4)]
         c = 1.0 / math.sqrt(8)
         inputs = [Tensor(a, requires_grad=True) for a in (q, kt, v)]
         with Tape() as tape:
-            out, y = ad.head_attention(*inputs, 8, 16, c)
-            # the weights' gradient arrives first, as the focus map's does
-            loss = ad.add(ad.sum_all(ad.reshape(handing_back(y, g_weights), (1, -1))),
-                          ad.sum_all(ad.reshape(handing_back(out, g_out), (1, -1))))
-            tape.backward(loss)
+            outs = ad.multi_head_attention(*inputs, 4, c)
+            parts = [ad.sum_all(ad.reshape(handing_back(o, g), (1, -1)))
+                     for o, g in zip(outs[4:] + outs[:4], g_weights + g_outs)]
+            tape.backward(reduce(ad.add, parts))
             got = [tape.grad(x) for x in inputs]
-        self.assert_same([out.data], [y.data @ np.ascontiguousarray(v[..., 8:16])])
-        self.assert_same(got, self.head_attention_backward_ref(
-            y.data, q, kt, v, 8, 16, c, g_out, g_weights))
+        ys = [y.data for y in outs[4:]]
+        self.assert_same([o.data for o in outs[:4]],
+                         [y @ np.ascontiguousarray(v[..., lo:lo + 8])
+                          for lo, y in zip(range(0, 32, 8), ys)])
+        self.assert_same(got, self.multi_head_attention_backward_ref(
+            ys, q, kt, v, c, g_outs, g_weights))
 
     @cases
     def test_softmax_rows_backward(self, dtype, lead, order, rng):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,45 @@ class TestSynth:
         # best threshold on the 1-D statistic
         best = max(np.mean((means > t) == labels) for t in means)
         assert best > 0.9
+
+
+    # SHA-256 of the images of synth_generate(6, SynthConfig(channels=c,
+    # seed=7, imbalance=(1, 1, 1))), two of each class, as generated when
+    # only c <= 3 was accepted
+    DIGESTS = {1: "ad0529950dd71e5a4e94c409b79c0592d24a70be617111514a77dbbd31c948bf",
+               2: "78976b8c365e41e06c586a72e5fc98fefd37c93e8b5187d1e40890d9a730ffcb",
+               3: "1c810ec1815404918a664f0519bf40e6280071a0edc7d3f1157bf48a92d11ba1"}
+
+    @staticmethod
+    def generate(channels):
+        return synth_generate(6, SynthConfig(channels=channels, seed=7,
+                                             imbalance=(1.0, 1.0, 1.0)))
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_images_of_up_to_three_channels_are_unchanged(self, channels):
+        samples = self.generate(channels)
+        assert sorted(s.label for s in samples) == [0, 0, 1, 1, 2, 2]
+        digest = hashlib.sha256()
+        for s in samples:
+            assert s.image.shape == (32, 32, channels)
+            digest.update(s.image.tobytes())
+        assert digest.hexdigest() == self.DIGESTS[channels]
+
+    @pytest.mark.parametrize("channels", [4, 5])
+    def test_more_channels_cycle_the_palette(self, channels):
+        for s in self.generate(channels):
+            assert s.image.shape == (32, 32, channels)
+            assert s.image.min() >= 0.0 and s.image.max() <= 1.0
+            # the lesion's color repeats with period 3 over the channels,
+            # under per-channel noise of at most 0.03
+            inside = s.image[s.mask == 1.0]
+            cycled = inside[:, 3:] - inside[:, :channels - 3]
+            assert np.abs(cycled).max() <= 0.06 + 1e-12
+
+    @pytest.mark.parametrize("channels", [0, -1])
+    def test_no_channels_rejected_naming_the_field(self, channels):
+        with pytest.raises(ValueError, match="channels"):
+            synth_generate(2, SynthConfig(channels=channels))
 
 
 class TestClassFrequencies:

@@ -498,7 +498,7 @@ class TestGradCamFrozenWeights:
         image = rng.random((8, 8, 1))
         live_ops, _, live_tape, _ = self.forward_backward(monkeypatch, live, image, cfg)
         ops, res, tape, grads = self.forward_backward(monkeypatch, weights, image, cfg)
-        assert (live_ops, ops) == (73, 37)
+        assert (live_ops, ops) == (69, 35)
         assert np.any(live_tape.grad(live["patch_proj.w"]) != 0)
         assert res.tokens.requires_grad
         assert np.any(tape.grad(res.tokens) != 0)
@@ -545,7 +545,7 @@ class TestOpCensus:
                        "scale_by": 4, "div_by": 1, "add_rowvec": 6,
                        "slice_rows": 2, "slice_cols": 5, "concat_rows": 1,
                        "concat_cols": 4, "sum_all": 1, "softmax_rows": 3,
-                       "head_attention": 16, "layer_norm": 5, "gelu": 2,
+                       "multi_head_attention": 4, "layer_norm": 5, "gelu": 2,
                        "pool_grid": 4}
 
     def test_default_forward_op_counts(self, monkeypatch, rng):
@@ -561,7 +561,7 @@ class TestOpCensus:
         params = init_params(cfg)
         forward(params, rng.random((cfg.image_h, cfg.image_w, cfg.channels)),
                 cfg, want_record=False)
-        assert sum(counts.values()) == 83
+        assert sum(counts.values()) == 71
         assert counts == self.DEFAULT_FORWARD
         assert set(bench_forward_ops()) <= set(counts)
 
@@ -628,11 +628,11 @@ class TestOpCensus:
     def test_large_benchmark_config_op_count(self, monkeypatch):
         workload = bench_module("run").WORKLOADS["train-large-f32"]
         cfg = ModelConfig(**workload.model)
-        assert self.forward_ops(monkeypatch, cfg, np.dtype(workload.dtype)) == 105
+        assert self.forward_ops(monkeypatch, cfg, np.dtype(workload.dtype)) == 87
 
     def test_single_scale_records_no_pooled_key_or_value_slices(self, monkeypatch):
         # 8 x 8, two layers, two heads, one scale
-        assert self.forward_ops(monkeypatch, tiny_config(layers=2, scales=1)) == 55
+        assert self.forward_ops(monkeypatch, tiny_config(layers=2, scales=1)) == 53
 
 
 @pytest.mark.parametrize("name", sorted({wl.golden: name for name, wl in
