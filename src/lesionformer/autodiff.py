@@ -6,14 +6,13 @@ matrices, such as a batch of images. Broadcasting is limited to a scalar
 constant, the explicit row-vector ops, and the stated cases of ``matmul``,
 ``add``, ``concat_rows`` and ``div_by``; any other shape adaptation is done
 with reshape/slice/concat so every forward value is bit-reproducible.
-Backward stores a tensor's first gradient as its op returns it, so a
-gradient may be shared or read-only, and no backward writes into the one
-it receives. The tape writes only into arrays it allocated: a second
-gradient allocates the sum once, and later ones add into it in place. A
-slice's backward returns a :class:`Block`, which the tape adds into the
-input's gradient at the slice, so no slice builds a full-size array. An op
-may have several outputs (see :func:`custom_op`). A tape lives for one
-forward/backward pass and is discarded afterwards.
+Every gradient is a dense array of its tensor's shape; a slice's backward
+returns zeros with the slice's gradient at the slice. Backward stores a
+tensor's first gradient as its op returns it, so a gradient may be shared
+or read-only, and no backward writes into the one it receives (see
+:meth:`Tape.backward`). An op may have several outputs (see
+:func:`custom_op`). A tape lives for one forward/backward pass and is
+discarded afterwards.
 """
 
 from __future__ import annotations
@@ -69,17 +68,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-class Block:
-    """A gradient for part of an input: ``grad`` belongs at ``input[index]``
-    and the rest of the input's gradient is zero."""
-
-    __slots__ = ("index", "grad")
-
-    def __init__(self, index, grad):
-        self.index = index
-        self.grad = grad
-
-
 _ACTIVE_TAPE = contextvars.ContextVar("active_tape", default=None)
 
 
@@ -94,7 +82,6 @@ class Tape:
         self._records = []  # (out or tuple of outs, inputs, backward_fn)
         self._output_ids = set()
         self._grads = None
-        self._blocks = None
 
     def __enter__(self):
         if _ACTIVE_TAPE.get() is not None:
@@ -116,26 +103,21 @@ class Tape:
     def backward(self, loss):
         """Reverse-topological accumulation from a scalar loss.
 
-        A tensor's first gradient is kept as its op returned it. A second
-        one allocates the sum, in the first one's memory layout; later ones
-        add into that sum in place. A :class:`Block` adds into the
-        gradient at its index: as the first gradient it lands in zeros,
-        and on a first gradient the tape did not allocate it lands in a
-        copy. Each sum adds in the order the gradients arrive. Entries
-        outside a block are left as they are, so a -0.0 there stays -0.0
-        where adding a zero-filled array would have made it +0.0.
+        A tensor's gradients are summed by one rule with three cases: the
+        first is kept as its op returned it; a second allocates the sum, in
+        the first one's memory layout; later ones add into that sum in
+        place. So the tape writes only into arrays it allocated, and each
+        sum adds in the order the gradients arrive.
 
-        The tape keeps each tensor's gradient, and each block's array,
-        until it is discarded: arrays freed one by one in mid-backward let
-        the allocator return memory to the system, and the next step then
-        faults it back in.
+        The tape keeps each tensor's gradient until it is discarded: arrays
+        freed one by one in mid-backward let the allocator return memory to
+        the system, and the next step then faults it back in.
         """
         if loss.data.size != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.data.shape}")
         if id(loss) not in self._output_ids:
             raise TapeError("loss tensor was not produced on this tape")
         grads = {id(loss): np.ones_like(loss.data)}
-        blocks = []  # every block's array, kept as the dense gradients are
         owned = set()  # ids of the tensors whose gradient this tape allocated
         for out, inputs, backward_fn in reversed(self._records):
             if type(out) is tuple:
@@ -151,18 +133,7 @@ class Tape:
                     continue
                 key = id(t)
                 acc = grads.get(key)
-                if type(gi) is Block:
-                    blocks.append(gi.grad)
-                    if acc is None:
-                        acc = np.zeros_like(t.data)
-                        acc[gi.index] = gi.grad
-                    else:
-                        if key not in owned:
-                            acc = acc.copy(order="K")
-                        part = acc[gi.index]
-                        np.add(part, gi.grad, out=part)
-                    owned.add(key)
-                elif acc is None:
+                if acc is None:
                     acc = gi
                 elif key in owned:
                     np.add(acc, gi, out=acc)
@@ -172,7 +143,7 @@ class Tape:
                     acc = np.add(acc, gi, out=np.empty_like(acc))
                     owned.add(key)
                 grads[key] = acc
-        self._grads, self._blocks = grads, blocks
+        self._grads = grads
         return grads
 
     def grad(self, t):
@@ -207,8 +178,8 @@ def custom_op(out_data, inputs, backward_fn, name):
     tensor holds as it is, or a tuple of them for an op with several
     outputs, which then returns a tuple of tensors. ``backward_fn`` gets the
     output's gradient, or for several outputs a tuple with one gradient per
-    output and None where none arrived, and must return one gradient
-    array, :class:`Block` or None per input, in order. Every output is
+    output and None where none arrived, and must return, per input and in
+    order, a gradient array of that input's shape or None. Every output is
     checked: any NaN or +/-Inf element raises ``NumericError`` naming the
     op. Finite values whose squares or sum overflow are allowed.
     """
@@ -396,7 +367,10 @@ def _slice(a: Tensor, start: int, stop: int, axis: int, name: str) -> Tensor:
     index = (..., slice(start, stop)) + (slice(None),) * (-1 - axis)
 
     def backward(g):
-        return (Block(index, g),)
+        # zeros_like keeps the input's memory layout (BLAS rounds by layout)
+        gx = np.zeros_like(a.data)
+        gx[index] = g
+        return (gx,)
 
     return custom_op(a.data[index].copy(), (a,), backward, name)
 

@@ -47,11 +47,12 @@ class TrainConfig:
         # the float checks are written `not ok` so that NaN fails them
         if not 0 <= self.eval_fraction < 1:
             raise ValueError(f"eval_fraction must lie in [0, 1), got {self.eval_fraction}")
-        if not self.lambda_attn >= 0:
-            raise ValueError(f"lambda_attn must be >= 0, got {self.lambda_attn}")
+        if not 0 <= self.lambda_attn < math.inf:
+            raise ValueError(f"lambda_attn must be finite and >= 0, got {self.lambda_attn}")
         for name in ("learning_rate", "weight_epsilon", "adam_eps"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {getattr(self, name)}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("adam betas must lie in (0, 1)")
         if self.attn_mode not in ("literal", "focusing"):

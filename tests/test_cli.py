@@ -458,7 +458,8 @@ class TestConfigRanges:
         "seed=-1", "epochs=0", "epochs=-1", "eval_fraction=1.5",
         "eval_fraction=-0.1", "eval_fraction=0.99", "lambda_attn=-1",
         "lambda_attn=nan", "weight_epsilon=0", "adam_eps=0",
-        "learning_rate=nan", "scales=1000000000000"])
+        "learning_rate=nan", "scales=1000000000000", "learning_rate=inf",
+        "adam_eps=inf", "weight_epsilon=inf", "lambda_attn=inf"])
     def test_train_exits_with_usage_error(self, dataset, tmp_path, capsys, pair):
         code, _, err = run(capsys, "train", "--data",
                            str(dataset / "manifest.csv"), "--out",
@@ -479,7 +480,8 @@ class TestConfigRanges:
     @pytest.mark.parametrize("key, value", [
         (b"model.patch", b"0"), (b"model.heads", b"0"), (b"model.layers", b"-1"),
         (b"model.classes", b"0"), (b"train.epochs", b"0"),
-        (b"train.weight_epsilon", b"0.0"), (b"model.scales", b"1000000000000")])
+        (b"train.weight_epsilon", b"0.0"), (b"model.scales", b"1000000000000"),
+        (b"train.adam_eps", b"inf")])
     def test_bad_header_value_is_data_error(self, dataset, trained, tmp_path,
                                             capsys, key, value):
         bad = tmp_path / "bad.ckpt"

@@ -1,0 +1,49 @@
+"""Smoke test of ``tools/float_digests.py`` on the tiny config."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+import numpy as np
+
+from conftest import tiny_config
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "float_digests.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("float_digests", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_tiny_config_digests_every_array_once_and_reproducibly():
+    tool = load_tool()
+    cfg = tiny_config()
+    lines = tool.config_digests("tiny", cfg, "float64", 4)
+    assert lines == tool.config_digests("tiny", cfg, "float64", 4)
+    names = [name for name, _ in lines]
+    assert len(set(names)) == len(names)
+    assert all(re.fullmatch(r"[0-9a-f]{64}", d) for _, d in lines)
+    groups = {}
+    for name in names:
+        kind = name.split(".")[1]
+        groups[kind] = groups.get(kind, 0) + 1
+    n_params = groups["param"]
+    assert n_params > 0
+    assert groups == {"grad": n_params, "loss": tool.STEPS, "param": n_params,
+                      "adam_m": n_params, "adam_v": n_params, "checkpoint": 1,
+                      "eval": 1, "image": 2, "gradcam": cfg.classes}
+
+
+def test_a_digest_tells_signed_zeros_and_shapes_apart():
+    tool = load_tool()
+    assert tool.digest(np.array([-0.0])) != tool.digest(np.array([0.0]))
+    assert tool.digest(np.zeros((2, 3))) != tool.digest(np.zeros((3, 2)))
+    assert tool.digest(np.zeros(2)) != tool.digest(np.zeros(2, np.float32))
+
+
+def test_a_tree_without_the_package_is_refused(tmp_path, capsys):
+    assert load_tool().main([str(tmp_path)]) == 2
+    assert "no lesionformer package" in capsys.readouterr().err
