@@ -80,7 +80,6 @@ class Tape:
 
     def __init__(self):
         self._records = []  # (out or tuple of outs, inputs, backward_fn)
-        self._output_ids = set()
         self._grads = None
 
     def __enter__(self):
@@ -94,20 +93,16 @@ class Tape:
         return False
 
     def _record(self, out, inputs, backward_fn):
-        if type(out) is tuple:
-            self._output_ids.update(map(id, out))
-        else:
-            self._output_ids.add(id(out))
         self._records.append((out, inputs, backward_fn))
 
     def backward(self, loss):
         """Reverse-topological accumulation from a scalar loss.
 
         A tensor's gradients are summed by one rule with three cases: the
-        first is kept as its op returned it; a second allocates the sum, in
-        the first one's memory layout; later ones add into that sum in
-        place. So the tape writes only into arrays it allocated, and each
-        sum adds in the order the gradients arrive.
+        first is kept as its op returned it; a second allocates the sum;
+        later ones add into that sum in place. So the tape writes only into
+        arrays it allocated, and each sum adds in the order the gradients
+        arrive.
 
         The tape keeps each tensor's gradient until it is discarded: arrays
         freed one by one in mid-backward let the allocator return memory to
@@ -115,7 +110,9 @@ class Tape:
         """
         if loss.data.size != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.data.shape}")
-        if id(loss) not in self._output_ids:
+        # the loss is almost always the last record
+        if not any(out is loss or type(out) is tuple and any(o is loss for o in out)
+                   for out, _, _ in reversed(self._records)):
             raise TapeError("loss tensor was not produced on this tape")
         grads = {id(loss): np.ones_like(loss.data)}
         owned = set()  # ids of the tensors whose gradient this tape allocated
@@ -138,9 +135,7 @@ class Tape:
                 elif key in owned:
                     np.add(acc, gi, out=acc)
                 else:
-                    # the sum keeps the first gradient's memory layout: BLAS
-                    # may round a column-major matmul operand differently
-                    acc = np.add(acc, gi, out=np.empty_like(acc))
+                    acc = acc + gi
                     owned.add(key)
                 grads[key] = acc
         self._grads = grads

@@ -12,13 +12,6 @@ from .autodiff import DimensionError, Tensor, custom_op
 
 
 @dataclass
-class ClassWeights:
-    w: np.ndarray
-    frequencies: np.ndarray
-    epsilon: float
-
-
-@dataclass
 class LossBreakdown:
     l_ce: float
     l_attn: float
@@ -26,8 +19,8 @@ class LossBreakdown:
     total: float
 
 
-def class_weights(frequencies, epsilon: float) -> ClassWeights:
-    """w_j = 1 / sqrt(f_j + epsilon)."""
+def class_weights(frequencies, epsilon: float) -> np.ndarray:
+    """The weight array w, with w_j = 1 / sqrt(f_j + epsilon)."""
     f = np.asarray(frequencies, dtype=np.float64)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -35,14 +28,15 @@ def class_weights(frequencies, epsilon: float) -> ClassWeights:
         raise ValueError(f"negative class frequency in {f.tolist()}")
     if abs(f.sum() - 1.0) > 1e-9:
         raise ValueError(f"frequencies must sum to 1, got {f.sum()!r}")
-    return ClassWeights(w=1.0 / np.sqrt(f + epsilon), frequencies=f, epsilon=epsilon)
+    return 1.0 / np.sqrt(f + epsilon)
 
 
 _LOG_CLAMP = 1e-12
 
 
-def weighted_cross_entropy(probs: Tensor, labels, weights: ClassWeights) -> Tensor:
-    """-(1/B) sum_i w_{y_i} log p_{i, y_i}, log clamped at 1e-12."""
+def weighted_cross_entropy(probs: Tensor, labels, weights: np.ndarray) -> Tensor:
+    """-(1/B) sum_i w_{y_i} log p_{i, y_i}, log clamped at 1e-12; ``weights``
+    is the array :func:`class_weights` returns."""
     p = probs.data
     if p.ndim != 2:
         raise DimensionError(f"probs must be B x K, got {p.shape}")
@@ -55,7 +49,7 @@ def weighted_cross_entropy(probs: Tensor, labels, weights: ClassWeights) -> Tens
     rowsum = p.sum(axis=1)
     if np.any(np.abs(rowsum - 1.0) > 1e-5):
         raise ValueError("probability rows must sum to 1 within 1e-5")
-    wv = np.asarray(weights.w, dtype=p.dtype)
+    wv = np.asarray(weights, dtype=p.dtype)
     picked = p[np.arange(b), labels]
     clamped = np.maximum(picked, _LOG_CLAMP)
     loss = -(wv[labels] * np.log(clamped)).sum() / b

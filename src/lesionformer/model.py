@@ -79,29 +79,19 @@ class ModelConfig:
 
 
 @dataclass
-class AttentionRecord:
-    """Per-layer, per-head, per-scale attention matrices and the focus map.
-
-    ``attn[layer][head][scale]`` is the softmaxed score matrix (not a copy):
-    (N+1) x n_s, with n_s the key rows at that scale, in every layer but the
-    last, and 1 x n_s in the last, where the class token alone queries.
-    ``focus_map`` is the head-mean class-token-to-patch attention of the
-    final layer at the unpooled scale, renormalized to sum to 1, reshaped
-    to the patch grid. For a stack of B images each array gains a leading
-    axis of length B.
-    """
-    attn: list
-    focus_map: np.ndarray | None = None
-
-
-@dataclass
 class ForwardResult:
     """Shapes are for one image; a stack of B images gives B x K logits and
-    probs, and a leading axis of length B on focus and tokens."""
+    probs, and a leading axis of length B on every other tensor."""
     logits: Tensor          # 1 x K
     probs: Tensor           # 1 x K
-    record: AttentionRecord
-    focus: Tensor | None    # 1 x N, differentiable focus distribution
+    attn: list              # attn[layer][head][scale]: the softmaxed score
+                            # tensor, (N+1) x n_s with n_s the key rows at
+                            # that scale, or 1 x n_s in the last layer, where
+                            # the class token alone queries
+    focus: Tensor | None    # 1 x N head-mean class-token-to-patch attention
+                            # of the last layer at the unpooled scale,
+                            # renormalized to sum to 1 (differentiable);
+                            # None with no layer
     tokens: Tensor          # (N+1) x D features entering the final block;
                             # the class logit depends on the patch rows only
                             # through this tensor (as the final block's keys
@@ -260,10 +250,9 @@ def encoder_block(params: dict[str, Tensor], layer: int, z: Tensor, cfg: ModelCo
     return add(z, mlp_out), attns
 
 
-def forward(params: dict[str, Tensor], image: np.ndarray, cfg: ModelConfig,
-            want_record=True) -> ForwardResult:
-    """Full forward pass for one H x W x C image or a B x H x W x C stack;
-    records attention and focus map."""
+def forward(params: dict[str, Tensor], image: np.ndarray, cfg: ModelConfig) -> ForwardResult:
+    """Full forward pass for one H x W x C image or a B x H x W x C stack,
+    with its attention tensors and focus map."""
     dtype = params["pos"].dtype
     patches = patchify(np.asarray(image, dtype=dtype), cfg)
     z = embed(params, Tensor(patches), cfg)
@@ -289,15 +278,7 @@ def forward(params: dict[str, Tensor], image: np.ndarray, cfg: ModelConfig,
 
     last = attns[-1] if attns else []
     focus = focus_from_attention([head[0] for head in last], cfg)
-    record = None
-    if want_record:
-        record = AttentionRecord(attn=[[[a.data for a in head] for head in layer]
-                                       for layer in attns])
-        if focus is not None:
-            record.focus_map = focus.data.reshape(
-                focus.shape[:-2] + (cfg.grid_side, cfg.grid_side))
-    return ForwardResult(logits=logits, probs=probs, record=record,
-                         focus=focus, tokens=tokens)
+    return ForwardResult(logits=logits, probs=probs, attn=attns, focus=focus, tokens=tokens)
 
 
 def focus_from_attention(s1_attns, cfg: ModelConfig) -> Tensor | None:
@@ -332,7 +313,7 @@ def grad_cam(params: dict[str, Tensor], image: np.ndarray, target_class: int,
     check_finite(params)
     frozen = {name: Tensor(t.data) for name, t in params.items()}
     with Tape() as tape:
-        res = forward(frozen, image, cfg, want_record=False)
+        res = forward(frozen, image, cfg)
         target = slice_cols(res.logits, target_class, target_class + 1)
         tape.backward(target)
         grads = tape.grad(res.tokens)[1:]

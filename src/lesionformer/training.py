@@ -187,8 +187,7 @@ def train_step(params: dict[str, Tensor], model_cfg: ModelConfig, train_cfg: Tra
     runs = [list(run) for masked, run in groupby(range(b), lambda i: batch[i].mask is not None)
             if masked]
     with Tape() as tape:
-        res = forward(params, np.stack([s.image for s in batch]), model_cfg,
-                      want_record=False)
+        res = forward(params, np.stack([s.image for s in batch]), model_cfg)
         l_ce = losses.weighted_cross_entropy(res.probs, [s.label for s in batch], weights)
         l_attn = None
         if train_cfg.lambda_attn > 0 and runs and res.focus is not None:
@@ -211,8 +210,7 @@ def evaluate(params: dict[str, Tensor], model_cfg: ModelConfig, samples,
     """Forward-only pass over samples; returns (MetricsReport, probs, labels)."""
     if not samples:
         raise ValueError("empty evaluation set")
-    probs = np.stack([forward(params, s.image, model_cfg, want_record=False)
-                      .probs.data[0] for s in samples])
+    probs = np.stack([forward(params, s.image, model_cfg).probs.data[0] for s in samples])
     labels = np.asarray([s.label for s in samples], dtype=np.int64)
     return metrics.report(probs, labels, model_cfg.classes, strict_auc), probs, labels
 
@@ -317,10 +315,6 @@ def load_checkpoint(path) -> Checkpoint:
     (hlen,) = struct.unpack_from("<I", raw, 8)
     if 12 + hlen > len(raw):
         raise CheckpointError(f"truncated header: need {hlen} bytes")
-    # unknown keys are ignored, so a checkpoint that still carries a
-    # since-removed config field loads; a missing key is an error. The one
-    # exception: model.literal_multiscale=true named a model that attended
-    # unpooled keys at every scale, which this code no longer computes.
     try:
         kv = {}
         for line in raw[12:12 + hlen].decode("utf-8").splitlines():
@@ -334,12 +328,15 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError(f"format version {version} {layout}; this code reads "
                              f"version {FORMAT_VERSION}: retrain")
         model_cfg, train_cfg = ModelConfig(), TrainConfig()
-        for prefix, cfg in (("model", model_cfg), ("train", train_cfg)):
-            for f in dataclasses.fields(cfg):
-                set_field(cfg, f.name, kv[f"{prefix}.{f.name}"])
-        if kv.get("model.literal_multiscale", "false") != "false":
-            raise ValueError(f"model.literal_multiscale="
-                             f"{kv['model.literal_multiscale']} is not supported")
+        fields = {f"{prefix}.{f.name}": (cfg, f.name)
+                  for prefix, cfg in (("model", model_cfg), ("train", train_cfg))
+                  for f in dataclasses.fields(cfg)}
+        for k in kv:  # exactly the keys save_checkpoint writes
+            if k not in fields and k not in ("format_version", "dtype", "step",
+                                             "opt_t", "n_arrays"):
+                raise ValueError(f"unknown key {k!r}")
+        for key, (cfg, name) in fields.items():
+            set_field(cfg, name, kv[key])
         model_cfg.validate()
         train_cfg.validate()
         step, opt_t, n_arrays = int(kv["step"]), int(kv["opt_t"]), int(kv["n_arrays"])

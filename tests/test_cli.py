@@ -492,6 +492,16 @@ class TestConfigRanges:
         assert_one_line_error(code, err, 2, "data error")
         assert key.decode().partition(".")[2] in err
 
+    def test_unknown_header_key_is_data_error(self, dataset, trained, tmp_path, capsys):
+        # a field removed from the config, even at its old default
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(with_header(trained.read_bytes(),
+                                    lambda h: h + b"model.literal_multiscale=false\n"))
+        code, _, err = run(capsys, "eval", "--data",
+                           str(dataset / "manifest.csv"), "--ckpt", str(bad))
+        assert_one_line_error(code, err, 2, "data error")
+        assert "model.literal_multiscale" in err
+
 
 class TestOneLineAborts:
     def test_huge_mlp_ratio_header_names_the_parameter_in_one_short_line(

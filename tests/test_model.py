@@ -244,7 +244,7 @@ class TestEncoderBlock:
         cfg = tiny_config(layers=2)
         p = init_params(cfg)
         img = rng.random((8, 8, 1))
-        res = forward(p, img, cfg, want_record=False)
+        res = forward(p, img, cfg)
 
         patches = patchify(img, cfg)
         z = embed(p, Tensor(patches), cfg)
@@ -322,7 +322,7 @@ class TestClassTokenBlock:
         res = forward(init_params(cfg), images, cfg)
         n, G = cfg.num_patches + 1, cfg.grid_side
         key_rows = [1 + (G // 2 ** s) ** 2 for s in range(cfg.scales)]
-        for i, layer in enumerate(res.record.attn):
+        for i, layer in enumerate(res.attn):
             rows = 1 if i == cfg.layers - 1 else n
             assert [[a.shape for a in head] for head in layer] == \
                    [[lead + (rows, m) for m in key_rows]] * cfg.heads
@@ -348,12 +348,12 @@ class TestForward:
         cfg = tiny_config(scales=1, patch=2)  # 4x4 grid of 2x2 patches
         p = init_params(cfg)
         img = rng.random((8, 8, 1))
-        base = forward(p, img, cfg, want_record=False).logits.data.copy()
+        base = forward(p, img, cfg).logits.data.copy()
         perm = rng.permutation(cfg.num_patches)
         img2 = unpatchify(patchify(img, cfg)[perm], cfg)
         pos = p["pos"].data.copy()
         p["pos"].data[1:] = pos[1:][perm]
-        permuted = forward(p, img2, cfg, want_record=False).logits.data
+        permuted = forward(p, img2, cfg).logits.data
         p["pos"].data[:] = pos
         np.testing.assert_allclose(permuted, base, atol=1e-9)
 
@@ -361,13 +361,13 @@ class TestForward:
         cfg = tiny_config(layers=2)
         p = init_params(cfg)
         res = forward(p, rng.random((8, 8, 1)), cfg)
-        for layer in res.record.attn:
+        for layer in res.attn:
             for head in layer:
                 for mat in head:
-                    np.testing.assert_allclose(mat.sum(axis=1),
+                    np.testing.assert_allclose(mat.data.sum(axis=1),
                                                np.ones(mat.shape[0]), atol=1e-6)
-        assert np.all(res.record.focus_map >= 0)
-        assert abs(res.record.focus_map.sum() - 1.0) < 1e-6
+        assert np.all(res.focus.data >= 0)
+        assert abs(res.focus.data.sum() - 1.0) < 1e-6
 
     @pytest.mark.parametrize("overrides", [
         dict(scales=1), dict(scales=2, layers=2), dict(heads=4, embed_dim=8),
@@ -440,7 +440,7 @@ def reference_grad_cam(params, image, target_class, cfg):
     """Grad-CAM's grid from live weights: the whole forward on one tape and
     its full backward, the gradient read at the final block's input."""
     with Tape() as tape:
-        res = forward(params, image, cfg, want_record=False)
+        res = forward(params, image, cfg)
         tape.backward(ad.slice_cols(res.logits, target_class, target_class + 1))
         grads = tape.grad(res.tokens)[1:]
     weights = np.maximum((grads * res.tokens.data[1:]).mean(axis=1), 0.0)
@@ -486,7 +486,7 @@ class TestGradCamFrozenWeights:
         with monkeypatch.context() as m:
             m.setattr(Tape, "_record", counting_record)
             with Tape() as tape:
-                res = forward(params, image, cfg, want_record=False)
+                res = forward(params, image, cfg)
         with tape:
             target = ad.slice_cols(res.logits, 0, 1)
         return count[0], res, tape, tape.backward(target)
@@ -559,8 +559,7 @@ class TestOpCensus:
         monkeypatch.setattr(ad, "custom_op", counting_custom_op)
         cfg = ModelConfig()
         params = init_params(cfg)
-        forward(params, rng.random((cfg.image_h, cfg.image_w, cfg.channels)),
-                cfg, want_record=False)
+        forward(params, rng.random((cfg.image_h, cfg.image_w, cfg.channels)), cfg)
         assert sum(counts.values()) == 71
         assert counts == self.DEFAULT_FORWARD
         assert set(bench_forward_ops()) <= set(counts)
@@ -605,8 +604,7 @@ class TestOpCensus:
         monkeypatch.setattr(ad, "custom_op", recording_custom_op)
         cfg = ModelConfig()
         params = init_params(cfg)
-        forward(params, rng.random((cfg.image_h, cfg.image_w, cfg.channels)),
-                cfg, want_record=False)
+        forward(params, rng.random((cfg.image_h, cfg.image_w, cfg.channels)), cfg)
         assert len(inputs) == self.DEFAULT_FORWARD["transpose"]
         assert not {id(t) for t in inputs} & {id(t) for t in params.values()}
 
@@ -622,7 +620,7 @@ class TestOpCensus:
 
         monkeypatch.setattr(ad, "custom_op", counting_custom_op)
         image = np.random.default_rng(0).random((cfg.image_h, cfg.image_w, cfg.channels))
-        forward(init_params(cfg, dtype), image, cfg, want_record=False)
+        forward(init_params(cfg, dtype), image, cfg)
         return count[0]
 
     def test_large_benchmark_config_op_count(self, monkeypatch):
@@ -656,7 +654,7 @@ def test_benchmark_tracer_installs_and_restores_every_attribute():
         tracer.install()
         during = [dict(vars(owner)) for owner in owners]
         cfg = tiny_config()
-        lf.model.forward(init_params(cfg), np.zeros((8, 8, 1)), cfg, want_record=False)
+        lf.model.forward(init_params(cfg), np.zeros((8, 8, 1)), cfg)
     finally:
         tracer.uninstall()
     patched = {(i, k) for i, (b, d) in enumerate(zip(before, during))
@@ -669,21 +667,19 @@ def test_benchmark_tracer_installs_and_restores_every_attribute():
     assert all(a[k] is b[k] for b, a in zip(before, after) for k in b)
 
 
-class TestAttentionRecord:
+class TestAttentionMaps:
     def test_focus_map_is_head_mean_of_last_layer_scale0_cls_row(self, rng):
         cfg = tiny_config(layers=2, scales=2)
         res = forward(init_params(cfg), rng.random((8, 8, 1)), cfg)
-        assert [[len(head) for head in layer] for layer in res.record.attn] == \
+        assert [[len(head) for head in layer] for layer in res.attn] == \
                [[cfg.scales] * cfg.heads] * cfg.layers
-        row = np.mean([head[0][0, 1:] for head in res.record.attn[-1]], axis=0)
-        np.testing.assert_allclose(res.record.focus_map.ravel(), row / row.sum(),
-                                   rtol=1e-12)
-        assert np.array_equal(res.focus.data.ravel(), res.record.focus_map.ravel())
+        row = np.mean([head[0].data[0, 1:] for head in res.attn[-1]], axis=0)
+        np.testing.assert_allclose(res.focus.data.ravel(), row / row.sum(), rtol=1e-12)
         # each head's patch columns, added up, then the mean and the
         # renormalisation, in the order and with the floats of the ops
         acc = None
-        for head in res.record.attn[-1]:
-            row = head[0][..., 1:].copy()
+        for head in res.attn[-1]:
+            row = head[0].data[..., 1:].copy()
             acc = row if acc is None else acc + row
         acc = acc * (1.0 / cfg.heads)
         assert np.array_equal(res.focus.data, acc / acc.sum(axis=(-2, -1), keepdims=True))
@@ -691,8 +687,7 @@ class TestAttentionRecord:
     def test_no_layers_means_no_focus(self, rng):
         cfg = tiny_config(layers=0)
         res = forward(init_params(cfg), rng.random((8, 8, 1)), cfg)
-        assert res.focus is None
-        assert res.record.attn == [] and res.record.focus_map is None
+        assert res.focus is None and res.attn == []
 
 
 class TestStackedForward:
@@ -716,12 +711,10 @@ class TestStackedForward:
                 continue
             assert res.focus.shape == (3, 1, cfg.num_patches)
             np.testing.assert_allclose(res.focus.data[i], one.focus.data, rtol=1e-12)
-            np.testing.assert_allclose(res.record.focus_map[i], one.record.focus_map,
-                                       rtol=1e-12)
-            for layer, one_layer in zip(res.record.attn, one.record.attn):
+            for layer, one_layer in zip(res.attn, one.attn):
                 for head, one_head in zip(layer, one_layer):
                     for a, one_a in zip(head, one_head):
-                        np.testing.assert_allclose(a[i], one_a, rtol=1e-12)
+                        np.testing.assert_allclose(a.data[i], one_a.data, rtol=1e-12)
 
     def test_patchify_stack_is_per_image_patchify(self, rng):
         cfg = tiny_config(patch=2, channels=3)
@@ -736,7 +729,7 @@ class TestStackedForward:
 
         def grads(imgs):
             with Tape() as tape:
-                res = forward(p, imgs, cfg, want_record=False)
+                res = forward(p, imgs, cfg)
                 tape.backward(ad.sum_all(ad.reshape(ad.mul(res.probs, res.probs), (1, -1))))
                 return {k: tape.grad(v).copy() for k, v in p.items()}
 

@@ -348,49 +348,34 @@ class TestResume:
 
 
 class TestConfigCodec:
-    def test_removed_fields_in_old_header_are_ignored(self, tmp_path,
-                                                      tiny_config):
+    @staticmethod
+    def with_removed_field(tmp_path, tiny_config, before, line):
+        """A checkpoint whose header has ``line`` inserted before ``before``."""
         params, mc, tc, _ = fresh(tiny_config)
         path = tmp_path / "new.ckpt"
         save_checkpoint(path, Checkpoint(mc, tc, params, init_adam(params), step=0))
         raw = path.read_bytes()
         (hlen,) = struct.unpack_from("<I", raw, 8)
-        header = raw[12:12 + hlen].replace(
-            b"train.eval_fraction=",
-            b"train.eval_every=0\ntrain.dynamic_weights=true\ntrain.eval_fraction=")
+        header = raw[12:12 + hlen].replace(before, line + before)
         old = tmp_path / "old.ckpt"
         old.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header
                         + raw[12 + hlen:])
-        back = load_checkpoint(old)
-        assert back.train_config == tc and back.model_config == mc
-        again = tmp_path / "again.ckpt"
-        save_checkpoint(again, back)
-        assert b"eval_every" not in again.read_bytes()
-        assert b"dynamic_weights" not in again.read_bytes()
-        assert again.read_bytes() == raw
+        return old
+
+    def test_removed_fields_in_old_header_are_rejected(self, tmp_path, tiny_config):
+        # a header holds exactly the keys save_checkpoint writes
+        old = self.with_removed_field(
+            tmp_path, tiny_config, b"train.eval_fraction=",
+            b"train.eval_every=0\ntrain.dynamic_weights=true\n")
+        with pytest.raises(CheckpointError, match="unknown key 'train.eval_every'"):
+            load_checkpoint(old)
 
     @pytest.mark.parametrize("value", [b"true", b"false"])
-    def test_removed_literal_multiscale_only_loads_when_false(self, tmp_path,
-                                                              tiny_config, value):
-        # =true named a model that attended unpooled keys at every scale;
-        # loading it as a pooled model would silently change its outputs
-        params, mc, tc, _ = fresh(tiny_config)
-        path = tmp_path / "new.ckpt"
-        save_checkpoint(path, Checkpoint(mc, tc, params, init_adam(params), step=0))
-        raw = path.read_bytes()
-        (hlen,) = struct.unpack_from("<I", raw, 8)
-        header = raw[12:12 + hlen].replace(
-            b"model.seed=", b"model.literal_multiscale=" + value + b"\nmodel.seed=")
-        old = tmp_path / "old.ckpt"
-        old.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header
-                        + raw[12 + hlen:])
-        if value == b"true":
-            with pytest.raises(CheckpointError, match="model.literal_multiscale"):
-                load_checkpoint(old)
-            return
-        again = tmp_path / "again.ckpt"
-        save_checkpoint(again, load_checkpoint(old))
-        assert again.read_bytes() == raw
+    def test_removed_literal_multiscale_is_rejected(self, tmp_path, tiny_config, value):
+        old = self.with_removed_field(tmp_path, tiny_config, b"model.seed=",
+                                      b"model.literal_multiscale=" + value + b"\n")
+        with pytest.raises(CheckpointError, match="model.literal_multiscale"):
+            load_checkpoint(old)
 
     @staticmethod
     def field_values(cls):
@@ -437,7 +422,7 @@ def per_image_step_reference(params, mc, tc, batch, weights):
     with ad.Tape() as tape:
         rows, grids, masks = [], [], []
         for s in batch:
-            res = forward(params, s.image, mc, want_record=False)
+            res = forward(params, s.image, mc)
             rows.append(res.probs)
             if s.mask is not None:
                 grids.append(ad.reshape(res.focus, (g, g)))

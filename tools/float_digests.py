@@ -111,8 +111,9 @@ def config_digests(name, model_cfg, dtype, batch):
     image = held_out[0].image
     res = model.forward(params, image, model_cfg)
     out.append((f"{name}.image.probs", digest(res.probs.data)))
-    if res.record.focus_map is not None:
-        out.append((f"{name}.image.focus_map", digest(res.record.focus_map)))
+    if res.focus is not None:
+        G = model_cfg.grid_side
+        out.append((f"{name}.image.focus_map", digest(res.focus.data.reshape(G, G))))
     for k in range(model_cfg.classes):
         grid, _ = model.grad_cam(params, image, k, model_cfg)
         out.append((f"{name}.gradcam.class{k}", digest(grid)))
