@@ -103,6 +103,8 @@ def cmd_train(args):
         raise UsageError(str(e)) from None
     if args.dump_config:
         print("\n".join(config_lines("model", model_cfg) + config_lines("train", train_cfg)))
+    if not Path(args.out).parent.is_dir():  # found now, not after the last epoch
+        raise FileNotFoundError(f"no directory for --out {args.out}")
     samples = load_samples(args.data, (model_cfg.image_h, model_cfg.image_w),
                            model_cfg.channels, model_cfg.classes)
     train_set, eval_set = split_samples(samples, train_cfg.eval_fraction,

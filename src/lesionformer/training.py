@@ -7,11 +7,13 @@ checkpoint therefore only needs the global step counter.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
+import os
 import struct
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, zip_longest
 
 import numpy as np
 
@@ -267,35 +269,58 @@ def set_field(cfg, name, raw):
     setattr(cfg, name, value)
 
 
+def _header(model_cfg, train_cfg, step, opt_t, n_arrays):
+    """The checkpoint header: ``key=value`` lines, each ended by a newline."""
+    lines = [f"format_version={FORMAT_VERSION}", f"dtype={train_cfg.dtype}",
+             f"step={step}", f"opt_t={opt_t}", f"n_arrays={n_arrays}",
+             *config_lines("model", model_cfg), *config_lines("train", train_cfg)]
+    return "".join(line + "\n" for line in lines)
+
+
+def _layout(shapes, moments):
+    """``(name, shape)`` of each array a checkpoint holds, in file order: the
+    parameters in ``shapes`` order, then, with ``moments``, each parameter's
+    ``opt.m.`` and ``opt.v.`` moments."""
+    layout = list(shapes.items())
+    if moments:
+        layout += [(f"opt.{m}.{name}", shape) for name, shape in shapes.items()
+                   for m in "mv"]
+    return layout
+
+
+def _frame(name, count):
+    """The bytes before an array's floats: the length-prefixed UTF-8 name and
+    the 8-byte element count."""
+    nb = name.encode("utf-8")
+    return struct.pack("<I", len(nb)) + nb + struct.pack("<Q", count)
+
+
 def save_checkpoint(path, ckpt: Checkpoint):
     """Container: magic, length-prefixed key=value header, then per array a
     length-prefixed name, an 8-byte little-endian count, and raw
-    little-endian floats at the configured width."""
+    little-endian floats at the configured width; written to ``<path>.tmp``,
+    then renamed onto ``path``, so that a failed save leaves ``path`` as it was."""
     dtype = np.dtype(ckpt.train_config.np_dtype).newbyteorder("<")
-    arrays = [(name, t.data) for name, t in ckpt.params.items()]
-    if ckpt.opt is not None:
-        for name in ckpt.params:
-            arrays.append((f"opt.m.{name}", ckpt.opt.m[name]))
-            arrays.append((f"opt.v.{name}", ckpt.opt.v[name]))
-    header_lines = [
-        f"format_version={FORMAT_VERSION}",
-        f"dtype={ckpt.train_config.dtype}",
-        f"step={ckpt.step}",
-        f"opt_t={ckpt.opt.t if ckpt.opt is not None else -1}",
-        f"n_arrays={len(arrays)}",
-    ]
-    header_lines += config_lines("model", ckpt.model_config)
-    header_lines += config_lines("train", ckpt.train_config)
-    header = ("\n".join(header_lines) + "\n").encode("utf-8")
+    shapes, opt = param_shapes(ckpt.model_config), ckpt.opt
+    arrays = [ckpt.params[name].data for name in shapes]
+    if opt is not None:
+        arrays += [moments[name] for name in shapes for moments in (opt.m, opt.v)]
+    layout = _layout(shapes, opt is not None)
+    header = _header(ckpt.model_config, ckpt.train_config, ckpt.step,
+                     opt.t if opt is not None else -1, len(layout)).encode("utf-8")
     parts = [MAGIC, struct.pack("<I", len(header)), header]
-    for name, arr in arrays:
-        nb = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<Q", arr.size))
+    for (name, _), arr in zip(layout, arrays):
+        parts.append(_frame(name, arr.size))
         parts.append(np.ascontiguousarray(arr).astype(dtype).tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _short(n):
@@ -306,6 +331,8 @@ def _short(n):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read the config values, ``step``, ``opt_t`` and the floats; every other
+    byte must be the one :func:`save_checkpoint` writes for them."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != MAGIC:
@@ -316,11 +343,8 @@ def load_checkpoint(path) -> Checkpoint:
     if 12 + hlen > len(raw):
         raise CheckpointError(f"truncated header: need {hlen} bytes")
     try:
-        kv = {}
-        for line in raw[12:12 + hlen].decode("utf-8").splitlines():
-            if line:
-                k, _, v = line.partition("=")
-                kv[k] = v
+        header = raw[12:12 + hlen].decode("utf-8")
+        kv = dict(line.partition("=")[::2] for line in header.split("\n"))
         version = kv["format_version"]
         if int(version) != FORMAT_VERSION:
             layout = ("stores patch_proj.w, mlp.w1, mlp.w2 and head.w (out, in)"
@@ -328,74 +352,47 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError(f"format version {version} {layout}; this code reads "
                              f"version {FORMAT_VERSION}: retrain")
         model_cfg, train_cfg = ModelConfig(), TrainConfig()
-        fields = {f"{prefix}.{f.name}": (cfg, f.name)
-                  for prefix, cfg in (("model", model_cfg), ("train", train_cfg))
-                  for f in dataclasses.fields(cfg)}
-        for k in kv:  # exactly the keys save_checkpoint writes
-            if k not in fields and k not in ("format_version", "dtype", "step",
-                                             "opt_t", "n_arrays"):
-                raise ValueError(f"unknown key {k!r}")
-        for key, (cfg, name) in fields.items():
-            set_field(cfg, name, kv[key])
+        for prefix, cfg in (("model", model_cfg), ("train", train_cfg)):
+            for f in dataclasses.fields(cfg):
+                set_field(cfg, f.name, kv[f"{prefix}.{f.name}"])
         model_cfg.validate()
         train_cfg.validate()
-        step, opt_t, n_arrays = int(kv["step"]), int(kv["opt_t"]), int(kv["n_arrays"])
+        step, opt_t = int(kv["step"]), int(kv["opt_t"])
         if opt_t < -1:
             raise ValueError(f"opt_t must be >= -1 (-1: no optimizer state), got {opt_t}")
     except KeyError as e:
         raise CheckpointError(f"checkpoint header missing {e.args[0]}") from None
     except ValueError as e:  # also a header that is not UTF-8
         raise CheckpointError(f"bad checkpoint header: {e}") from None
+    shapes = param_shapes(model_cfg)
+    layout = _layout(shapes, opt_t >= 0)
+    expected = _header(model_cfg, train_cfg, step, opt_t, len(layout))
+    if header != expected:
+        line, want, got = next((i, w, g) for i, (w, g) in enumerate(
+            zip_longest(expected.split("\n"), header.split("\n")), 1) if w != g)
+        raise CheckpointError(f"checkpoint header line {line}: expected {want!r}, "
+                              f"got {got!r}")
     dtype = np.dtype(train_cfg.np_dtype).newbyteorder("<")
     pos = 12 + hlen
-    arrays = {}
-    try:
-        for _ in range(n_arrays):
-            (nlen,) = struct.unpack_from("<I", raw, pos)
-            pos += 4
-            name = raw[pos:pos + nlen].decode("utf-8")
-            if name in arrays:
-                raise CheckpointError(f"duplicate array {name}")
-            pos += nlen
-            (count,) = struct.unpack_from("<Q", raw, pos)
-            pos += 8
-            nbytes = count * dtype.itemsize
-            if pos + nbytes > len(raw):
-                raise CheckpointError(f"truncated array {name}: need {nbytes} bytes")
-            # a read-only view; take() copies it out in the run's dtype
-            arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=pos)
-            pos += nbytes
-    except struct.error:
-        # a cut inside a name length, a name or a count leaves a field short
-        raise CheckpointError(f"truncated checkpoint: ends inside an array field at byte {len(raw)}") from None
-    except UnicodeDecodeError as e:
-        raise CheckpointError(f"array name at byte {pos} is not UTF-8 ({e.reason})") from None
+    arrays = []
+    for name, shape in layout:
+        count = math.prod(shape)
+        start = pos + len(_frame(name, 0))
+        end = start + count * dtype.itemsize
+        # the size test first: it also refuses a count past 64 bits, which
+        # has no frame, before anything is allocated
+        if end > len(raw) or raw[pos:start] != _frame(name, count):
+            raise CheckpointError(f"byte {pos} of {len(raw)}: expected array {name} "
+                                  f"of {_short(count)} elements")
+        arrays.append(np.frombuffer(raw, dtype, count, start).reshape(shape)
+                      .astype(train_cfg.np_dtype))
+        pos = end
     if pos != len(raw):
         raise CheckpointError(f"{len(raw) - pos} trailing bytes after the last array")
-
-    # shapes come from the config, counts are validated against it; every
-    # array is read exactly once
-    shapes = param_shapes(model_cfg)
-
-    def take(key, what, shape):
-        flat = arrays.pop(key, None)
-        if flat is None:
-            raise CheckpointError(f"checkpoint missing {what} {key}")
-        size = math.prod(shape)
-        if flat.size != size:
-            raise CheckpointError(f"{what} {key}: expected {_short(size)} elements, "
-                                  f"got {flat.size}")
-        return flat.reshape(shape).astype(train_cfg.np_dtype)
-
-    params = {name: Tensor(take(name, "parameter", shape), requires_grad=True)
-              for name, shape in shapes.items()}
-    opt = None
-    if opt_t >= 0:
-        opt = AdamState(m={}, v={}, t=opt_t)
-        for name, shape in shapes.items():
-            for moment, store in (("m", opt.m), ("v", opt.v)):
-                store[name] = take(f"opt.{moment}.{name}", "optimizer array", shape)
-    if arrays:
-        raise CheckpointError(f"unexpected array {next(iter(arrays))} (opt_t={opt_t})")
+    n = len(shapes)
+    params = {name: Tensor(a, requires_grad=True) for name, a in zip(shapes, arrays)}
+    opt = (AdamState(m=dict(zip(shapes, arrays[n::2])),
+                     v=dict(zip(shapes, arrays[n + 1::2])), t=opt_t)
+           if opt_t >= 0 else None)
     return Checkpoint(model_config=model_cfg, train_config=train_cfg,
                       params=params, opt=opt, step=step)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lesionformer import training
 from lesionformer.cli import main, parse_configs
 from lesionformer.data import read_manifest, read_netpbm, write_netpbm
 from lesionformer.model import ModelConfig, init_params
@@ -150,6 +151,20 @@ class TestTrain:
                            str(tmp_path / "nope.csv"), "--out",
                            str(tmp_path / "m.ckpt"))
         assert code == 2 and "data error" in err
+
+    def test_missing_out_directory_is_data_error_before_any_step(
+            self, dataset, tmp_path, capsys, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a train step ran")
+
+        monkeypatch.setattr(training, "train_step", no_step)
+        log = tmp_path / "train.log"
+        code, _, err = run(capsys, "train", "--data", str(dataset / "manifest.csv"),
+                           "--out", str(tmp_path / "nodir" / "m.ckpt"),
+                           "--log", str(log), *SMALL)
+        assert_one_line_error(code, err, 2, "data error")
+        assert "nodir" in err
+        assert not log.exists()
 
 
 class TestEval:
@@ -359,6 +374,21 @@ class TestMalformedHeader:
                            str(dataset / "manifest.csv"), "--ckpt", str(bad))
         assert_one_line_error(code, err, 2, "data error")
 
+    @pytest.mark.parametrize("key, value", [
+        # the arrays are float64, as train.dtype says
+        (b"dtype", b"float32"),
+        # the same values, spelled as save_checkpoint does not spell them
+        (b"train.learning_rate", b"3e-4"), (b"model.mlp_ratio", b"2.00")])
+    def test_line_save_checkpoint_would_not_write_is_named(self, dataset, trained,
+                                                           tmp_path, capsys, key, value):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(with_header(trained.read_bytes(), lambda h: re.sub(
+            rb"(?m)^" + re.escape(key) + rb"=.*$", key + b"=" + value, h)))
+        code, _, err = run(capsys, "eval", "--data",
+                           str(dataset / "manifest.csv"), "--ckpt", str(bad))
+        assert_one_line_error(code, err, 2, "data error")
+        assert key.decode() + "=" in err
+
     def test_format_version_1_names_its_weight_layout(self, dataset, trained, tmp_path,
                                                      capsys):
         bad = tmp_path / "v1.ckpt"
@@ -398,16 +428,15 @@ class TestCheckpointArraySet:
         if case == "junk":
             bad = self.appended(raw, struct.pack("<I", 4) + b"junk"
                                 + struct.pack("<Qd", 1, 0.0))
-            message = "unexpected array junk"
         else:
             bad = self.appended(raw, self.first_record(raw))
-            message = "duplicate array patch_proj.w"
         path = tmp_path / "bad.ckpt"
         path.write_bytes(bad)
         code, _, err = run(capsys, "eval", "--data", str(dataset / "manifest.csv"),
                            "--ckpt", str(path))
         assert_one_line_error(code, err, 2, "data error")
-        assert message in err
+        # the bumped n_arrays is the first byte save_checkpoint would not write
+        assert "n_arrays" in err
 
 
 class TestHeaderShapesBeforeAllocation:
@@ -509,7 +538,7 @@ class TestOneLineAborts:
         # the config is valid, but the MLP width it implies has 300 digits
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(with_header(trained.read_bytes(), lambda h: re.sub(
-            rb"(?m)^model\.mlp_ratio=.*$", b"model.mlp_ratio=1e300", h)))
+            rb"(?m)^model\.mlp_ratio=.*$", b"model.mlp_ratio=1e+300", h)))
         code, _, err = run(capsys, "eval", "--data",
                            str(dataset / "manifest.csv"), "--ckpt", str(bad))
         assert_one_line_error(code, err, 2, "data error")
@@ -595,7 +624,7 @@ class TestUnreadableInputs:
         code, _, err = run(capsys, "eval", "--data", str(dataset / "manifest.csv"),
                            "--ckpt", str(bad))
         assert_one_line_error(code, err, 2, "data error")
-        assert "not UTF-8" in err
+        assert "patch_proj.w" in err
 
     def test_checkpoint_optimizer_array_of_wrong_size(self, dataset, trained,
                                                        tmp_path, capsys):
@@ -619,7 +648,7 @@ class TestUnreadableInputs:
         code, _, err = run(capsys, "eval", "--data", str(dataset / "manifest.csv"),
                            "--ckpt", str(bad))
         assert_one_line_error(code, err, 2, "data error")
-        assert "optimizer array" in err
+        assert "opt.v.head.b" in err
 
     def test_channel_count_the_images_cannot_take(self, dataset, tmp_path, capsys):
         code, _, err = self.train(capsys, dataset / "manifest.csv", tmp_path,

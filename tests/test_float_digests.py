@@ -1,10 +1,13 @@
 """Smoke test of ``tools/float_digests.py`` on the tiny config."""
 
+import dataclasses
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import tiny_config
 
@@ -47,3 +50,24 @@ def test_a_digest_tells_signed_zeros_and_shapes_apart():
 def test_a_tree_without_the_package_is_refused(tmp_path, capsys):
     assert load_tool().main([str(tmp_path)]) == 2
     assert "no lesionformer package" in capsys.readouterr().err
+
+
+def test_a_checkpoint_that_loads_back_changed_exits_3_naming_the_config(monkeypatch,
+                                                                         capsys):
+    from lesionformer import training
+    tool = load_tool()
+    load = training.load_checkpoint
+
+    def load_with_one_moment_changed(path):
+        ckpt = load(path)
+        next(iter(ckpt.opt.v.values()))[...] += 1.0
+        return ckpt
+
+    monkeypatch.setattr(training, "load_checkpoint", load_with_one_moment_changed)
+    monkeypatch.setattr(tool, "CONFIGS", {"tiny": (dataclasses.asdict(tiny_config()),
+                                                   "float64", 4)})
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert tool.main([str(TOOL.parent.parent)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("float_digests: tiny: ")

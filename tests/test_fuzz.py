@@ -3,8 +3,11 @@
 Each test starts from a file the matching writer produced, truncates it,
 flips one byte or inserts one, and asserts that the parser either succeeds
 or raises its own documented error type (or ``OSError``), never anything
-else.
+else. A checkpoint header edited line by line must raise ``CheckpointError``.
 """
+
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -97,3 +100,58 @@ def test_read_manifest_raises_only_manifest_errors(data, manifest_files, workdir
 def test_load_checkpoint_raises_only_checkpoint_errors(data, checkpoint_files, workdir):
     parses_or_raises(load_checkpoint, workdir / "fuzz.ckpt",
                      data.draw(edited(checkpoint_files)), (CheckpointError,))
+
+
+def respellings(value):
+    """Texts other than ``value`` that ``int`` or ``float``, whichever reads
+    ``value``, reads as the same number; none for a value that is not one."""
+    kind = int if re.fullmatch(r"-?\d+", value) else float
+    try:
+        number = kind(value)
+    except ValueError:
+        return []
+    out = []
+    for text in (" " + value, value + " ", "+" + value, "0" + value, value + "0",
+                 f"{number:.0e}", f"{number:.17e}"):
+        try:
+            if text != value and kind(text) == number:
+                out.append(text)
+        except ValueError:
+            pass
+    return out
+
+
+@st.composite
+def header_edited(draw, files):
+    """One of ``files`` with one header line dropped, duplicated, swapped with
+    another or re-spelled to the same number."""
+    raw = draw(st.sampled_from(files))
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    lines = raw[12:12 + hlen].decode("utf-8").splitlines()
+    kind = draw(st.sampled_from(["drop", "duplicate", "swap", "respell"]))
+    if kind == "respell":
+        i = draw(st.sampled_from([k for k, line in enumerate(lines)
+                                  if respellings(line.partition("=")[2])]))
+        key, _, value = lines[i].partition("=")
+        lines[i] = f"{key}={draw(st.sampled_from(respellings(value)))}"
+    else:
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        else:
+            j = draw(st.integers(0, len(lines) - 2))
+            j += j >= i
+            lines[i], lines[j] = lines[j], lines[i]
+    header = "".join(line + "\n" for line in lines).encode("utf-8")
+    return raw[:8] + struct.pack("<I", len(header)) + header + raw[12 + hlen:]
+
+
+@given(data=st.data())
+def test_load_checkpoint_refuses_every_header_save_checkpoint_would_not_write(
+        data, checkpoint_files, workdir):
+    path = workdir / "header.ckpt"
+    path.write_bytes(data.draw(header_edited(checkpoint_files)))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)

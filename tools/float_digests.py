@@ -9,7 +9,9 @@ Imports ``lesionformer`` from ``PATH_TO_TREE/src`` and prints one
 - the gradients of the first train step;
 - the losses of six train steps on one batch, one image of it unmasked;
 - the parameters and Adam moments after those steps;
-- the bytes of a checkpoint of them;
+- the bytes of a checkpoint of them, which must load back to the same
+  arrays and save again to the same bytes (else the tool exits 3 naming
+  the config);
 - ``evaluate``'s probabilities on four held-out images;
 - one held-out image's probabilities and focus map;
 - its Grad-CAM grid for every class.
@@ -53,6 +55,10 @@ CONFIGS = {
     "no-layers": (dict(layers=0), "float64", 8),
     "one-layer-two-heads": (dict(layers=1, heads=2), "float64", 8),
 }
+
+
+class RoundTripError(Exception):
+    """A checkpoint that does not load back to the arrays and bytes saved."""
 
 
 def digest(arr) -> str:
@@ -105,7 +111,18 @@ def config_digests(name, model_cfg, dtype, batch):
         path = Path(tmp) / "model.ckpt"
         training.save_checkpoint(path, training.Checkpoint(
             model_cfg, train_cfg, params, state, STEPS))
-        out.append((f"{name}.checkpoint", hashlib.sha256(path.read_bytes()).hexdigest()))
+        saved = path.read_bytes()
+        out.append((f"{name}.checkpoint", hashlib.sha256(saved).hexdigest()))
+        back = training.load_checkpoint(path)
+        training.save_checkpoint(path, back)
+        if path.read_bytes() != saved:
+            raise RoundTripError(f"{name}: checkpoint save -> load -> save changed its bytes")
+        for k, p in params.items():
+            for what, a, b in (("parameter", p.data, back.params[k].data),
+                               ("adam m", state.m[k], back.opt.m[k]),
+                               ("adam v", state.v[k], back.opt.v[k])):
+                if digest(a) != digest(b):
+                    raise RoundTripError(f"{name}: {what} {k} loads back changed")
     _, probs, _ = training.evaluate(params, model_cfg, held_out, strict_auc=False)
     out.append((f"{name}.eval.probs", digest(probs)))
     image = held_out[0].image
@@ -137,9 +154,13 @@ def main(argv=None) -> int:
         print(f"float_digests: lesionformer was already imported from "
               f"{lesionformer.__file__}", file=sys.stderr)
         return 2
-    for name, (overrides, dtype, batch) in CONFIGS.items():
-        for key, value in config_digests(name, ModelConfig(**overrides), dtype, batch):
-            print(key, value)
+    try:
+        for name, (overrides, dtype, batch) in CONFIGS.items():
+            for key, value in config_digests(name, ModelConfig(**overrides), dtype, batch):
+                print(key, value)
+    except RoundTripError as e:
+        print(f"float_digests: {e}", file=sys.stderr)
+        return 3
     return 0
 
 
