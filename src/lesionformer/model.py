@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .autodiff import (DimensionError, NumericError, Tape, Tensor, add,
+from .autodiff import (DimensionError, NumericError, Tape, Tensor, _new, add,
                        add_rowvec, all_finite, concat_cols, concat_rows,
                        div_by, gelu, layer_norm, matmul, multi_head_attention,
                        pool_grid, reshape, scale, scale_by, slice_cols,
@@ -165,7 +165,9 @@ def patchify(image: np.ndarray, cfg: ModelConfig) -> np.ndarray:
     gh, gw = cfg.image_h // P, cfg.image_w // P
     lead = image.shape[:-3]
     blocks = np.swapaxes(image.reshape(lead + (gh, P, gw, P, cfg.channels)), -4, -3)
-    return blocks.reshape(lead + (gh * gw, P * P * cfg.channels)).copy()
+    out = _new(lead + (gh * gw, P * P * cfg.channels), image.dtype)
+    np.copyto(out.reshape(blocks.shape), blocks)
+    return out
 
 
 def unpatchify(patches: np.ndarray, cfg: ModelConfig) -> np.ndarray:

@@ -18,7 +18,7 @@ from itertools import groupby, zip_longest
 import numpy as np
 
 from . import losses, metrics
-from .autodiff import NumericError, Tape, Tensor, reshape, slice_rows
+from .autodiff import NumericError, Tape, Tensor, Workspace, _new, reshape, slice_rows
 from .data import class_frequencies, mask_to_patch_grid
 from .model import ModelConfig, forward, param_shapes
 
@@ -178,29 +178,45 @@ def train(params: dict[str, Tensor], model_cfg: ModelConfig, train_cfg: TrainCon
     return logs, state
 
 
+# a train step's arrays, planned into one arena per thread and reused by
+# the thread's next step (see autodiff.Workspace)
+step_workspace = Workspace()
+
+
 def train_step(params: dict[str, Tensor], model_cfg: ModelConfig, train_cfg: TrainConfig,
                batch, state: AdamState, weights, lr):
     """One forward and one backward over the whole batch, then an Adam step.
 
     The regulariser takes one stack of focus maps per run of consecutive
     masked images; images without a mask, and a model without encoder
-    layers (so without a focus map), add nothing."""
+    layers (so without a focus map), add nothing. The step's arrays come
+    from the thread's ``step_workspace``, so the gradients handed to
+    :func:`adam_step` are valid until the thread's next step. The batch
+    size and whether the regulariser runs name the step's kind; the
+    regulariser's own ops, whose requests follow where the unmasked images
+    fall, run aside from the plan on small fresh arrays."""
     g, b = model_cfg.grid_side, len(batch)
     runs = [list(run) for masked, run in groupby(range(b), lambda i: batch[i].mask is not None)
             if masked]
-    with Tape() as tape:
-        res = forward(params, np.stack([s.image for s in batch]), model_cfg)
+    regularise = train_cfg.lambda_attn > 0 and bool(runs)
+    with Tape(step_workspace, (b, regularise)) as tape:
+        # no name holds the stacked images, so they are freed once forward returns
+        res = forward(params, np.stack([s.image for s in batch], out=_new(
+            (b,) + np.shape(batch[0].image), params["pos"].dtype)), model_cfg)
         l_ce = losses.weighted_cross_entropy(res.probs, [s.label for s in batch], weights)
-        l_attn = None
-        if train_cfg.lambda_attn > 0 and runs and res.focus is not None:
-            focus = reshape(res.focus, (b, model_cfg.num_patches))
-            focus_grids = [reshape(slice_rows(focus, run[0], run[-1] + 1), (len(run), g, g))
-                           for run in runs]
-            mask_grids = [mask_to_patch_grid(np.stack([batch[i].mask for i in run]),
-                                             model_cfg.patch) for run in runs]
-            l_attn = losses.attention_regularization(
-                focus_grids, mask_grids, train_cfg.attn_mode)
-        total, breakdown = losses.total_loss(l_ce, l_attn, train_cfg.lambda_attn)
+        with tape.aside():
+            l_attn = None
+            if regularise and res.focus is not None:
+                focus = reshape(res.focus, (b, model_cfg.num_patches))
+                focus_grids = [reshape(slice_rows(focus, run[0], run[-1] + 1), (len(run), g, g))
+                               for run in runs]
+                mask_grids = [mask_to_patch_grid(np.stack([batch[i].mask for i in run]),
+                                                 model_cfg.patch) for run in runs]
+                l_attn = losses.attention_regularization(
+                    focus_grids, mask_grids, train_cfg.attn_mode)
+            total, breakdown = losses.total_loss(l_ce, l_attn, train_cfg.lambda_attn)
+        # the forward's attention maps then die with their op's backward
+        del res
         tape.backward(total)
         grads = {name: tape.grad(p) for name, p in params.items()}
     adam_step(params, grads, state, train_cfg, lr)

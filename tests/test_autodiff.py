@@ -225,6 +225,34 @@ class TestBackward:
         with pytest.raises(NumericError), pytest.warns(RuntimeWarning, match="overflow"):
             ad.scale(t([[1e308]]), 1e308)
 
+    def test_a_second_backward_on_one_tape_is_refused(self, rng):
+        x = t(rng.standard_normal((2, 2)))
+        with Tape() as tape:
+            loss = ad.sum_all(ad.mul(x, x))
+            tape.backward(loss)
+            with pytest.raises(TapeError, match="^backward already ran on this tape$"):
+                tape.backward(loss)
+
+    def test_a_tensor_made_after_the_backward_has_no_gradient(self, rng):
+        # gradients are keyed by id: the tape keeps the tensors it saw, so
+        # a new tensor cannot take the id of one whose gradient it holds
+        x = t(rng.standard_normal((3, 2)))
+        with Tape() as tape:
+            tape.backward(ad.sum_all(ad.scale(ad.scale(x, 2.0), 3.0)))
+        held = [Tensor(np.ones((3, 2))) for _ in range(200)]  # each in a new place
+        assert all(np.array_equal(tape.grad(z), np.zeros((3, 2))) for z in held)
+
+    def test_intermediate_gradients_outlive_the_backward(self, rng):
+        # backward drops each record once it has run, but keeps every gradient
+        x = t(rng.standard_normal((3, 2)))
+        with Tape() as tape:
+            y = ad.scale(x, 3.0)
+            s = ad.sum_all(ad.mul(y, y))
+            tape.backward(s)
+            assert np.array_equal(tape.grad(s), [[1.0]])
+            assert np.array_equal(tape.grad(y), y.data + y.data)
+            assert np.array_equal(tape.grad(x), (y.data + y.data) * 3.0)
+
 
 class TestTapePerThread:
     def test_nested_tape_in_one_thread_rejected(self):
@@ -270,6 +298,183 @@ class TestTapePerThread:
         assert not errors, errors
         for got, want in zip(results, expected):
             assert all(np.array_equal(g, e) for g, e in zip(got, want))
+
+
+class TestWorkspace:
+    """A tape opened on a workspace takes its arrays from one planned arena
+    once a kind of step has been recorded."""
+
+    @staticmethod
+    def step(x, w, workspace=None, kind=None):
+        with Tape(workspace, kind) as tape:
+            h = ad.gelu(ad.matmul(x, ad.transpose(w)))
+            tape.backward(ad.sum_all(ad.mul(h, ad.add(h, x))))
+            return tape.grad(w)
+
+    @staticmethod
+    def inputs(rng, rows):
+        return t(rng.standard_normal((rows, 16)), grad=False), t(rng.standard_normal((16, 16)))
+
+    def test_a_repeated_step_runs_in_the_arena_with_the_plain_bits(self, rng):
+        ws = ad.Workspace()
+        x, w = self.inputs(rng, 8)
+        want = self.step(x, w).tobytes()
+        assert self.step(x, w, ws).tobytes() == want  # the kind's first step records
+        assert ws.nbytes > 0
+        for _ in range(2):
+            g = self.step(x, w, ws)
+            assert np.shares_memory(g, ws._arena)
+            assert g.tobytes() == want
+            del g
+
+    def test_each_kind_of_step_keeps_its_plan(self, rng):
+        ws = ad.Workspace()
+        fresh = 0
+        for rows in (8, 8, 5, 5, 8, 5, 3, 3, 5, 8, 3, 8):
+            x, w = self.inputs(rng, rows)
+            g = self.step(x, w, ws, rows)
+            assert g.tobytes() == self.step(x, w).tobytes()
+            fresh += not np.shares_memory(g, ws._arena)
+            del g
+        assert fresh == 3  # each kind's first step, which records
+
+    def test_a_step_that_leaves_its_plan_gets_fresh_arrays_and_the_next_records(self, rng):
+        ws = ad.Workspace()
+        fresh = 0
+        for rows in (8, 8, 5, 5, 5, 8, 8, 8):  # all of one kind
+            x, w = self.inputs(rng, rows)
+            g = self.step(x, w, ws)
+            assert g.tobytes() == self.step(x, w).tobytes()
+            fresh += not np.shares_memory(g, ws._arena)
+            del g
+        # the recording, a step that leaves, a recording, a step that
+        # leaves, a recording
+        assert fresh == 5
+
+    def test_other_ops_on_arrays_of_the_same_shapes_leave_the_plan(self, rng):
+        ws = ad.Workspace()
+        x, w = self.inputs(rng, 8)
+        a = t(rng.standard_normal((8, 16)), grad=False)
+
+        def step(extra, workspace=None):
+            with Tape(workspace) as tape:
+                h = ad.gelu(ad.matmul(x, ad.transpose(w)))
+                if extra:  # every request of these ops has the shape of the next ones
+                    h = ad.mul(h, ad.gelu(ad.add(h, a)))
+                tape.backward(ad.sum_all(ad.mul(h, ad.add(h, x))))
+                return tape.grad(w)
+
+        want = {e: step(e).tobytes() for e in (False, True)}
+        for extra in (False, False, True, True, False, True):
+            assert step(extra, ws).tobytes() == want[extra]
+
+    def test_repeated_steps_build_their_views_once(self, rng, monkeypatch):
+        builds, build = [], ad.Workspace._build
+        monkeypatch.setattr(ad.Workspace, "_build",
+                            lambda ws, plans: builds.append(plans) or build(ws, plans))
+        ws = ad.Workspace()
+        x, w = self.inputs(rng, 8)
+        for _ in range(6):
+            self.step(x, w, ws)
+            self.step(x, w)  # a plain tape between them
+        assert len(builds) == 1
+
+    def test_an_array_kept_past_its_step_is_left_alone(self, rng):
+        ws = ad.Workspace()
+        x, w = self.inputs(rng, 8)
+        self.step(x, w, ws)
+        kept = self.step(x, w, ws)
+        arena, before = ws._arena, kept.tobytes()
+        y, v = self.inputs(rng, 8)
+        assert self.step(y, v, ws).tobytes() == self.step(y, v).tobytes()
+        assert kept.tobytes() == before
+        assert ws._arena is not arena
+
+    def test_a_reused_array_has_the_fresh_arrays_layout(self, rng):
+        # transpose hands back a column-major gradient: its sum with another
+        # one, and scale's gradient of it, are column-major when fresh too
+        x = t(rng.standard_normal((3, 6, 5)))
+
+        def grad(workspace=None):
+            with Tape(workspace) as tape:
+                y = ad.scale(x, 2.0)
+                a, b = ad.transpose(y), ad.transpose(y)
+                tape.backward(ad.sum_all(ad.reshape(ad.mul(ad.gelu(a), b), (1, -1))))
+                return tape.grad(x)
+
+        want = grad()
+        assert not want.flags.c_contiguous
+        ws = ad.Workspace()
+        for _ in range(3):
+            got = grad(ws)
+            assert got.strides == want.strides and np.array_equal(got, want)
+        assert np.shares_memory(got, ws._arena)
+
+    def test_threads_have_their_own_arenas(self, rng):
+        ws, arenas = ad.Workspace(), []
+        x, w = self.inputs(rng, 8)
+
+        def work():
+            for _ in range(3):
+                self.step(x, w, ws)
+            arenas.append(ws._arena)
+
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+        assert len(arenas) == 2 and arenas[0] is not arenas[1]
+        assert ws.nbytes == 0  # this thread never stepped
+
+    @given(st.lists(st.tuples(st.integers(0, 300), st.integers(1, 6)), min_size=1,
+                    max_size=40))
+    def test_a_plan_never_gives_two_live_requests_one_byte(self, requests):
+        n = len(requests)
+        sizes = [size for size, _ in requests]
+        deaths = [min(n, i + span) for i, (_, span) in enumerate(requests)]
+        offsets = ad._plan(sizes, deaths)
+        assert all(o % ad._ALIGN == 0 for o in offsets)
+        for i in range(len(sizes)):
+            for j in range(i + 1, min(deaths[i], len(sizes))):
+                assert (offsets[i] + sizes[i] <= offsets[j]
+                        or offsets[j] + sizes[j] <= offsets[i])
+
+    def test_a_dropped_gradient_is_refused_and_a_leaf_kept(self, rng):
+        x = t(rng.standard_normal((3, 2)))
+        unused = t(rng.standard_normal((3, 2)))
+        with Tape(ad.Workspace()) as tape:
+            y = ad.scale(x, 3.0)
+            s = ad.sum_all(ad.mul(y, y))
+            tape.backward(s)
+            for dropped in (s, y):
+                with pytest.raises(TapeError, match="dropped"):
+                    tape.grad(dropped)
+            assert np.array_equal(tape.grad(x), (y.data + y.data) * 3.0)
+            assert np.array_equal(tape.grad(unused), np.zeros((3, 2)))
+
+    def test_ops_run_aside_may_vary_within_a_kind(self, rng):
+        # the requests of the ops aside are no part of the plan, so the
+        # other requests replay it whatever runs aside
+        ws = ad.Workspace()
+        x, w = self.inputs(rng, 8)
+
+        def step(parts, workspace=None):
+            with Tape(workspace) as tape:
+                h = ad.gelu(ad.matmul(x, ad.transpose(w)))
+                with tape.aside():
+                    loss = reduce(ad.add, (ad.sum_all(ad.mul(p, p)) for p in
+                                           (ad.slice_rows(h, lo, hi) for lo, hi in parts)))
+                tape.backward(loss)
+                return tape.grad(w)
+
+        for i, parts in enumerate(([(0, 8)], [(0, 3), (3, 8)], [(0, 1), (1, 5), (6, 8)],
+                                   [(0, 8)])):
+            got = step(parts, ws)
+            assert got.tobytes() == step(parts).tobytes()
+            assert np.shares_memory(got, ws._arena) == (i > 0)  # the first step records
+            del got
 
 
 class TestFiniteDifferenceCheck:
@@ -1098,29 +1303,36 @@ class TestMultiHeadAttention:
 
 
 class TestBackwardScratch:
-    """The op's backward keeps its stacked temporaries in a per-thread
-    scratch that it reuses; what it hands back must not live there."""
+    """The op's backward takes its stacked temporaries from ``_new``, as it
+    takes the gradients it returns, so a train step plans them into its
+    workspace; what it hands back must not share bytes with them."""
 
     @staticmethod
-    def gradients(rng, lead=(2,), dtype=np.float64):
+    def gradients(rng, lead=(2,), dtype=np.float64, workspace=None):
         """The op's gradients of q, kt and v on fresh random inputs."""
         q, kt, v = (Tensor(rng.standard_normal(lead + s).astype(dtype), requires_grad=True)
                     for s in ((9, 8), (8, 5), (5, 8)))
-        with Tape() as tape:
+        with Tape(workspace) as tape:
             outs = ad.multi_head_attention(q, kt, v, 2, 0.5)
             tape.backward(reduce(ad.add, map(weighted_sum, outs)))
             return [tape.grad(x) for x in (q, kt, v)]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_no_gradient_shares_memory_with_the_scratch(self, head_groups, dtype, rng):
-        grads = self.gradients(rng, dtype=dtype)
-        buffers = list(ad._scratch.buffers.values())
-        assert {(role, dt) for role, dt in ad._scratch.buffers} >= {
-            ("out", np.dtype(dtype)), ("weights", np.dtype(dtype)),
-            ("softmax", np.dtype(dtype))}
+    def test_no_gradient_shares_memory_with_the_scratch(self, head_groups, dtype, rng,
+                                                        monkeypatch):
+        ws = ad.Workspace()
+        self.gradients(rng, dtype=dtype, workspace=ws)  # the kind's first step records
+        taken, new = [], ad._new
+        monkeypatch.setattr(ad, "_new", lambda shape, dt: taken.append(new(shape, dt))
+                            or taken[-1])
+        grads = self.gradients(rng, dtype=dtype, workspace=ws)
+        # the op's backward runs last; its gradients are its first requests
+        first = min(i for i, a in enumerate(taken) if any(a is g for g in grads))
+        temps = [a for a in taken[first:] if not any(a is g for g in grads)]
+        assert len(temps) >= 3
         for g in grads:
-            assert g.dtype == dtype
-            assert not any(np.shares_memory(g, buf) for buf in buffers)
+            assert g.dtype == dtype and np.shares_memory(g, ws._arena)
+            assert not any(np.shares_memory(g, a) for a in temps)
 
     def test_a_second_backward_leaves_the_first_gradients_as_they_were(
             self, head_groups, rng):
@@ -1131,14 +1343,15 @@ class TestBackwardScratch:
         assert [g.tobytes() for g in first] == before
 
     def test_threads_running_grad_cam_and_train_steps_give_the_serial_bytes(self):
-        # more threads than cores, switching often, each on its own parameters
+        # more threads than cores, switching often, each on its own parameters;
+        # one thread's batch size differs, so its steps' arrays differ too
         cfg, tcfg = model.ModelConfig(), TrainConfig()
         weights = losses.class_weights([0.5, 0.25, 0.25], tcfg.weight_epsilon)
-        seeds = (1, 2, 3)
+        runs = ((1, tcfg.batch_size), (2, tcfg.batch_size), (3, tcfg.batch_size), (4, 5))
 
-        def work(seed, barrier=None):
+        def work(seed, size, barrier=None):
             params = model.init_params(dataclasses.replace(cfg, seed=seed))
-            batch = synth_generate(tcfg.batch_size, SynthConfig(seed=seed))
+            batch = synth_generate(size, SynthConfig(seed=seed))
             state = init_adam(params)
             if barrier is not None:
                 barrier.wait(timeout=60)
@@ -1148,13 +1361,13 @@ class TestBackwardScratch:
                 train_step(params, cfg, tcfg, batch, state, weights, tcfg.learning_rate)
             return [a.tobytes() for a in got + [p.data for p in params.values()]]
 
-        serial = [work(seed) for seed in seeds]
-        barrier, results = threading.Barrier(len(seeds)), [None] * len(seeds)
+        serial = [work(*run) for run in runs]
+        barrier, results = threading.Barrier(len(runs)), [None] * len(runs)
 
         def run(i):
-            results[i] = work(seeds[i], barrier)
+            results[i] = work(*runs[i], barrier)
 
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(seeds))]
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(runs))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

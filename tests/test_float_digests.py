@@ -40,6 +40,24 @@ def test_tiny_config_digests_every_array_once_and_reproducibly():
                       "eval": 1, "image": 2, "gradcam": cfg.classes}
 
 
+def test_resized_run_digests_every_step_and_array_once_and_reproducibly():
+    tool = load_tool()
+    cfg = tiny_config()
+    steps = ((4, ()), (3, ()), (3, (1,)), (4, (0, 2)))
+    lines = tool.resize_digests("tiny", cfg, "float64", steps)
+    assert lines == tool.resize_digests("tiny", cfg, "float64", steps)
+    names = [name for name, _ in lines]
+    assert len(set(names)) == len(names)
+    groups = {}
+    for name in names:
+        kind = name.split(".")[1]
+        groups[kind] = groups.get(kind, 0) + 1
+    n_params = groups["param"]
+    assert n_params > 0
+    assert groups == {"loss": 4, "gradcam": 4, "param": n_params, "adam_m": n_params,
+                      "adam_v": n_params}
+
+
 def test_a_digest_tells_signed_zeros_and_shapes_apart():
     tool = load_tool()
     assert tool.digest(np.array([-0.0])) != tool.digest(np.array([0.0]))

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hypothesis.extra.numpy import arrays
 
 from lesionformer.autodiff import NumericError, Tensor
 from lesionformer.data import SynthConfig, Sample, synth_generate
-from lesionformer.model import ModelConfig, init_params
+from lesionformer.losses import class_weights
+from lesionformer.model import ModelConfig, grad_cam, init_params
 from lesionformer.training import (AdamState, Checkpoint, CheckpointError,
                                    MAGIC, TrainConfig, adam_step, evaluate,
                                    init_adam, load_checkpoint, save_checkpoint,
@@ -247,6 +250,81 @@ class TestTrainLoop:
         train_step(params, mc, tc, samples[:4], state, w, tc.learning_rate)
         for name in ("layer0.scale_logits", "layer0.wq", "layer0.wk", "layer0.wv"):
             assert not np.array_equal(params[name].data, before[name])
+
+
+def on_new_thread(fn, *args):
+    """``fn(*args)`` run on a new thread, which starts with an empty step
+    workspace."""
+    out = []
+    th = threading.Thread(target=lambda: out.append(fn(*args)))
+    th.start()
+    th.join(timeout=300)
+    assert not th.is_alive() and len(out) == 1
+    return out[0]
+
+
+class TestStepWorkspace:
+    """A thread's train steps plan their arrays into one reused arena."""
+
+    @staticmethod
+    def snapshot(params, state):
+        return [a.tobytes() for a in [p.data for p in params.values()]
+                + list(state.m.values()) + list(state.v.values())]
+
+    @pytest.mark.parametrize("unmasked", [(), (0, 3, 6)])
+    def test_a_third_default_step_allocates_under_a_megabyte(self, unmasked):
+        # the third step's images lack the masks at ``unmasked``: its
+        # regulariser differs from the first two steps', its plan does not
+        mc, tc = ModelConfig(), TrainConfig()
+        params = init_params(mc)
+        batch = synth_generate(tc.batch_size, SynthConfig(seed=4))
+        third = [dataclasses.replace(s, mask=None) if i in unmasked else s
+                 for i, s in enumerate(batch)]
+        w = class_weights([0.5, 0.25, 0.25], tc.weight_epsilon)
+        state = init_adam(params)
+
+        def third_step_peak():
+            for _ in range(2):
+                train_step(params, mc, tc, batch, state, w, tc.learning_rate)
+            tracing = tracemalloc.is_tracing()
+            if not tracing:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                start, _ = tracemalloc.get_traced_memory()
+                train_step(params, mc, tc, third, state, w, tc.learning_rate)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+
+        # every traced allocation, NumPy's included; fresh arrays took about 10.5 MB
+        assert on_new_thread(third_step_peak) < 2**20
+
+    def test_changed_batches_and_calls_between_steps_keep_the_bits(self, tiny_config):
+        _, mc, tc, samples = fresh(tiny_config)
+        w = class_weights([0.4, 0.3, 0.3], tc.weight_epsilon)
+        # each kind's first step records a plan and later ones reuse it; a
+        # batch is the first b samples, without masks at the listed indices
+        steps = ((8, ()), (5, ()), (8, (2,)), (8, (0, 4, 7)), (5, ()), (5, (1, 2)), (8, ()),
+                 (8, tuple(range(8))), (8, tuple(range(8))))
+        batches = [[dataclasses.replace(s, mask=None) if i in unmasked else s
+                    for i, s in enumerate(samples[:b])] for b, unmasked in steps]
+
+        def steps_on_one_thread():
+            params = init_params(mc)
+            state = init_adam(params)
+            for batch in batches:
+                train_step(params, mc, tc, batch, state, w, tc.learning_rate)
+                grad_cam(params, batch[-1].image, 1, mc)
+                evaluate(params, mc, samples[:3], strict_auc=False)
+            return self.snapshot(params, state)
+
+        params = init_params(mc)
+        state = init_adam(params)
+        for batch in batches:
+            on_new_thread(train_step, params, mc, tc, batch, state, w, tc.learning_rate)
+        assert on_new_thread(steps_on_one_thread) == self.snapshot(params, state)
 
 
 class TestEvaluate:

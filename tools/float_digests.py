@@ -14,7 +14,12 @@ Imports ``lesionformer`` from ``PATH_TO_TREE/src`` and prints one
   the config);
 - ``evaluate``'s probabilities on four held-out images;
 - one held-out image's probabilities and focus map;
-- its Grad-CAM grid for every class.
+- its Grad-CAM grid for every class;
+
+and, for the default config in float64, one run of train steps whose batch
+size and unmasked images change (``RESIZES``) with a Grad-CAM call after
+each step: each step's losses and Grad-CAM grid, then the parameters and
+Adam moments.
 
 A digest covers an array's dtype, shape and values in row-major order, not
 its memory layout; a -0.0 and a +0.0 digest differently. Two trees compute
@@ -44,6 +49,11 @@ STEPS = 6
 HELD_OUT = 4
 
 LARGE = dict(image_h=64, image_w=64, embed_dim=64, heads=4, scales=3, layers=2)
+
+# (batch size, indices of its images without a mask) per step of the run
+# whose batches change: the first step of each size on the thread records a
+# plan and later ones reuse it, the regulariser running aside from the plan
+RESIZES = ((8, ()), (5, ()), (5, (1,)), (8, ()), (8, (0, 3)), (8, ()))
 
 # name -> (ModelConfig overrides, dtype, batch size)
 CONFIGS = {
@@ -137,6 +147,37 @@ def config_digests(name, model_cfg, dtype, batch):
     return out
 
 
+def resize_digests(name, model_cfg, dtype, steps):
+    """``(name, sha256)`` pairs for train steps of the ``steps`` (see
+    ``RESIZES``) on one set of parameters, with a held-out image's Grad-CAM
+    grid after each step. ``lesionformer`` must already be importable."""
+    from lesionformer import data, losses, model, training
+
+    samples = data.synth_generate(max(size for size, _ in steps) + 1, data.SynthConfig(
+        height=model_cfg.image_h, width=model_cfg.image_w,
+        channels=model_cfg.channels, classes=model_cfg.classes))
+    train_set, image = samples[:-1], samples[-1].image
+    train_cfg = training.TrainConfig(dtype=dtype)
+    params = model.init_params(model_cfg, train_cfg.np_dtype)
+    state = training.init_adam(params)
+    weights = losses.class_weights(
+        data.class_frequencies(train_set, model_cfg.classes), train_cfg.weight_epsilon)
+    out = []
+    for step, (size, unmasked) in enumerate(steps):
+        batch = [dataclasses.replace(s, mask=None) if i in unmasked else s
+                 for i, s in enumerate(train_set[:size])]
+        b = training.train_step(params, model_cfg, train_cfg, batch, state,
+                                weights, train_cfg.learning_rate)
+        out.append((f"{name}.loss.step{step}", digest([b.l_ce, b.l_attn, b.total])))
+        grid, _ = model.grad_cam(params, image, step % model_cfg.classes, model_cfg)
+        out.append((f"{name}.gradcam.step{step}", digest(grid)))
+    for k, p in params.items():
+        out.append((f"{name}.param.{k}", digest(p.data)))
+        out.append((f"{name}.adam_m.{k}", digest(state.m[k])))
+        out.append((f"{name}.adam_v.{k}", digest(state.v[k])))
+    return out
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -158,6 +199,9 @@ def main(argv=None) -> int:
         for name, (overrides, dtype, batch) in CONFIGS.items():
             for key, value in config_digests(name, ModelConfig(**overrides), dtype, batch):
                 print(key, value)
+        for key, value in resize_digests("resized-default-f64", ModelConfig(), "float64",
+                                         RESIZES):
+            print(key, value)
     except RoundTripError as e:
         print(f"float_digests: {e}", file=sys.stderr)
         return 3
