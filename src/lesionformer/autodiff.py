@@ -14,14 +14,26 @@ or read-only, and no backward writes into the one it receives (see
 :func:`custom_op`). A tape lives for one forward/backward pass and is
 discarded afterwards.
 
+One rule keeps gradients, on every tape: a gradient lives on its tensor.
+An op's output carries the mark of the tape that recorded the op and its
+gradient on that tape, so the gradient stays readable while the caller
+holds the tensor and dies with it. A tensor no op on the tape produced (a
+leaf) has its gradient in the tape's dict of leaves, which holds the
+tensor. Backward drops each record once its backward has run, so forward
+arrays that only that backward read are freed as the pass goes.
+
 Memory: the ops take their output and gradient arrays from one allocator,
-``_new(shape, dtype)``, directly or as NumPy's ``out=``, in the memory
-layout NumPy gives a fresh result. With no workspace active that is a fresh
-array, as NumPy would allocate it. A tape opened on a :class:`Workspace`
-takes them from one arena per thread instead, planned from the step's
-recorded lifetimes and sized to its peak live set, and never freed while
-the thread lives; ops run :meth:`Tape.aside` take fresh arrays. Training
-opens each step's tape on one; ``evaluate``, ``grad_cam`` and a bare
+``_new(shape, dtype)``, directly or as NumPy's ``out=``. With no workspace
+active that is a fresh array, as NumPy would allocate it. A tape opened on
+a :class:`Workspace` takes them from one arena per thread instead, planned
+from the step's recorded lifetimes and sized to its peak live set, and
+never freed while the thread lives; ops run :meth:`Tape.aside` take fresh
+arrays. A workspace's arrays are row-major, as a fresh result is whenever
+the leaves are: every array the ops make or hand back from row-major
+leaves is row-major, or a row-major view or broadcast (a transpose's
+backward hands back a row-major copy). A train step's leaves, the
+parameters and the stacked batch, are row-major. Training opens each
+step's tape on a workspace; ``evaluate``, ``grad_cam`` and a bare
 ``forward`` allocate as before. Reductions to one value per row, column or
 matrix still come from the heap.
 """
@@ -55,9 +67,11 @@ _ALLOWED = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor:
-    """A dense array plus autodiff metadata."""
+    """A dense array plus autodiff metadata: for an op's output, the mark of
+    the tape that recorded the op and the gradient on that tape (see
+    :meth:`Tape.grad`)."""
 
-    __slots__ = ("data", "requires_grad")
+    __slots__ = ("data", "requires_grad", "_tape", "_grad")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -65,6 +79,7 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = requires_grad
+        self._tape = self._grad = None
 
     @property
     def shape(self):
@@ -91,17 +106,21 @@ class Tape:
     """Ordered record of ops for one forward pass; replayed in reverse.
 
     Use as a context manager. Only one tape may be active per thread (per
-    context); threads each record on their own tape. While a tape opened
-    on a :class:`Workspace` is active, every array the ops allocate comes
-    from that workspace, by its plan for the step's ``kind`` (any
-    hashable name; steps of one kind make the same requests), except
-    those of the ops run :meth:`aside`.
+    context); threads each record on their own tape. The tape marks each
+    output of the ops it records with a mark of its own, a bare object (not
+    the tape, so no output holds the tape and its records); after
+    :meth:`backward`, a marked tensor carries its gradient and the tape
+    holds only the leaves' gradients. While a tape opened on a
+    :class:`Workspace` is active, every array the ops allocate comes from
+    that workspace, by its plan for the step's ``kind`` (any hashable name;
+    steps of one kind make the same requests), except those of the ops run
+    :meth:`aside`.
     """
 
     def __init__(self, workspace=None, kind=None):
         self._records = []  # (out or tuple of outs, inputs, backward_fn, aside)
-        self._grads = None
-        self._spent = ()  # ids of the op outputs whose gradient backward dropped
+        self._mark = object()  # on each output of the recorded ops
+        self._leaves = None  # after backward: leaf tensor -> gradient
         self._workspace = workspace
         self._kind = kind
 
@@ -144,99 +163,82 @@ class Tape:
 
     def backward(self, loss):
         """Reverse-topological accumulation from a scalar loss; runs once
-        per tape.
+        per tape. Returns the leaves' gradients, keyed by tensor.
+
+        Each record is dropped once its backward has run, and an output's
+        gradient is read from the output. An input's gradient goes onto the
+        input if this tape produced it, else into the dict of leaves, which
+        then holds the leaf. So the forward arrays that only a backward read
+        are freed as the pass goes, and each op output's gradient lives as
+        long as its tensor; on a workspace, that keeps the step's peak live
+        set, which sizes the arena, small.
 
         A tensor's gradients are summed by one rule with three cases: the
         first is kept as its op returned it; a second allocates the sum;
         later ones add into that sum in place. So the tape writes only into
         arrays it allocated, and each sum adds in the order the gradients
         arrive.
-
-        Gradients are keyed by ``id``, so a plain tape keeps its records,
-        and with them every tensor it saw, until it is discarded. A tape
-        opened on a workspace drops each record once its backward has run,
-        so the forward arrays that only its backward read are freed as the
-        pass goes, and each op output's gradient once that op's backward has
-        read it: only the gradients of tensors that no op on the tape
-        produced (the leaves) are kept, and :meth:`grad` refuses the others.
-        That keeps the step's peak live set, which sizes the arena, small.
         """
-        if self._grads is not None:
+        if self._leaves is not None:
             raise TapeError("backward already ran on this tape")
         if loss.data.size != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.data.shape}")
-        # the loss is almost always the last record
-        if not any(out is loss or type(out) is tuple and any(o is loss for o in out)
-                   for out, *_ in reversed(self._records)):
+        mark = self._mark
+        if loss._tape is not mark:
             raise TapeError("loss tensor was not produced on this tape")
-        grads = self._grads = {id(loss): np.ones_like(loss.data)}
+        loss._grad = np.ones_like(loss.data)
+        leaves = self._leaves = {}
         ws = self._workspace
-        if ws is None:
-            consume, records = grads.get, reversed(self._records)
-        else:
-            spent = self._spent = set()
-
-            def consume(key):
-                g = grads.pop(key, None)
-                if g is not None:
-                    spent.add(key)
-                return g
-            records = _popped(self._records)
-        owned = set()  # ids of the tensors whose gradient this tape allocated
-        for out, inputs, backward_fn, aside in records:
+        # ids of the tensors whose gradient this tape allocated: every tensor
+        # looked up here was alive when backward began, so no two share an id
+        owned = set()
+        records = self._records
+        while records:
+            out, inputs, backward_fn, aside = records.pop()
             if ws is not None:
                 ws._aside = aside
             if type(out) is tuple:
-                g = tuple(consume(id(o)) for o in out)
+                g = tuple(o._grad for o in out)
                 if all(gi is None for gi in g):
                     continue
             else:
-                g = consume(id(out))
+                g = out._grad
                 if g is None:
                     continue
             for t, gi in zip(inputs, backward_fn(g)):
                 if gi is None or not t.requires_grad:
                     continue
-                key = id(t)
-                acc = grads.get(key)
+                mine = t._tape is mark
+                acc = t._grad if mine else leaves.get(t)
                 if acc is None:
                     acc = gi
-                elif key in owned:
+                elif id(t) in owned:
                     np.add(acc, gi, out=acc)
                 else:
                     acc = np.add(acc, gi, _out(acc.shape, acc, gi))
-                    owned.add(key)
-                grads[key] = acc
+                    owned.add(id(t))
+                if mine:
+                    t._grad = acc
+                else:
+                    leaves[t] = acc
         if ws is not None:
             ws._aside = False
-        return grads
+        return leaves
 
     def grad(self, t):
         """Gradient of the loss w.r.t. ``t``; exact zeros if unused.
 
-        The array may be shared with another gradient or be read-only (a
-        broadcast view), so copy it before writing into it. On a tape
+        A tensor an op on this tape produced carries its gradient, so it is
+        there while the caller holds the tensor; a leaf's is held by the
+        tape. The array may be shared with another gradient or be read-only
+        (a broadcast view), so copy it before writing into it. On a tape
         opened on a workspace it is a view into the workspace's arena,
-        valid until the thread's next step on that workspace, and only a
-        leaf's gradient is kept (see :meth:`backward`); ask there only for
-        tensors still referenced, since the tape no longer holds them.
+        valid until the thread's next step on that workspace.
         """
-        if self._grads is None:
+        if self._leaves is None:
             raise TapeError("backward has not been run on this tape")
-        g = self._grads.get(id(t))
-        if g is None:
-            if id(t) in self._spent:
-                raise TapeError("the gradient of a tensor an op produced was dropped: "
-                                "this tape is opened on a workspace")
-            return np.zeros_like(t.data)
-        return g
-
-
-def _popped(items):
-    """The entries of list ``items``, last first, each removed as it is
-    yielded."""
-    while items:
-        yield items.pop()
+        g = t._grad if t._tape is self._mark else self._leaves.get(t)
+        return np.zeros_like(t.data) if g is None else g
 
 
 def all_finite(arr) -> bool:
@@ -275,14 +277,18 @@ def custom_op(out_data, inputs, backward_fn, name):
         if t.requires_grad:
             requires = True
             break
+    record = tape is not None and requires
+    mark = tape._mark if record else None
     outs = []
     for arr in arrays:
         t = Tensor.__new__(Tensor)
         t.data = arr
         t.requires_grad = requires
+        t._tape = mark
+        t._grad = None
         outs.append(t)
     out = tuple(outs) if several else outs[0]
-    if tape is not None and requires:
+    if record:
         tape._record(out, list(inputs), backward_fn)
     return out
 
@@ -319,6 +325,9 @@ class Workspace(threading.local):
     when a planned array dies. An array of one step must not outlive the
     thread's next step; if one is still referenced when a step begins, the
     plans move to a new arena and leave the old one to its holders.
+    The arena's arrays are row-major, so a step has the floats of the same
+    step on a plain tape when its leaves are row-major (see the module
+    docstring), as a train step's are.
 
     Two layouts were measured in prototypes and rejected. A workspace per
     training state (``AdamState``) raised the benchmark's ``peak_rss_mb``
@@ -505,27 +514,14 @@ def _new(shape, dtype):
 def _out(shape, *arrays):
     """The ``out`` argument for a fresh ``shape`` result computed
     elementwise from ``arrays``: None while no workspace is active, so that
-    NumPy allocates it; else an array from :func:`_new` in the dtype and
-    the layout NumPy would give it. That layout is each matrix row-major,
-    or column-major when every operand that spans and strides both of
-    the last two axes has them swapped, as a transpose's gradient does:
-    BLAS products and reductions round by layout, so a reused array must
-    have the fresh one's."""
+    NumPy allocates it; else a row-major array from :func:`_new` in the
+    dtype NumPy would give it. NumPy lays a fresh result out as its
+    operands, which are row-major while the leaves are (see the module
+    docstring), and BLAS products and reductions round by layout, so the
+    two must agree."""
     if _ACTIVE_WORKSPACE.get() is None:
         return None
-    dtype = _dtype(*arrays)
-    if len(shape) > 1 and shape[-2] > 1 and shape[-1] > 1:
-        swapped = False
-        for x in arrays:
-            if x.ndim > 1 and x.shape[-2] > 1 and x.shape[-1] > 1:
-                s0, s1 = x.strides[-2:]
-                if s0 and s1:  # a broadcast operand has no say
-                    if abs(s1) <= abs(s0):
-                        return _new(shape, dtype)
-                    swapped = True
-        if swapped:
-            return _swap(_new(shape[:-2] + (shape[-1], shape[-2]), dtype))
-    return _new(shape, dtype)
+    return _new(shape, _dtype(*arrays))
 
 
 def _dtype(a, *more):
@@ -600,7 +596,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     def backward(g):
-        return (_swap(g),)
+        return (_copy(_swap(g)),)
 
     return custom_op(_copy(_swap(a.data)), (a,), backward, "transpose")
 
@@ -728,7 +724,8 @@ def _slice(a: Tensor, start: int, stop: int, axis: int, name: str) -> Tensor:
     index = (..., slice(start, stop)) + (slice(None),) * (-1 - axis)
 
     def backward(g):
-        # zeros in the input's memory layout, as zeros_like (BLAS rounds by layout)
+        # zeros in the input's layout, as zeros_like gives (BLAS rounds by
+        # layout); a workspace's arrays are row-major, as its inputs are
         gx = _out(a.shape, a.data)
         if gx is None:
             gx = np.zeros_like(a.data)
@@ -990,9 +987,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out += bias.data
 
     def backward(g):
-        # standard layer-norm backward, all per-row, in two full-size
-        # arrays; tmp is laid out as g * xhat, and the reductions' float
-        # order and the returned gradient's layout depend on that
+        # standard layer-norm backward, all per-row, in two full-size arrays
         gx = ggain = gbias = tmp = None
         if gain.requires_grad:
             tmp = np.multiply(g, xhat, _out(g.shape, g, xhat))

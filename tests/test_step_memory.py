@@ -27,9 +27,10 @@ def test_prints_one_line_per_config_with_the_workspace_arena(monkeypatch, capsys
     monkeypatch.setattr(sys, "path", list(sys.path))
     assert tool.main([str(TOOL.parent.parent)]) == 0
     out = capsys.readouterr().out
-    m = re.fullmatch(r"tiny minflt_per_step=(\S+) step_peak_mb=(\S+) arena_mb=(\S+)\n", out)
+    m = re.fullmatch(r"tiny minflt_per_step=(\S+) step_peak_mb=(\S+) arena_mb=(\S+) "
+                     r"gradcam_peak_mb=(\S+)\n", out)
     assert m, out
-    assert float(m[1]) >= 0 and float(m[2]) > 0 and float(m[3]) > 0
+    assert float(m[1]) >= 0 and float(m[2]) > 0 and float(m[3]) > 0 and float(m[4]) > 0
 
 
 def test_a_tree_without_the_package_is_refused(tmp_path, capsys):

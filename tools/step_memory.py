@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print how much memory a lesionformer tree's train step churns.
+"""Print how much memory a lesionformer tree's train step and Grad-CAM churn.
 
     python3 tools/step_memory.py PATH_TO_TREE
 
@@ -12,7 +12,9 @@ runs ``WARMUP`` train steps on one batch, then prints one line with:
 - ``step_peak_mb``: the ``tracemalloc`` peak of one more step above its
   start, over every traced allocation, NumPy's included;
 - ``arena_mb``: the bytes of the thread's step workspace (0 for a tree
-  without one).
+  without one);
+- ``gradcam_peak_mb``: the ``tracemalloc`` peak of one ``grad_cam`` call
+  on the first image above its start, after one warm-up call.
 
 A step that reuses its arrays takes almost no faults and a peak far below
 its arrays' size. Compare two trees the way ``float_digests.py`` does:
@@ -45,10 +47,26 @@ CONFIGS = {
 }
 
 
+def traced_peak(fn):
+    """The ``tracemalloc`` peak of calling ``fn()``, in bytes above its start."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def measure(model_cfg, dtype, batch, warmup, steps):
-    """``(faults per step, step peak bytes, arena bytes)`` of ``steps``
-    train steps on one batch of ``batch`` synthetic images, after ``warmup``
-    steps. ``lesionformer`` must already be importable."""
+    """``(faults per step, step peak bytes, arena bytes, Grad-CAM peak
+    bytes)`` of ``steps`` train steps on one batch of ``batch`` synthetic
+    images, after ``warmup`` steps, then of one ``grad_cam`` call after one
+    warm-up call. ``lesionformer`` must already be importable."""
     from lesionformer import data, losses, model, training
 
     samples = data.synth_generate(batch, data.SynthConfig(
@@ -70,19 +88,14 @@ def measure(model_cfg, dtype, batch, warmup, steps):
     for _ in range(steps):
         step()
     faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start, _ = tracemalloc.get_traced_memory()
-        step()
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    peak = traced_peak(step)
     workspace = getattr(training, "step_workspace", None)
-    return faults, peak, 0 if workspace is None else workspace.nbytes
+
+    def cam():
+        model.grad_cam(params, samples[0].image, samples[0].label, model_cfg)
+
+    cam()
+    return faults, peak, 0 if workspace is None else workspace.nbytes, traced_peak(cam)
 
 
 def main(argv=None) -> int:
@@ -103,9 +116,9 @@ def main(argv=None) -> int:
               f"{lesionformer.__file__}", file=sys.stderr)
         return 2
     for name, (overrides, dtype, batch) in CONFIGS.items():
-        faults, peak, arena = measure(ModelConfig(**overrides), dtype, batch, WARMUP, STEPS)
+        faults, peak, arena, cam = measure(ModelConfig(**overrides), dtype, batch, WARMUP, STEPS)
         print(f"{name} minflt_per_step={faults:.1f} step_peak_mb={peak / 2**20:.2f} "
-              f"arena_mb={arena / 2**20:.2f}")
+              f"arena_mb={arena / 2**20:.2f} gradcam_peak_mb={cam / 2**20:.3f}")
     return 0
 
 
