@@ -1,18 +1,19 @@
 """Dense float tensors with tape-based reverse-mode differentiation.
 
-Storage is row-major numpy, float32 or float64. Every op acts on the
-trailing two axes (rows, columns); any leading axes form a stack of
-matrices, such as a batch of images. Broadcasting is limited to a scalar
-constant, the explicit row-vector ops, and the stated cases of ``matmul``,
-``add``, ``concat_rows`` and ``div_by``; any other shape adaptation is done
-with reshape/slice/concat so every forward value is bit-reproducible.
-Every gradient is a dense array of its tensor's shape; a slice's backward
-returns zeros with the slice's gradient at the slice. Backward stores a
-tensor's first gradient as its op returns it, so a gradient may be shared
-or read-only, and no backward writes into the one it receives (see
-:meth:`Tape.backward`). An op may have several outputs (see
-:func:`custom_op`). A tape lives for one forward/backward pass and is
-discarded afterwards.
+Storage is row-major numpy, float32 or float64: a :class:`Tensor` stores
+its array row-major, and every array the ops make is row-major, or a
+row-major view or broadcast. Every op acts on the trailing two axes
+(rows, columns); any leading axes form a stack of matrices, such as a
+batch of images. Broadcasting is limited to a scalar constant, the
+explicit row-vector ops, and the stated cases of ``matmul``, ``add``,
+``concat_rows`` and ``div_by``; any other shape adaptation is done with
+reshape/slice/concat so every forward value is bit-reproducible. Every
+gradient is a dense array of its tensor's shape; a slice's backward
+returns zeros with the slice's gradient at the slice. The tape sums a
+tensor's gradients into new arrays (see :meth:`Tape.backward`), so a
+gradient may be shared or read-only, and no backward writes into the one
+it receives. An op may have several outputs (see :func:`custom_op`). A
+tape lives for one forward/backward pass and is discarded afterwards.
 
 One rule keeps gradients, on every tape: a gradient lives on its tensor.
 An op's output carries the mark of the tape that recorded the op and its
@@ -28,12 +29,9 @@ active that is a fresh array, as NumPy would allocate it. A tape opened on
 a :class:`Workspace` takes them from one arena per thread instead, planned
 from the step's recorded lifetimes and sized to its peak live set, and
 never freed while the thread lives; ops run :meth:`Tape.aside` take fresh
-arrays. A workspace's arrays are row-major, as a fresh result is whenever
-the leaves are: every array the ops make or hand back from row-major
-leaves is row-major, or a row-major view or broadcast (a transpose's
-backward hands back a row-major copy). A train step's leaves, the
-parameters and the stacked batch, are row-major. Training opens each
-step's tape on a workspace; ``evaluate``, ``grad_cam`` and a bare
+arrays. The arena's arrays are row-major like every other, so a step on a
+workspace has the floats of the same step on a plain tape. Training opens
+each step's tape on a workspace; ``evaluate``, ``grad_cam`` and a bare
 ``forward`` allocate as before. Reductions to one value per row, column or
 matrix still come from the heap.
 """
@@ -69,12 +67,18 @@ _ALLOWED = (np.dtype(np.float32), np.dtype(np.float64))
 class Tensor:
     """A dense array plus autodiff metadata: for an op's output, the mark of
     the tape that recorded the op and the gradient on that tape (see
-    :meth:`Tape.grad`)."""
+    :meth:`Tape.grad`).
+
+    The array is stored row-major: a C-contiguous float32 or float64 input
+    is kept as it is, and any other is copied. NumPy lays a fresh result
+    out as its operands and BLAS rounds a product with a strided operand
+    differently, so one layout gives an op the same floats whether its
+    arrays come from NumPy or from a :class:`Workspace`."""
 
     __slots__ = ("data", "requires_grad", "_tape", "_grad")
 
     def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+        arr = np.asarray(data, dtype=dtype, order="C")
         if arr.dtype not in _ALLOWED:
             arr = arr.astype(np.float64)
         self.data = arr
@@ -173,11 +177,10 @@ class Tape:
         long as its tensor; on a workspace, that keeps the step's peak live
         set, which sizes the arena, small.
 
-        A tensor's gradients are summed by one rule with three cases: the
-        first is kept as its op returned it; a second allocates the sum;
-        later ones add into that sum in place. So the tape writes only into
-        arrays it allocated, and each sum adds in the order the gradients
-        arrive.
+        A tensor's gradients are summed by one rule with two cases: the
+        first is kept as its op returned it, and each later one is added to
+        the sum so far into a new array. So the tape writes into no array,
+        and each sum adds in the order the gradients arrive.
         """
         if self._leaves is not None:
             raise TapeError("backward already ran on this tape")
@@ -189,9 +192,6 @@ class Tape:
         loss._grad = np.ones_like(loss.data)
         leaves = self._leaves = {}
         ws = self._workspace
-        # ids of the tensors whose gradient this tape allocated: every tensor
-        # looked up here was alive when backward began, so no two share an id
-        owned = set()
         records = self._records
         while records:
             out, inputs, backward_fn, aside = records.pop()
@@ -212,11 +212,8 @@ class Tape:
                 acc = t._grad if mine else leaves.get(t)
                 if acc is None:
                     acc = gi
-                elif id(t) in owned:
-                    np.add(acc, gi, out=acc)
                 else:
                     acc = np.add(acc, gi, _out(acc.shape, acc, gi))
-                    owned.add(id(t))
                 if mine:
                     t._grad = acc
                 else:
@@ -255,14 +252,15 @@ def all_finite(arr) -> bool:
 def custom_op(out_data, inputs, backward_fn, name):
     """Register an op result on the active tape (if any) and return it.
 
-    ``out_data`` must be a fresh float32 or float64 array, which the output
-    tensor holds as it is, or a tuple of them for an op with several
-    outputs, which then returns a tuple of tensors. ``backward_fn`` gets the
-    output's gradient, or for several outputs a tuple with one gradient per
-    output and None where none arrived, and must return, per input and in
-    order, a gradient array of that input's shape or None. Every output is
-    checked: any NaN or +/-Inf element raises ``NumericError`` naming the
-    op. Finite values whose squares or sum overflow are allowed.
+    ``out_data`` must be a fresh, row-major float32 or float64 array, which
+    the output tensor holds as it is, or a tuple of them for an op with
+    several outputs, which then returns a tuple of tensors. ``backward_fn``
+    gets the output's gradient, or for several outputs a tuple with one
+    gradient per output and None where none arrived, and must return, per
+    input and in order, a gradient array of that input's shape or None.
+    Every output is checked: any NaN or +/-Inf element raises
+    ``NumericError`` naming the op. Finite values whose squares or sum
+    overflow are allowed.
     """
     tape = _ACTIVE_TAPE.get()
     if tape is not None and tape._workspace is not None:
@@ -326,8 +324,7 @@ class Workspace(threading.local):
     thread's next step; if one is still referenced when a step begins, the
     plans move to a new arena and leave the old one to its holders.
     The arena's arrays are row-major, so a step has the floats of the same
-    step on a plain tape when its leaves are row-major (see the module
-    docstring), as a train step's are.
+    step on a plain tape.
 
     Two layouts were measured in prototypes and rejected. A workspace per
     training state (``AdamState``) raised the benchmark's ``peak_rss_mb``
@@ -341,8 +338,7 @@ class Workspace(threading.local):
     def __init__(self):
         self._plans = {}          # name -> _Plan, least recently used first
         self._name = None         # the current step's kind
-        self._plan = None         # the plan it follows, if any
-        self._last = None         # the plan the thread's last step followed
+        self._plan = None         # the plan the current or last step follows
         self._keys = self._views = ()  # that plan's entries and their views
         self._size = 0            # entries the current step may still match
         self._next = 0            # index of the current step's next entry
@@ -396,18 +392,18 @@ class Workspace(threading.local):
         here on, and the next step of its kind records again."""
         if self._plan is not None:
             self._drop(self._name)
-            self._plan = self._last = None
+            self._plan = None
             self._keys = self._views = ()
             self._size = 0
 
     def _begin(self, name):
-        last = self._last
+        last = self._plan
         if self._arena is not None and (sys.getrefcount(self._arena) != self._refs or (
                 last is not None and sum(map(sys.getrefcount, last.arrays)) != last.rest)):
             self._arena = None  # an array of the last step outlived it
             self._build(list(self._plans.values()))
         self._name, self._next = name, 0
-        plan = self._last = self._plan = self._plans.pop(name, None)
+        plan = self._plan = self._plans.pop(name, None)
         if plan is None:
             self._keys = self._views = ()
             self._size = 0
@@ -515,10 +511,7 @@ def _out(shape, *arrays):
     """The ``out`` argument for a fresh ``shape`` result computed
     elementwise from ``arrays``: None while no workspace is active, so that
     NumPy allocates it; else a row-major array from :func:`_new` in the
-    dtype NumPy would give it. NumPy lays a fresh result out as its
-    operands, which are row-major while the leaves are (see the module
-    docstring), and BLAS products and reductions round by layout, so the
-    two must agree."""
+    dtype NumPy would give it. Both are row-major, as the operands are."""
     if _ACTIVE_WORKSPACE.get() is None:
         return None
     return _new(shape, _dtype(*arrays))
@@ -724,8 +717,6 @@ def _slice(a: Tensor, start: int, stop: int, axis: int, name: str) -> Tensor:
     index = (..., slice(start, stop)) + (slice(None),) * (-1 - axis)
 
     def backward(g):
-        # zeros in the input's layout, as zeros_like gives (BLAS rounds by
-        # layout); a workspace's arrays are row-major, as its inputs are
         gx = _out(a.shape, a.data)
         if gx is None:
             gx = np.zeros_like(a.data)
@@ -837,7 +828,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     xd = x.data
     y = _out(xd.shape, xd)
     if y is None:
-        y = xd.copy(order="K")
+        y = xd.copy()
     else:
         np.copyto(y, xd)
     _softmax(y)

@@ -98,13 +98,12 @@ def report(probs, labels, k: int, strict_auc: bool = True) -> MetricsReport:
     y = np.asarray(labels, dtype=np.int64)
     pred = p.argmax(axis=1)
     cm = confusion_matrix(pred, y, k)
-    if strict_auc:
+    try:
         auc = roc_auc_ovr_macro(p, y)
-    else:
-        try:
-            auc = roc_auc_ovr_macro(p, y)
-        except UndefinedMetricError:
-            auc = float("nan")
+    except UndefinedMetricError:
+        if strict_auc:
+            raise
+        auc = float("nan")
     return MetricsReport(
         acc=accuracy(cm),
         auc_macro=auc,

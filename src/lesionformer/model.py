@@ -131,8 +131,7 @@ def init_params(cfg: ModelConfig, dtype=np.float64) -> dict[str, Tensor]:
     """Seeded init, drawn in parameter order: weights (names ``w*``, stored
     (in, out)) uniform(+-sqrt(1/fan_in)) with fan_in their row count,
     positional encodings and class token uniform(+-0.02), layer-norm gains
-    (``g``) one, biases and scale logits zero. Every array is C-contiguous:
-    BLAS rounds a product with a strided view differently."""
+    (``g``) one, biases and scale logits zero."""
     rng = np.random.default_rng(cfg.seed)
     t = {}
     for name, shape in param_shapes(cfg).items():
@@ -147,7 +146,7 @@ def init_params(cfg: ModelConfig, dtype=np.float64) -> dict[str, Tensor]:
                 arr = rng.uniform(-b, b, size=shape[::-1]).T
         else:
             arr = np.ones(shape) if leaf == "g" else np.zeros(shape)
-        t[name] = Tensor(np.ascontiguousarray(arr, dtype=dtype), requires_grad=True)
+        t[name] = Tensor(arr, requires_grad=True, dtype=dtype)
     return t
 
 

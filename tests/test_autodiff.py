@@ -436,6 +436,26 @@ class TestWorkspace:
             assert got.strides == want.strides and np.array_equal(got, want)
         assert np.shares_memory(got, ws._arena)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_column_major_leaves_give_a_replayed_step_the_plain_bits(self, seed):
+        # the leaves are stored row-major, so no op's fresh result takes a
+        # column-major layout that the workspace's row-major arrays lack
+        rng = np.random.default_rng(seed)
+        x = t(np.asfortranarray(rng.standard_normal((6, 8))))
+        gain, bias = t(rng.standard_normal((1, 8))), t(rng.standard_normal((1, 8)))
+
+        def grads(workspace=None):
+            with Tape(workspace) as tape:
+                tape.backward(ad.sum_all(ad.layer_norm(ad.gelu(x), gain, bias)))
+                return [tape.grad(v) for v in (x, gain, bias)]
+
+        want = [g.tobytes() for g in grads()]
+        ws = ad.Workspace()
+        grads(ws)  # the kind's first step records
+        got = grads(ws)
+        assert np.shares_memory(got[0], ws._arena)
+        assert [g.tobytes() for g in got] == want
+
     def test_threads_have_their_own_arenas(self, rng):
         ws, arenas = ad.Workspace(), []
         x, w = self.inputs(rng, 8)
@@ -760,6 +780,27 @@ class TestGeluReference:
                                    atol=np.finfo(np.float32).eps)
 
 
+class TestTensorStorage:
+    """A tensor stores its array row-major, copying only an array that is
+    not already a row-major float32 or float64 one."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_row_major_array_is_kept_without_a_copy(self, dtype, rng):
+        a = rng.standard_normal((3, 4, 5)).astype(dtype)
+        assert Tensor(a).data is a
+        assert Tensor(a, requires_grad=True, dtype=dtype).data is a
+        a.setflags(write=False)  # as a checkpoint's arrays are
+        assert Tensor(a).data is a
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_any_other_layout_is_copied_row_major(self, dtype, rng):
+        a = rng.standard_normal((4, 6)).astype(dtype)
+        for view in (np.asfortranarray(a), a[:, ::2], np.swapaxes(a, 0, 1)):
+            x = Tensor(view)
+            assert x.data.flags.c_contiguous and x.dtype == dtype
+            assert np.array_equal(x.data, view)
+
+
 def weighted_sum(out):
     """A scalar of ``out`` with fixed random weights, for any shape."""
     w = np.random.default_rng(11).standard_normal(out.shape)
@@ -858,9 +899,9 @@ class TestStackedOps:
 
 class TestFirstGradient:
     """The first gradient a tensor receives is stored as its op returned it,
-    and the tape writes only into sums it allocated, so a stored gradient
-    that is the incoming one, a view or another input's array must stay as
-    it was, whatever gradient, a slice's included, lands on it."""
+    and the tape writes into no array, so a stored gradient that is the
+    incoming one, a view or another input's array must stay as it was,
+    whatever gradient, a slice's included, lands on it."""
 
     W = np.random.default_rng(3).standard_normal((4, 2))
 
@@ -939,8 +980,8 @@ class TestFirstGradient:
 
     @pytest.mark.parametrize("lead", [(), (2,)], ids=["matrix", "stack"])
     def test_block_on_a_column_major_gradient_sums_exactly(self, lead, rng):
-        # transpose hands back a column-major view; a slice's gradient added
-        # to it gives exactly the sum of the two, whatever the sum's layout
+        # transpose's backward swaps its incoming gradient's axes; a slice's
+        # gradient added to the result gives exactly the sum of the two
         x = t(rng.standard_normal(lead + (4, 6)))
         wt = rng.standard_normal(lead + (6, 4))
         wr = rng.standard_normal(lead + (2, 6))
@@ -983,8 +1024,8 @@ class TestFirstGradient:
 
 class TestBlockGradients:
     """A slice's backward follows the dense rule: one zero-filled array of
-    the input's shape and layout per slice, with its gradient at the
-    slice, summed out of place in the order the gradients arrive."""
+    the input's shape per slice, with its gradient at the slice, summed
+    out of place in the order the gradients arrive."""
 
     # per-head column or row slices, then two that overlap them
     SLICES = [(0, 2), (2, 4), (4, 6), (6, 8), (1, 5), (0, 8)]
@@ -1028,22 +1069,27 @@ class TestBlockGradients:
 
     @pytest.mark.parametrize("axis", ["cols", "rows"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_a_slice_gradient_keeps_its_input_layout(self, axis, dtype, rng):
-        # BLAS may round a matmul operand of the other layout differently,
-        # so a column-major input gets a column-major gradient
-        x = Tensor(np.asfortranarray(rng.standard_normal((6, 8)).astype(dtype)),
-                   requires_grad=True)
+    def test_a_column_major_input_is_stored_and_sliced_row_major(self, axis, dtype, rng):
+        # a tensor stores its array row-major, so a column-major input's
+        # slice gradient has the bytes of the same slice on a row-major one
+        a = rng.standard_normal((6, 8)).astype(dtype)
         op, index = ((ad.slice_cols, (slice(None), slice(2, 5))) if axis == "cols"
                      else (ad.slice_rows, (slice(2, 5), slice(None))))
-        w = rng.standard_normal(x.data[index].shape).astype(dtype)
-        with Tape() as tape:
-            tape.backward(ad.sum_all(ad.reshape(ad.mul(op(x, 2, 5), Tensor(w)), (1, -1))))
-            got = tape.grad(x)
-        ref = np.zeros_like(x.data)
+        w = rng.standard_normal(a[index].shape).astype(dtype)
+
+        def grad(arr):
+            x = Tensor(arr, requires_grad=True)
+            with Tape() as tape:
+                tape.backward(ad.sum_all(ad.reshape(ad.mul(op(x, 2, 5), Tensor(w)), (1, -1))))
+                return x.data, tape.grad(x)
+
+        stored, got = grad(np.asfortranarray(a))
+        assert stored.flags.c_contiguous and stored.tobytes() == a.tobytes()
+        _, want = grad(a)
+        ref = np.zeros_like(a)
         ref[index] = w
-        assert got.flags.f_contiguous and not got.flags.c_contiguous
-        assert got.dtype == dtype
-        assert got.tobytes() == ref.tobytes()
+        assert got.flags.c_contiguous and got.dtype == dtype
+        assert got.tobytes() == want.tobytes() == ref.tobytes()
 
 
 def frozen_gradient(x, g):
@@ -1465,7 +1511,7 @@ class TestKernelPins:
     @staticmethod
     def incoming(rng, shape, dtype, order):
         g = rng.standard_normal(shape).astype(dtype)
-        if order == "F":  # each matrix column-major, as transpose hands back
+        if order == "F":  # each matrix column-major: a column-major incoming gradient
             g = np.swapaxes(np.ascontiguousarray(np.swapaxes(g, -1, -2)), -1, -2)
         return g
 

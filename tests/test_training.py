@@ -117,7 +117,7 @@ class TestAdam:
         rng = np.random.default_rng(4)
         p0, m0, g1, g2 = (rng.standard_normal(shape).astype(dtype) for _ in range(4))
         v0 = np.abs(rng.standard_normal(shape)).astype(dtype)
-        if order == "F":  # each matrix column-major, as transpose hands back
+        if order == "F":  # each matrix column-major: a column-major incoming gradient
             g1, g2 = (np.swapaxes(np.ascontiguousarray(np.swapaxes(g, -1, -2)), -1, -2)
                       for g in (g1, g2))
         cfg = TrainConfig(learning_rate=3e-3)
