@@ -26,19 +26,18 @@ arrays that only that backward read are freed as the pass goes.
 Memory: the ops take their output and gradient arrays from one allocator,
 ``_new(shape, dtype)``, directly or as NumPy's ``out=``. With no workspace
 active that is a fresh array, as NumPy would allocate it. A tape opened on
-a :class:`Workspace` takes them from one arena per thread instead, planned
-from the step's recorded lifetimes and sized to its peak live set, and
-never freed while the thread lives; ops run :meth:`Tape.aside` take fresh
-arrays. The arena's arrays are row-major like every other, so a step on a
-workspace has the floats of the same step on a plain tape. Training opens
-each step's tape on a workspace; ``evaluate``, ``grad_cam`` and a bare
-``forward`` allocate as before. Reductions to one value per row, column or
-matrix still come from the heap.
+a :class:`Workspace` takes every one of them from one arena per thread
+instead, planned from the step's recorded lifetimes and sized to its peak
+live set, and never freed while the thread lives. The arena's arrays are
+row-major like every other, so a step on a workspace has the floats of the
+same step on a plain tape. Training opens each step's tape on a workspace;
+``evaluate``, ``grad_cam`` and a bare ``forward`` allocate as before.
+Reductions to one value per row, column or matrix still come from the
+heap.
 """
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import math
 import operator
@@ -117,12 +116,11 @@ class Tape:
     holds only the leaves' gradients. While a tape opened on a
     :class:`Workspace` is active, every array the ops allocate comes from
     that workspace, by its plan for the step's ``kind`` (any hashable name;
-    steps of one kind make the same requests), except those of the ops run
-    :meth:`aside`.
+    steps of one kind make the same requests).
     """
 
     def __init__(self, workspace=None, kind=None):
-        self._records = []  # (out or tuple of outs, inputs, backward_fn, aside)
+        self._records = []  # (out or tuple of outs, inputs, backward_fn)
         self._mark = object()  # on each output of the recorded ops
         self._leaves = None  # after backward: leaf tensor -> gradient
         self._workspace = workspace
@@ -145,29 +143,11 @@ class Tape:
         return False
 
     def _record(self, out, inputs, backward_fn):
-        ws = self._workspace
-        self._records.append((out, inputs, backward_fn, ws is not None and ws._aside))
-
-    @contextlib.contextmanager
-    def aside(self):
-        """Ops run in this context take fresh arrays, and so do their
-        backwards and the sums of the gradients those return: their
-        requests are no part of the step's plan, so a step of one kind may
-        vary in them. Only the lifetimes of the planned arrays must repeat.
-        On a plain tape this does nothing."""
-        ws = self._workspace
-        if ws is None:
-            yield
-            return
-        ws._aside = True
-        try:
-            yield
-        finally:
-            ws._aside = False
+        self._records.append((out, inputs, backward_fn))
 
     def backward(self, loss):
         """Reverse-topological accumulation from a scalar loss; runs once
-        per tape. Returns the leaves' gradients, keyed by tensor.
+        per tape. Read the gradients with :meth:`grad`.
 
         Each record is dropped once its backward has run, and an output's
         gradient is read from the output. An input's gradient goes onto the
@@ -191,12 +171,9 @@ class Tape:
             raise TapeError("loss tensor was not produced on this tape")
         loss._grad = np.ones_like(loss.data)
         leaves = self._leaves = {}
-        ws = self._workspace
         records = self._records
         while records:
-            out, inputs, backward_fn, aside = records.pop()
-            if ws is not None:
-                ws._aside = aside
+            out, inputs, backward_fn = records.pop()
             if type(out) is tuple:
                 g = tuple(o._grad for o in out)
                 if all(gi is None for gi in g):
@@ -218,9 +195,6 @@ class Tape:
                     t._grad = acc
                 else:
                     leaves[t] = acc
-        if ws is not None:
-            ws._aside = False
-        return leaves
 
     def grad(self, t):
         """Gradient of the loss w.r.t. ``t``; exact zeros if unused.
@@ -318,11 +292,11 @@ class Workspace(threading.local):
     A step that leaves its plan's sequence gets fresh arrays from there on,
     and the next step of its kind records again. A step repeats its
     lifetimes if it runs the same ops with the same requests, which holds
-    for a train step; ops whose requests vary within a kind run
-    :meth:`Tape.aside` from the plan, on fresh arrays, and must not change
-    when a planned array dies. An array of one step must not outlive the
-    thread's next step; if one is still referenced when a step begins, the
-    plans move to a new arena and leave the old one to its holders.
+    for a train step: every step of one batch size and regulariser setting
+    runs the same ops on the same shapes, wherever its unmasked images
+    fall. An array of one step must not outlive the thread's next step; if
+    one is still referenced when a step begins, the plans move to a new
+    arena and leave the old one to its holders.
     The arena's arrays are row-major, so a step has the floats of the same
     step on a plain tape.
 
@@ -345,7 +319,6 @@ class Workspace(threading.local):
         self._log = None          # while recording: [shape, dtype, death, weakref] per entry
         self._arena = None
         self._refs = 0            # the arena's reference count at rest
-        self._aside = False       # while set, requests get fresh arrays (see Tape.aside)
 
     @property
     def nbytes(self):
@@ -354,8 +327,6 @@ class Workspace(threading.local):
 
     def take(self, shape, dtype):
         """An uninitialised C-contiguous array for the step's next request."""
-        if self._aside:
-            return np.empty(shape, dtype)
         i = self._next
         self._next = i + 1
         key = (shape, dtype)
@@ -377,8 +348,6 @@ class Workspace(threading.local):
     def mark(self, name):
         """Note the step's next op, ``name``, between its requests: a plan
         fits a step that runs the same ops with the same requests."""
-        if self._aside:
-            return
         i = self._next
         self._next = i + 1
         if i < self._size and self._keys[i] == (name, None):
@@ -413,7 +382,6 @@ class Workspace(threading.local):
             self._keys, self._views, self._size = plan.keys, plan.views, len(plan.keys)
 
     def _end(self, ok):
-        self._aside = False
         log, self._log = self._log, None
         if log is None or not ok:
             return

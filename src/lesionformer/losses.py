@@ -3,6 +3,7 @@ regularization, combined into one scalar with a configurable weight."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,9 +70,10 @@ def attention_regularization(maps, masks, mode: str = "focusing") -> Tensor:
 
     ``literal`` penalizes mass inside the mask (||A .* M||_F); ``focusing``
     penalizes mass outside it (||A .* (1-M)||_F). Each entry is one map or
-    a stack of maps, with a mask of the same shape; the mean is over maps.
-    Entries whose mask is None contribute nothing and are excluded from
-    the denominator.
+    a stack of maps, with a mask of the same shape or, for a stack, a list
+    with one mask or None per map; the mean is over maps. A map whose mask
+    is None is gated by zero, so it contributes nothing, and is excluded
+    from the denominator; so is every map of an entry whose mask is None.
     """
     if mode not in ("literal", "focusing"):
         raise ValueError(f"unknown attention regularization mode {mode!r}")
@@ -80,19 +82,34 @@ def attention_regularization(maps, masks, mode: str = "focusing") -> Tensor:
         dtype = a.dtype
         if m is None:
             continue
-        m = np.asarray(m, dtype=a.dtype)
-        if m.shape != a.shape:
-            raise DimensionError(f"focus map {a.shape} vs mask {m.shape}")
-        if mode == "focusing":
-            m = 1.0 - m
-        gated = ad.mul(a, Tensor(m))
+        if isinstance(m, list):
+            if a.data.ndim < 3 or len(m) != a.shape[0]:
+                raise DimensionError(f"{len(m)} masks for focus maps {a.shape}")
+            masked = [i for i, mi in enumerate(m) if mi is not None]
+            gate = np.zeros(a.shape, a.dtype)
+            for i in masked:
+                gate[i] = _gate(m[i], a.shape[1:], a.dtype, mode)
+            n = len(masked)
+        else:
+            gate, n = _gate(m, a.shape, a.dtype, mode), math.prod(a.shape[:-2])
+        if not n:
+            continue
+        gated = ad.mul(a, Tensor(gate))
         norms = ad.sqrt(ad.sum_all(ad.mul(gated, gated)))
         total = ad.sum_all(ad.reshape(norms, (1, -1)))
         acc = total if acc is None else ad.add(acc, total)
-        count += norms.data.size
+        count += n
     if acc is None:
         return Tensor(np.zeros((1, 1), dtype=dtype))
     return ad.scale(acc, 1.0 / count)
+
+
+def _gate(mask, shape, dtype, mode):
+    """The gate of one mask: the mask (``literal``) or its complement."""
+    m = np.asarray(mask, dtype=dtype)
+    if m.shape != shape:
+        raise DimensionError(f"focus map {shape} vs mask {m.shape}")
+    return 1.0 - m if mode == "focusing" else m
 
 
 def total_loss(l_ce: Tensor, l_attn: Tensor | None, lambda_attn: float):

@@ -13,12 +13,12 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from itertools import groupby, zip_longest
+from itertools import zip_longest
 
 import numpy as np
 
 from . import losses, metrics
-from .autodiff import NumericError, Tape, Tensor, Workspace, _new, reshape, slice_rows
+from .autodiff import NumericError, Tape, Tensor, Workspace, _new, reshape
 from .data import class_frequencies, mask_to_patch_grid
 from .model import ModelConfig, forward, param_shapes
 
@@ -187,34 +187,29 @@ def train_step(params: dict[str, Tensor], model_cfg: ModelConfig, train_cfg: Tra
                batch, state: AdamState, weights, lr):
     """One forward and one backward over the whole batch, then an Adam step.
 
-    The regulariser takes one stack of focus maps per run of consecutive
-    masked images; images without a mask, and a model without encoder
-    layers (so without a focus map), add nothing. The step's arrays come
-    from the thread's ``step_workspace``, so the gradients handed to
+    The regulariser takes the stack of every image's focus map, with one
+    mask or None per image: an image without a mask, and a model without
+    encoder layers (so without a focus map), add nothing. The step's arrays
+    come from the thread's ``step_workspace``, so the gradients handed to
     :func:`adam_step` are valid until the thread's next step. The batch
-    size and whether the regulariser runs name the step's kind; the
-    regulariser's own ops, whose requests follow where the unmasked images
-    fall, run aside from the plan on small fresh arrays."""
+    size and whether the regulariser runs name the step's kind; steps of
+    one kind run the same ops on the same shapes wherever their unmasked
+    images fall, so they share one plan."""
     g, b = model_cfg.grid_side, len(batch)
-    runs = [list(run) for masked, run in groupby(range(b), lambda i: batch[i].mask is not None)
-            if masked]
-    regularise = train_cfg.lambda_attn > 0 and bool(runs)
+    masks = [s.mask for s in batch]
+    regularise = train_cfg.lambda_attn > 0 and any(m is not None for m in masks)
     with Tape(step_workspace, (b, regularise)) as tape:
         # no name holds the stacked images, so they are freed once forward returns
         res = forward(params, np.stack([s.image for s in batch], out=_new(
             (b,) + np.shape(batch[0].image), params["pos"].dtype)), model_cfg)
         l_ce = losses.weighted_cross_entropy(res.probs, [s.label for s in batch], weights)
-        with tape.aside():
-            l_attn = None
-            if regularise and res.focus is not None:
-                focus = reshape(res.focus, (b, model_cfg.num_patches))
-                focus_grids = [reshape(slice_rows(focus, run[0], run[-1] + 1), (len(run), g, g))
-                               for run in runs]
-                mask_grids = [mask_to_patch_grid(np.stack([batch[i].mask for i in run]),
-                                                 model_cfg.patch) for run in runs]
-                l_attn = losses.attention_regularization(
-                    focus_grids, mask_grids, train_cfg.attn_mode)
-            total, breakdown = losses.total_loss(l_ce, l_attn, train_cfg.lambda_attn)
+        l_attn = None
+        if regularise and res.focus is not None:
+            grids = [None if m is None else mask_to_patch_grid(m, model_cfg.patch)
+                     for m in masks]
+            l_attn = losses.attention_regularization(
+                [reshape(res.focus, (b, g, g))], [grids], train_cfg.attn_mode)
+        total, breakdown = losses.total_loss(l_ce, l_attn, train_cfg.lambda_attn)
         # the forward's attention maps then die with their op's backward
         del res
         tape.backward(total)

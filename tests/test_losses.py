@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lesionformer import autodiff as ad
-from lesionformer.autodiff import Tape, Tensor, finite_difference_check
+from lesionformer.autodiff import DimensionError, Tape, Tensor, finite_difference_check
 from lesionformer.losses import (attention_regularization, class_weights,
                                  total_loss, weighted_cross_entropy)
 
@@ -145,6 +145,11 @@ class TestAttentionRegularization:
                 got = attention_regularization([Tensor(a) for a in stacks], mask_stacks,
                                                mode).item()
                 assert abs(got - brute_force_attn_reg(maps, masks, mode)) < 1e-12
+            # one stack of five maps with one mask or None per map
+            stack = np.insert(np.stack(maps), 2, rng.random((3, 3)), axis=0)
+            got = attention_regularization([Tensor(stack)], [masks[:2] + [None] + masks[2:]],
+                                           mode).item()
+            assert abs(got - brute_force_attn_reg(maps, masks, mode)) < 1e-12
 
     @pytest.mark.parametrize("mode", ["literal", "focusing"])
     def test_gradient_matches_finite_differences(self, mode, rng):
@@ -174,6 +179,54 @@ class TestAttentionRegularization:
 
         assert finite_difference_check(
             f_runs, Tensor(rng.random((5, 9)) + 0.1, requires_grad=True)) < 1e-5
+
+        # the same five maps as one stack, with one mask or None per map
+        def f_list(x):
+            return attention_regularization([ad.reshape(x, (5, 3, 3))],
+                                            [[*masks[:2], None, *masks[2:]]], mode)
+
+        assert finite_difference_check(
+            f_list, Tensor(rng.random((5, 9)) + 0.1, requires_grad=True)) < 1e-5
+
+    @pytest.mark.parametrize("mode", ["literal", "focusing"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mask_list_gradient_equals_the_run_split_gradient(self, dtype, mode, rng):
+        # flat focus rows 0-1 and 3-4 masked, row 2 not: the stack with a
+        # mask list and the two runs sliced around row 2 give the same bits
+        x = Tensor(rng.random((5, 9)).astype(dtype), requires_grad=True)
+        masks = list(rng.random((4, 3, 3)) > 0.5)
+
+        def grad(build):
+            with Tape() as tape:
+                tape.backward(build())
+                return tape.grad(x)
+
+        got = grad(lambda: attention_regularization(
+            [ad.reshape(x, (5, 3, 3))], [[*masks[:2], None, *masks[2:]]], mode))
+        want = grad(lambda: attention_regularization(
+            [ad.reshape(ad.slice_rows(x, lo, hi), (2, 3, 3)) for lo, hi in ((0, 2), (3, 5))],
+            [np.stack(masks[:2]), np.stack(masks[2:])], mode))
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", ["literal", "focusing"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_an_unmasked_maps_gradient_is_positive_zero(self, dtype, mode, rng):
+        # its norm is sqrt(0), whose backward is clamped at 1e-12 and then
+        # multiplied by the map's zero gated entries
+        a = Tensor(rng.random((3, 4, 4)).astype(dtype), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(attention_regularization(
+                [a], [[rng.random((4, 4)), None, rng.random((4, 4))]], mode))
+            g = tape.grad(a)
+        assert g[1].tobytes() == np.zeros((4, 4), dtype).tobytes()
+        assert np.all(g[[0, 2]] != 0)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_a_mask_list_of_another_length_than_the_stack_is_refused(self, n, rng):
+        with pytest.raises(DimensionError):
+            attention_regularization([Tensor(rng.random((3, 2, 2)))],
+                                     [[np.ones((2, 2))] * n])
 
     @pytest.mark.parametrize("mode", ["literal", "focusing"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

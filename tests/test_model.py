@@ -474,8 +474,8 @@ class TestGradCamFrozenWeights:
         assert max(tops) == (1.0 if cfg.layers else 0.0)
 
     def forward_backward(self, monkeypatch, params, image, cfg):
-        """(ops the forward records, its result, the tape, the gradients of
-        class 0's logit)."""
+        """(ops the forward records, its result, the tape, the tape's dict of
+        leaves: the gradients of class 0's logit, keyed by leaf tensor)."""
         count = [0]
         original = Tape._record
 
@@ -489,7 +489,8 @@ class TestGradCamFrozenWeights:
                 res = forward(params, image, cfg)
         with tape:
             target = ad.slice_cols(res.logits, 0, 1)
-        return count[0], res, tape, tape.backward(target)
+        tape.backward(target)
+        return count[0], res, tape, tape._leaves
 
     def test_frozen_forward_records_final_block_only(self, monkeypatch, rng):
         cfg = tiny_config(layers=2)
@@ -502,8 +503,8 @@ class TestGradCamFrozenWeights:
         assert np.any(live_tape.grad(live["patch_proj.w"]) != 0)
         assert res.tokens.requires_grad
         assert np.any(tape.grad(res.tokens) != 0)
-        # backward returns the leaves' gradients keyed by tensor: the final
-        # block's input tokens are the only leaf, and no frozen weight is one
+        # the final block's input tokens are the tape's only leaf, and no
+        # frozen weight is one
         assert len(grads) == 1 and next(iter(grads)) is res.tokens
         assert not any(t in grads for t in weights.values())
 

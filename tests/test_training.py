@@ -301,6 +301,42 @@ class TestStepWorkspace:
         # every traced allocation, NumPy's included; fresh arrays took about 10.5 MB
         assert on_new_thread(third_step_peak) < 2**20
 
+    def test_steps_masked_in_different_places_share_one_plan(self, monkeypatch):
+        # every step of one batch size makes the same requests wherever its
+        # unmasked images fall: the first records the plan, and from the
+        # second on the gradients handed to Adam are views into the arena
+        # (but the biases' and gains', which are reductions from the heap);
+        # the plan covers the regulariser's ops too
+        from lesionformer import training
+        mc, tc = ModelConfig(), TrainConfig()
+        batch = synth_generate(tc.batch_size, SynthConfig(seed=4))
+        w = class_weights([0.5, 0.25, 0.25], tc.weight_epsilon)
+        unmasked_sets = [(), (0, 3, 6), (7,), (1, 2), ()]
+        ws, adam = training.step_workspace, training.adam_step  # ws: per thread
+        views, plans = [], []
+
+        def spy(p, grads, *args):
+            views.append({name for name, g in grads.items() if np.shares_memory(g, ws._arena)})
+            plans.append(len(ws._plans))
+            return adam(p, grads, *args)
+
+        def steps():
+            params = init_params(mc)
+            state = init_adam(params)
+            for unmasked in unmasked_sets:
+                train_step(params, mc, tc, [dataclasses.replace(s, mask=None) if i in unmasked
+                                            else s for i, s in enumerate(batch)],
+                           state, w, tc.learning_rate)
+            (plan,) = ws._plans.values()
+            return [name for name, dtype in plan.keys if dtype is None]
+
+        monkeypatch.setattr(training, "adam_step", spy)
+        assert "sqrt" in on_new_thread(steps)
+        weights = {"pos", "cls", "patch_proj.w", "head.w", "layer0.wq", "layer1.mlp.w2"}
+        assert views[0] == set() and weights <= views[1]
+        assert all(v == views[1] for v in views[2:])
+        assert plans == [1] * len(unmasked_sets)
+
     def test_changed_batches_and_calls_between_steps_keep_the_bits(self, tiny_config):
         _, mc, tc, samples = fresh(tiny_config)
         w = class_weights([0.4, 0.3, 0.3], tc.weight_epsilon)
@@ -606,10 +642,13 @@ class TestBatchedStep:
         samples = synth_generate(8, SynthConfig(seed=4))
         assert all(s.mask is not None for s in samples)
         w = self.weights(samples, mc, tc)
-        for b in (1, 2, 8):
+        # the last batch lacks the masks of images 1, 4 and 5
+        mixed = [dataclasses.replace(s, mask=None) if i in (1, 4, 5) else s
+                 for i, s in enumerate(samples)]
+        for batch in (samples[:1], samples[:2], samples, mixed):
             counts.append(0)
-            train_step(params, mc, tc, samples[:b], init_adam(params), w, tc.learning_rate)
-        assert counts == [85, 85, 85]
+            train_step(params, mc, tc, batch, init_adam(params), w, tc.learning_rate)
+        assert counts == [83, 83, 83, 83]
 
     def test_model_without_layers_trains_on_masked_samples(self, tiny_config):
         _, _, tc, samples = fresh(tiny_config)

@@ -52,7 +52,7 @@ LARGE = dict(image_h=64, image_w=64, embed_dim=64, heads=4, scales=3, layers=2)
 
 # (batch size, indices of its images without a mask) per step of the run
 # whose batches change: the first step of each size on the thread records a
-# plan and later ones reuse it, the regulariser running aside from the plan
+# plan and later ones reuse it, wherever their images lack a mask
 RESIZES = ((8, ()), (5, ()), (5, (1,)), (8, ()), (8, (0, 3)), (8, ()))
 
 # name -> (ModelConfig overrides, dtype, batch size)
