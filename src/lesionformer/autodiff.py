@@ -24,7 +24,10 @@ tensor. Backward drops each record once its backward has run, so forward
 arrays that only that backward read are freed as the pass goes.
 
 Memory: the ops take their output and gradient arrays from one allocator,
-``_new(shape, dtype)``, directly or as NumPy's ``out=``. With no workspace
+``_new(shape, dtype)``, directly or as NumPy's ``out=``, and always on the
+calling thread: ``multi_head_attention`` takes every head group's arrays
+before any group's kernel runs, and a kernel on its worker thread writes
+only into arrays it was given (see :func:`_run`). With no workspace
 active that is a fresh array, as NumPy would allocate it. A tape opened on
 a :class:`Workspace` takes every one of them from one arena per thread
 instead, planned from the step's recorded lifetimes and sized to its peak
@@ -39,10 +42,14 @@ heap.
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import operator
+import os
+import queue
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -816,7 +823,9 @@ def softmax_rows(x: Tensor) -> Tensor:
 # one head per group, where one four-head group (4.2 MB) made the op's
 # forward 5% and its forward and backward 8% slower. Bounding the three
 # score stacks the backward holds instead (two-head groups at batch 8)
-# trained no faster.
+# trained no faster. Two or more groups run on two cores (see
+# :func:`_run`), which trained ``train-large-f32`` about 10% faster; the
+# calling thread still takes every group's arrays, in the groups' order.
 _HEAD_GROUP_BYTES = 2 * 1024 * 1024
 
 
@@ -839,6 +848,13 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
     copies, the backward's stacked temporaries and the gradients it
     returns come from :func:`_new`, so a train step plans them into its
     workspace.
+
+    The forward and the backward each take every group's arrays, and
+    make its copies, on the calling thread first, group by group; then
+    :func:`_run` runs the groups' kernels, on two cores when there are two
+    or more groups. A kernel writes only into the arrays it was given, its
+    own heads' arrays and columns, so the floats do not depend on which
+    thread ran it.
     """
     qd, kd, vd = q.data, kt.data, v.data
     if (qd.ndim < 2 or kd.ndim != qd.ndim or vd.ndim != qd.ndim
@@ -868,21 +884,19 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
 
     step = max(1, _HEAD_GROUP_BYTES // max(1, math.prod(lead) * n * m * dtype.itemsize))
     groups, outs, weights = [], [], []  # per group: its heads and their weights
+    tasks = []  # per group: its kernel, with its arrays
     for lo in range(0, heads, step):
         g = slice(lo, min(lo + step, heads))
         qh = _copy(split_cols(qd, n)[g])
         kh = _copy(split_rows(kd)[g])
         vh = _copy(split_cols(vd, m)[g])
-        y = np.matmul(qh, kh, _new(qh.shape[:-1] + kh.shape[-1:], _dtype(qh, kh)))
-        y *= c
-        # a -inf score would leave an exact 0 after the softmax; the scaled
-        # scores are non-finite wherever the product is, so one check covers both
-        if not all_finite(y):
-            raise NumericError("non-finite values produced by multi_head_attention")
-        _softmax(y)
-        outs.extend(np.matmul(y, vh, _new(y.shape[:-1] + vh.shape[-1:], _dtype(y, vh))))
+        y = _new(qh.shape[:-1] + kh.shape[-1:], _dtype(qh, kh))
+        out = _new(y.shape[:-1] + vh.shape[-1:], _dtype(y, vh))
+        tasks.append(functools.partial(_attend, qh, kh, vh, c, y, out))
+        outs.extend(out)
         weights.extend(y)
         groups.append((g, y))
+    _run(tasks)
 
     def backward(grads):
         g_outs, g_weights = grads[:heads], grads[heads:]
@@ -891,11 +905,11 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
         gq = _new(lead + (n, d), dtype) if q.requires_grad else None
         gkt = _new(lead + (d, m), dtype) if kt.requires_grad else None
         gv = _new(lead + (m, d), dtype) if values else None
-        for g, y in groups:
+
+        def group(g, y, go, gy, vh, gs, kh, qh):
+            """Group ``g``'s share of ``gq``, ``gkt`` and ``gv``."""
             hs = range(heads)[g]
-            go = None
-            if any(g_outs[h] is not None for h in hs):
-                go = _new((len(hs),) + lead + (n, dk), dtype)
+            if go is not None:
                 for i, h in enumerate(hs):
                     go[i] = 0.0 if g_outs[h] is None else g_outs[h]
             if values:
@@ -904,11 +918,10 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
                 else:  # matmul's backward
                     np.matmul(_swap(y), go, out=split_cols(gv, m)[g])
             if not scores:
-                continue
+                return
             # the weights' gradient: the values' term plus the weights' own
-            gy = _new(y.shape, dtype)
             if go is not None:
-                np.matmul(go, _swap(_copy(split_cols(vd, m)[g])), out=gy)
+                np.matmul(go, _swap(vh), out=gy)
             for i, h in enumerate(hs):
                 gw = g_weights[h]
                 if go is None:
@@ -916,15 +929,180 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
                 elif gw is not None:
                     np.add(gy[i], gw, out=gy[i])
             # softmax, then scale, then matmul backward, in the chain's order
-            gs = _softmax_backward(y, gy, _new(y.shape, dtype))
+            _softmax_backward(y, gy, gs)
             gs *= c
             if gq is not None:
-                np.matmul(gs, _swap(_copy(split_rows(kd)[g])), out=split_cols(gq, n)[g])
+                np.matmul(gs, _swap(kh), out=split_cols(gq, n)[g])
             if gkt is not None:
-                np.matmul(_swap(_copy(split_cols(qd, n)[g])), gs, out=split_rows(gkt)[g])
+                np.matmul(_swap(qh), gs, out=split_rows(gkt)[g])
+
+        tasks = []
+        for g, y in groups:
+            go = gy = vh = gs = kh = qh = None
+            if any(gi is not None for gi in g_outs[g]):
+                go = _new(y.shape[:-1] + (dk,), dtype)
+            if scores:
+                gy = _new(y.shape, dtype)
+                if go is not None:
+                    vh = _copy(split_cols(vd, m)[g])
+                gs = _new(y.shape, dtype)
+                if gq is not None:
+                    kh = _copy(split_rows(kd)[g])
+                if gkt is not None:
+                    qh = _copy(split_cols(qd, n)[g])
+            tasks.append(functools.partial(group, g, y, go, gy, vh, gs, kh, qh))
+        _run(tasks)
         return (gq, gkt, gv)
 
     return custom_op(tuple(outs + weights), (q, kt, v), backward, "multi_head_attention")
+
+
+def _attend(qh, kh, vh, c, y, out):
+    """One head group's weights ``softmax(c * qh @ kh)`` into ``y``, and
+    its results ``y @ vh`` into ``out``."""
+    np.matmul(qh, kh, y)
+    y *= c
+    # a -inf score would leave an exact 0 after the softmax; the scaled
+    # scores are non-finite wherever the product is, so one check covers both
+    if not all_finite(y):
+        raise NumericError("non-finite values produced by multi_head_attention")
+    _softmax(y)
+    np.matmul(y, vh, out)
+
+
+# ---------------------------------------------------------------------------
+# head groups on two cores
+
+
+class _Job:
+    """One op's group kernels, taken by a shared index by the calling
+    thread and the worker."""
+
+    __slots__ = ("tasks", "next", "lock", "helped", "done", "error", "errcall", "errstate")
+
+    def __init__(self, tasks):
+        self.tasks = tasks
+        self.next = 0                   # the index of the next group to take
+        self.lock = threading.Lock()
+        self.helped = False             # the worker has taken a group
+        self.done = threading.Event()   # set once a worker that helped takes no more
+        self.error = None               # what a group raised on the worker
+        self.errcall, self.errstate = np.geterrcall(), np.geterr()
+
+    def claim(self, worker):
+        """The next group's kernel, or None once every group is taken."""
+        with self.lock:
+            i = self.next
+            if i >= len(self.tasks):
+                return None
+            self.next = i + 1
+            self.helped = self.helped or worker
+            return self.tasks[i]
+
+    def stop(self):
+        """Let no thread take another group, and drop the kernels; True if
+        the worker took one."""
+        with self.lock:
+            self.tasks = ()
+            return self.helped
+
+
+def _help(job):
+    """The worker's share of ``job``, under its caller's ``np.errstate``.
+    A group that raises stops the job; the caller raises the error. The
+    worker drops each kernel, and so its arrays, before it sets ``done``."""
+    with np.errstate(call=job.errcall, **job.errstate):
+        while (task := job.claim(True)) is not None:
+            try:
+                task()
+            except BaseException as e:  # raised again on the caller
+                job.error = e
+                job.stop()
+    if job.helped:
+        job.done.set()
+
+
+def _serve(inbox):
+    """The worker thread: every job put on ``inbox``, until the process exits."""
+    while True:
+        _help(inbox.get())
+
+
+_inbox = None  # the worker's queue of jobs, once it runs
+_inbox_lock = threading.Lock()
+
+
+def _worker():
+    """The worker's queue, starting the worker on first use."""
+    global _inbox
+    with _inbox_lock:
+        if _inbox is None:
+            inbox = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(inbox,), name="head-groups",
+                             daemon=True).start()
+            _inbox = inbox
+        return _inbox
+
+
+def _forget_worker():
+    """A forked child has no worker thread: it starts its own."""
+    global _inbox
+    _inbox = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _cores():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+# When the scheduler puts the worker on the calling thread's core (a
+# busy-loop process on the other core of a 2-core host made it do so for
+# 182 of 185 groups), the two take turns on one core and the op runs no
+# faster, and up to 15% slower. The calling thread sees this as wall time
+# past its CPU time while it runs kernels: past ``_SHARED`` times, every
+# call runs on the calling thread alone for ``_ALONE_S`` seconds, and then
+# the worker is tried again. That kept the step level with the worker off
+# under one busy process, and used the worker for 200 of 200 calls on a
+# quiet host.
+_SHARED = 1.5
+_ALONE_S = 0.25
+_alone_until = 0.0  # time.monotonic() until which calls run alone
+
+
+def _run(tasks):
+    """Call every kernel of ``tasks``, each writing only into arrays it was
+    given. Two or more run on the calling thread and on one worker thread,
+    when the process may use two CPUs and no calling thread has been kept
+    off its core of late: both take kernels by a shared index, so if
+    the worker's core is busy the caller runs the rest itself, and the
+    caller waits only for a kernel the worker has started. An error is
+    raised here once that kernel has finished."""
+    global _alone_until
+    if len(tasks) < 2 or _cores() < 2 or time.monotonic() < _alone_until:
+        for task in tasks:
+            task()
+        return
+    job = _Job(tasks)
+    _worker().put(job)
+    try:
+        wall, cpu = time.perf_counter(), time.thread_time()
+        while (task := job.claim(False)) is not None:
+            task()
+        if time.perf_counter() - wall > _SHARED * (time.thread_time() - cpu):
+            _alone_until = time.monotonic() + _ALONE_S
+    finally:
+        if job.stop():
+            job.done.wait()
+        error, job.error = job.error, None
+    if error is not None:
+        raise error
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:

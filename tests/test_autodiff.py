@@ -1,7 +1,10 @@
 import dataclasses
 import math
+import os
 import sys
 import threading
+import time
+import warnings
 import weakref
 from functools import reduce
 
@@ -1230,13 +1233,56 @@ def heads_chain(q, kt, v, heads, c):
     return tuple(out for out, _ in pairs) + tuple(w for _, w in pairs)
 
 
-@pytest.fixture(params=["grouped", "one_head_per_group"])
+def never_alone(monkeypatch):
+    """Let every multi-group call share its groups with the worker, on a
+    host of two or more CPUs, even after a call whose calling thread was
+    kept off its core."""
+    monkeypatch.setattr(ad, "_ALONE_S", 0.0)
+    monkeypatch.setattr(ad, "_alone_until", 0.0)
+
+
+@pytest.fixture(params=["grouped", "one_head_per_group", "one_head_per_group_worker_off"])
 def head_groups(request, monkeypatch):
     """Every case runs with the default head groups, and again with a group
-    bound so small that each head is a group of its own."""
-    if request.param == "one_head_per_group":
+    bound so small that each head is a group of its own: with the groups
+    shared with the worker thread on a host of two or more CPUs, and with
+    the worker off, every group on the calling thread."""
+    if request.param != "grouped":
         monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", 1)
+    if request.param == "one_head_per_group":
+        never_alone(monkeypatch)
+    if request.param == "one_head_per_group_worker_off":
+        monkeypatch.setattr(ad, "_cores", lambda: 1)
     return request.param
+
+
+def worker_takes_the_second_group(monkeypatch):
+    """Make each multi-group call give its first group to the calling
+    thread and its second to the worker, on any host; return a list that
+    gets, per call, the idents of the threads that took its groups."""
+    monkeypatch.setattr(ad, "_cores", lambda: 2)
+    never_alone(monkeypatch)  # the caller waits for the worker here
+    claim, turns, takers = ad._Job.claim, {}, []
+
+    def handshake(job, worker):
+        if job not in turns:
+            turns[job] = (threading.Event(), threading.Event())
+            takers.append([])
+        first, second = turns[job]
+        if worker and not second.is_set():
+            assert first.wait(timeout=30)
+        task = claim(job, worker)
+        if task is not None:
+            takers[list(turns).index(job)].append(threading.get_ident())
+        if worker:
+            second.set()
+        elif not first.is_set():
+            first.set()
+            assert second.wait(timeout=30)
+        return task
+
+    monkeypatch.setattr(ad._Job, "claim", handshake)
+    return takers
 
 
 class TestMultiHeadAttention:
@@ -1382,9 +1428,16 @@ class TestBackwardScratch:
         assert [g.tobytes() for g in second] != before
         assert [g.tobytes() for g in first] == before
 
-    def test_threads_running_grad_cam_and_train_steps_give_the_serial_bytes(self):
+    @pytest.mark.parametrize("groups", ["grouped", "one_head_per_group"])
+    def test_threads_running_grad_cam_and_train_steps_give_the_serial_bytes(
+            self, groups, monkeypatch):
         # more threads than cores, switching often, each on its own parameters;
-        # one thread's batch size differs, so its steps' arrays differ too
+        # one thread's batch size differs, so its steps' arrays differ too.
+        # With one head per group every thread's attention shares the one
+        # worker, and the serial bytes are those of the worker off.
+        if groups == "one_head_per_group":
+            monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", 1)
+            never_alone(monkeypatch)
         cfg, tcfg = model.ModelConfig(), TrainConfig()
         weights = losses.class_weights([0.5, 0.25, 0.25], tcfg.weight_epsilon)
         runs = ((1, tcfg.batch_size), (2, tcfg.batch_size), (3, tcfg.batch_size), (4, 5))
@@ -1401,7 +1454,9 @@ class TestBackwardScratch:
                 train_step(params, cfg, tcfg, batch, state, weights, tcfg.learning_rate)
             return [a.tobytes() for a in got + [p.data for p in params.values()]]
 
-        serial = [work(*run) for run in runs]
+        with monkeypatch.context() as serially:
+            serially.setattr(ad, "_cores", lambda: 1)
+            serial = [work(*run) for run in runs]
         barrier, results = threading.Barrier(len(runs)), [None] * len(runs)
 
         def run(i):
@@ -1419,6 +1474,115 @@ class TestBackwardScratch:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert results == serial
+
+
+class TestHeadGroupsOnTwoCores:
+    """Two or more head groups run on the calling thread and one worker
+    thread, with the bytes of the calling thread alone."""
+
+    @staticmethod
+    def run(lead=(2,), dtype=np.float64):
+        """The op's outputs and gradients for four one-head groups."""
+        rng = np.random.default_rng(5)
+        q, kt, v = (Tensor(rng.standard_normal(lead + s).astype(dtype), requires_grad=True)
+                    for s in ((9, 8), (8, 5), (5, 8)))
+        with Tape() as tape:
+            outs = ad.multi_head_attention(q, kt, v, 4, 0.5)
+            tape.backward(reduce(ad.add, map(weighted_sum, outs)))
+            return [a.tobytes() for a in [o.data for o in outs]
+                    + [tape.grad(x) for x in (q, kt, v)]]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_worker_runs_a_group_with_the_bytes_of_the_worker_off(
+            self, dtype, monkeypatch):
+        monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", 1)
+        takers = worker_takes_the_second_group(monkeypatch)
+        shared = self.run(dtype=dtype)
+        me = threading.get_ident()
+        assert len(takers) == 2  # the forward's groups, then the backward's
+        assert all(len(ids) == 4 and ids[0] == me and ids[1] != me for ids in takers)
+        monkeypatch.setattr(ad, "_cores", lambda: 1)
+        assert self.run(dtype=dtype) == shared
+        assert len(takers) == 2  # no job with the worker off
+
+    def test_an_overflow_on_the_worker_raises_only_the_numeric_error(self, monkeypatch):
+        # head 1, the worker's group, overflows; head 0 is finite
+        monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", 1)
+        takers = worker_takes_the_second_group(monkeypatch)
+        q = t([[1.0, 1.0, 1e300, 1.0], [1.0, 1.0, 1.0, 1.0]])
+        kt = t([[1.0, 0.5], [0.5, 1.0], [1e300, 1.0], [1.0, 1.0]])
+        v = t(np.ones((2, 4)))
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="multi_head_attention"):
+                ad.multi_head_attention(q, kt, v, 2, 0.5)
+            q.data[0, 2] = 1.0
+            kt.data[2, 0] = 1.0
+            outs = ad.multi_head_attention(q, kt, v, 2, 0.5)
+        assert all(ad.all_finite(o.data) for o in outs)
+        me = threading.get_ident()
+        assert [ids[1] != me for ids in takers] == [True, True]
+
+    def test_a_train_step_takes_every_array_on_the_calling_thread(self, monkeypatch):
+        from lesionformer import training
+        monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", 1)
+        takers = worker_takes_the_second_group(monkeypatch)
+        cfg, tcfg = model.ModelConfig(), TrainConfig()
+        batch = synth_generate(tcfg.batch_size, SynthConfig(seed=4))
+        weights = losses.class_weights([0.5, 0.25, 0.25], tcfg.weight_epsilon)
+        take, taken = ad.Workspace.take, []
+
+        def spy(ws, shape, dtype):
+            arr = take(ws, shape, dtype)
+            taken[-1].append((threading.get_ident(), ws._arena is not None
+                              and np.shares_memory(arr, ws._arena)))
+            return arr
+
+        monkeypatch.setattr(ad.Workspace, "take", spy)
+
+        def steps():  # on a new thread, whose step workspace starts empty
+            params = model.init_params(cfg)
+            state = init_adam(params)
+            arenas = set()  # ids: an array held past its step moves the plans
+            for _ in range(3):
+                taken.append([])
+                train_step(params, cfg, tcfg, batch, state, weights, tcfg.learning_rate)
+                arenas.add(id(training.step_workspace._arena))
+            return threading.get_ident(), len(training.step_workspace._plans), len(arenas)
+
+        out = []
+        th = threading.Thread(target=lambda: out.append(steps()))
+        th.start()
+        th.join(timeout=120)
+        assert not th.is_alive() and len(out) == 1
+        caller, plans, arenas = out[0]
+        assert plans == arenas == 1 and len(taken[0]) == len(taken[1]) == len(taken[2]) > 0
+        assert all(ident == caller for step in taken for ident, _ in step)
+        # the later steps follow the first step's plan
+        assert all(in_arena for step in taken[1:] for _, in_arena in step)
+        # every attention call of every step shared its groups with the worker
+        assert len(takers) == 3 * 2 * cfg.layers * cfg.scales
+        assert all(caller in ids and len(set(ids)) == 2 for ids in takers)
+
+    def test_a_caller_kept_off_its_core_runs_the_next_calls_alone(self, monkeypatch):
+        # a kernel that sleeps keeps wall time past the caller's CPU time,
+        # as a caller taking turns with the worker on one core does
+        monkeypatch.setattr(ad, "_cores", lambda: 2)
+        monkeypatch.setattr(ad, "_alone_until", 0.0)
+        ad._run([lambda: time.sleep(0.02)] * 2)
+        assert ad._alone_until > time.monotonic()
+        takers = []
+        ad._run([lambda: takers.append(threading.get_ident())] * 4)
+        assert takers == [threading.get_ident()] * 4
+
+    def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", 1)
+        never_alone(monkeypatch)
+        monkeypatch.setattr(ad, "_inbox", None)  # as if no worker had started yet
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        before = threading.active_count()
+        self.run()
+        assert ad._inbox is None and threading.active_count() == before
 
 
 def handing_back(x, g):

@@ -28,9 +28,10 @@ def test_prints_one_line_per_config_with_the_workspace_arena(monkeypatch, capsys
     assert tool.main([str(TOOL.parent.parent)]) == 0
     out = capsys.readouterr().out
     m = re.fullmatch(r"tiny minflt_per_step=(\S+) step_peak_mb=(\S+) arena_mb=(\S+) "
-                     r"gradcam_peak_mb=(\S+)\n", out)
+                     r"gradcam_peak_mb=(\S+) threads=(\d+)\n", out)
     assert m, out
     assert float(m[1]) >= 0 and float(m[2]) > 0 and float(m[3]) > 0 and float(m[4]) > 0
+    assert int(m[5]) >= 1
 
 
 def test_a_tree_without_the_package_is_refused(tmp_path, capsys):

@@ -14,7 +14,10 @@ runs ``WARMUP`` train steps on one batch, then prints one line with:
 - ``arena_mb``: the bytes of the thread's step workspace (0 for a tree
   without one);
 - ``gradcam_peak_mb``: the ``tracemalloc`` peak of one ``grad_cam`` call
-  on the first image above its start, after one warm-up call.
+  on the first image above its start, after one warm-up call;
+- ``threads``: ``threading.active_count()`` after the config's steps, 2
+  once attention's worker thread has started (it runs head groups on a
+  second core when one call has two or more).
 
 A step that reuses its arrays takes almost no faults and a peak far below
 its arrays' size. Compare two trees the way ``float_digests.py`` does:
@@ -28,6 +31,7 @@ from __future__ import annotations
 import os
 import resource
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -64,9 +68,10 @@ def traced_peak(fn):
 
 def measure(model_cfg, dtype, batch, warmup, steps):
     """``(faults per step, step peak bytes, arena bytes, Grad-CAM peak
-    bytes)`` of ``steps`` train steps on one batch of ``batch`` synthetic
-    images, after ``warmup`` steps, then of one ``grad_cam`` call after one
-    warm-up call. ``lesionformer`` must already be importable."""
+    bytes, threads)`` of ``steps`` train steps on one batch of ``batch``
+    synthetic images, after ``warmup`` steps, then of one ``grad_cam`` call
+    after one warm-up call; threads are counted after the steps.
+    ``lesionformer`` must already be importable."""
     from lesionformer import data, losses, model, training
 
     samples = data.synth_generate(batch, data.SynthConfig(
@@ -89,13 +94,15 @@ def measure(model_cfg, dtype, batch, warmup, steps):
         step()
     faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps
     peak = traced_peak(step)
+    threads = threading.active_count()
     workspace = getattr(training, "step_workspace", None)
 
     def cam():
         model.grad_cam(params, samples[0].image, samples[0].label, model_cfg)
 
     cam()
-    return faults, peak, 0 if workspace is None else workspace.nbytes, traced_peak(cam)
+    arena = 0 if workspace is None else workspace.nbytes
+    return faults, peak, arena, traced_peak(cam), threads
 
 
 def main(argv=None) -> int:
@@ -116,9 +123,11 @@ def main(argv=None) -> int:
               f"{lesionformer.__file__}", file=sys.stderr)
         return 2
     for name, (overrides, dtype, batch) in CONFIGS.items():
-        faults, peak, arena, cam = measure(ModelConfig(**overrides), dtype, batch, WARMUP, STEPS)
+        faults, peak, arena, cam, threads = measure(ModelConfig(**overrides), dtype, batch,
+                                                    WARMUP, STEPS)
         print(f"{name} minflt_per_step={faults:.1f} step_peak_mb={peak / 2**20:.2f} "
-              f"arena_mb={arena / 2**20:.2f} gradcam_peak_mb={cam / 2**20:.3f}")
+              f"arena_mb={arena / 2**20:.2f} gradcam_peak_mb={cam / 2**20:.3f} "
+              f"threads={threads}")
     return 0
 
 
