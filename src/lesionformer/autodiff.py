@@ -16,18 +16,25 @@ it receives. An op may have several outputs (see :func:`custom_op`). A
 tape lives for one forward/backward pass and is discarded afterwards.
 
 One rule keeps gradients, on every tape: a gradient lives on its tensor.
-An op's output carries the mark of the tape that recorded the op and its
-gradient on that tape, so the gradient stays readable while the caller
-holds the tensor and dies with it. A tensor no op on the tape produced (a
-leaf) has its gradient in the tape's dict of leaves, which holds the
-tensor. Backward drops each record once its backward has run, so forward
-arrays that only that backward read are freed as the pass goes.
+An op's output recorded on a tape gets a node (:class:`_Node`) that
+carries the tape's mark and the output's gradient on that tape, so the
+gradient stays readable while the caller holds the tensor and dies with
+it. A tensor no op on the tape produced (a leaf) has its gradient in the
+tape's dict of leaves, which holds the tensor. A record holds nodes, not
+tensors, and an op's backward keeps only the arrays it reads, as
+PyTorch's saved tensors do (Paszke et al. 2019, arXiv:1912.01703): an
+output no backward reads is freed once the caller drops it, while the
+forward still runs. Backward drops each record once its backward has
+run, so forward arrays that only that backward read are freed as the
+pass goes.
 
 Memory: the ops take their output and gradient arrays from one allocator,
 ``_new(shape, dtype)``, directly or as NumPy's ``out=``, and always on the
 calling thread: ``multi_head_attention`` takes every head group's arrays
-before any group's kernel runs, and a kernel on its worker thread writes
-only into arrays it was given (see :func:`_run`). With no workspace
+in its forward, and in its backward the gradients and one scratch set per
+thread that may run its groups, before any group's kernel runs, and a
+kernel on its worker thread writes only into arrays it was given (see
+:func:`_run`). With no workspace
 active that is a fresh array, as NumPy would allocate it. A tape opened on
 a :class:`Workspace` takes every one of them from one arena per thread
 instead, planned from the step's recorded lifetimes and sized to its peak
@@ -71,9 +78,9 @@ _ALLOWED = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor:
-    """A dense array plus autodiff metadata: for an op's output, the mark of
-    the tape that recorded the op and the gradient on that tape (see
-    :meth:`Tape.grad`).
+    """A dense array plus autodiff metadata: for an output of an op a tape
+    recorded, its :class:`_Node` on that tape, which carries its gradient
+    (see :meth:`Tape.grad`).
 
     The array is stored row-major: a C-contiguous float32 or float64 input
     is kept as it is, and any other is copied. NumPy lays a fresh result
@@ -81,7 +88,7 @@ class Tensor:
     differently, so one layout gives an op the same floats whether its
     arrays come from NumPy or from a :class:`Workspace`."""
 
-    __slots__ = ("data", "requires_grad", "_tape", "_grad")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype, order="C")
@@ -89,7 +96,7 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = requires_grad
-        self._tape = self._grad = None
+        self._node = None
 
     @property
     def shape(self):
@@ -108,6 +115,23 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
+class _Node:
+    """What a tape keeps of one output of an op it recorded: the tape's
+    mark and the output's gradient on that tape. Its ``requires_grad`` is
+    True, as every recorded output's is, so the tape reads it alike from
+    a record's inputs, nodes and leaf tensors. The output's tensor holds
+    its node, and the node does not hold the tensor: a record holds nodes,
+    so an output's array lives only while the caller holds its tensor or a
+    backward reads it."""
+
+    __slots__ = ("mark", "grad")
+    requires_grad = True
+
+    def __init__(self, mark):
+        self.mark = mark
+        self.grad = None
+
+
 _ACTIVE_TAPE = contextvars.ContextVar("active_tape", default=None)
 _ACTIVE_WORKSPACE = contextvars.ContextVar("active_workspace", default=None)
 
@@ -116,19 +140,19 @@ class Tape:
     """Ordered record of ops for one forward pass; replayed in reverse.
 
     Use as a context manager. Only one tape may be active per thread (per
-    context); threads each record on their own tape. The tape marks each
-    output of the ops it records with a mark of its own, a bare object (not
-    the tape, so no output holds the tape and its records); after
-    :meth:`backward`, a marked tensor carries its gradient and the tape
-    holds only the leaves' gradients. While a tape opened on a
-    :class:`Workspace` is active, every array the ops allocate comes from
-    that workspace, by its plan for the step's ``kind`` (any hashable name;
-    steps of one kind make the same requests).
+    context); threads each record on their own tape. The tape gives each
+    output of the ops it records a :class:`_Node` carrying a mark of its
+    own, a bare object (not the tape, so no node holds the tape and its
+    records); after :meth:`backward`, a recorded output's node carries its
+    gradient and the tape holds only the leaves' gradients. While a tape
+    opened on a :class:`Workspace` is active, every array the ops allocate
+    comes from that workspace, by its plan for the step's ``kind`` (any
+    hashable name; steps of one kind make the same requests).
     """
 
     def __init__(self, workspace=None, kind=None):
-        self._records = []  # (out or tuple of outs, inputs, backward_fn)
-        self._mark = object()  # on each output of the recorded ops
+        self._records = []  # (node or tuple of nodes, inputs, backward_fn)
+        self._mark = object()  # on the node of each output of the recorded ops
         self._leaves = None  # after backward: leaf tensor -> gradient
         self._workspace = workspace
         self._kind = kind
@@ -150,19 +174,38 @@ class Tape:
         return False
 
     def _record(self, out, inputs, backward_fn):
-        self._records.append((out, inputs, backward_fn))
+        """Record an op: give each of its output tensors ``out`` (one or a
+        tuple) a node on this tape, and keep the nodes, each input's node
+        if this tape produced the input or else the input tensor itself (a
+        leaf), and ``backward_fn``."""
+        mark = self._mark
+        if type(out) is tuple:
+            nodes = tuple(_Node(mark) for _ in out)
+            for t, node in zip(out, nodes):
+                t._node = node
+        else:
+            nodes = out._node = _Node(mark)
+        entries = []
+        for t in inputs:
+            node = t._node
+            entries.append(node if node is not None and node.mark is mark else t)
+        self._records.append((nodes, entries, backward_fn))
 
     def backward(self, loss):
         """Reverse-topological accumulation from a scalar loss; runs once
         per tape. Read the gradients with :meth:`grad`.
 
-        Each record is dropped once its backward has run, and an output's
-        gradient is read from the output. An input's gradient goes onto the
-        input if this tape produced it, else into the dict of leaves, which
-        then holds the leaf. So the forward arrays that only a backward read
-        are freed as the pass goes, and each op output's gradient lives as
-        long as its tensor; on a workspace, that keeps the step's peak live
-        set, which sizes the arena, small.
+        A record holds the nodes of its outputs and of the inputs this tape
+        produced, not their tensors, and a backward keeps only the arrays
+        it reads, so an output no backward reads is freed once the caller
+        drops its tensor, while the forward still runs. Each record is dropped once its backward
+        has run, and an output's gradient is read from its node. An
+        input's gradient goes onto its node if this tape produced it, else
+        into the dict of leaves, which then holds the leaf. So the forward
+        arrays that only a backward read are freed as the pass goes, and
+        each op output's gradient lives as long as its tensor; on a
+        workspace, that keeps the step's peak live set, which sizes the
+        arena, small.
 
         A tensor's gradients are summed by one rule with two cases: the
         first is kept as its op returned it, and each later one is added to
@@ -173,49 +216,50 @@ class Tape:
             raise TapeError("backward already ran on this tape")
         if loss.data.size != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.data.shape}")
-        mark = self._mark
-        if loss._tape is not mark:
+        node = loss._node
+        if node is None or node.mark is not self._mark:
             raise TapeError("loss tensor was not produced on this tape")
-        loss._grad = np.ones_like(loss.data)
+        node.grad = np.ones_like(loss.data)
         leaves = self._leaves = {}
         records = self._records
         while records:
             out, inputs, backward_fn = records.pop()
             if type(out) is tuple:
-                g = tuple(o._grad for o in out)
+                g = tuple(o.grad for o in out)
                 if all(gi is None for gi in g):
                     continue
             else:
-                g = out._grad
+                g = out.grad
                 if g is None:
                     continue
             for t, gi in zip(inputs, backward_fn(g)):
                 if gi is None or not t.requires_grad:
                     continue
-                mine = t._tape is mark
-                acc = t._grad if mine else leaves.get(t)
+                mine = type(t) is _Node
+                acc = t.grad if mine else leaves.get(t)
                 if acc is None:
                     acc = gi
                 else:
                     acc = np.add(acc, gi, _out(acc.shape, acc, gi))
                 if mine:
-                    t._grad = acc
+                    t.grad = acc
                 else:
                     leaves[t] = acc
 
     def grad(self, t):
         """Gradient of the loss w.r.t. ``t``; exact zeros if unused.
 
-        A tensor an op on this tape produced carries its gradient, so it is
-        there while the caller holds the tensor; a leaf's is held by the
-        tape. The array may be shared with another gradient or be read-only
-        (a broadcast view), so copy it before writing into it. On a tape
-        opened on a workspace it is a view into the workspace's arena,
-        valid until the thread's next step on that workspace.
+        A tensor an op on this tape produced carries its gradient on its
+        node, so it is there while the caller holds the tensor; a leaf's is
+        held by the tape. The array may be shared with another gradient or
+        be read-only (a broadcast view), so copy it before writing into it.
+        On a tape opened on a workspace it is a view into the workspace's
+        arena, valid until the thread's next step on that workspace.
         """
         if self._leaves is None:
             raise TapeError("backward has not been run on this tape")
-        g = t._grad if t._tape is self._mark else self._leaves.get(t)
+        node = t._node
+        g = node.grad if node is not None and node.mark is self._mark else self._leaves.get(t)
         return np.zeros_like(t.data) if g is None else g
 
 
@@ -242,6 +286,12 @@ def custom_op(out_data, inputs, backward_fn, name):
     Every output is checked: any NaN or +/-Inf element raises
     ``NumericError`` naming the op. Finite values whose squares or sum
     overflow are allowed.
+
+    The tape keeps ``backward_fn`` until its backward runs, and keeps of
+    the tensors only their nodes (see :meth:`Tape._record`). So a
+    ``backward_fn`` should hold the arrays it reads, and the inputs'
+    ``requires_grad`` flags and shapes it needs, and no tensor: then an
+    array no backward reads is freed as soon as the caller drops it.
     """
     tape = _ACTIVE_TAPE.get()
     if tape is not None and tape._workspace is not None:
@@ -256,19 +306,16 @@ def custom_op(out_data, inputs, backward_fn, name):
         if t.requires_grad:
             requires = True
             break
-    record = tape is not None and requires
-    mark = tape._mark if record else None
     outs = []
     for arr in arrays:
         t = Tensor.__new__(Tensor)
         t.data = arr
         t.requires_grad = requires
-        t._tape = mark
-        t._grad = None
+        t._node = None
         outs.append(t)
     out = tuple(outs) if several else outs[0]
-    if record:
-        tape._record(out, list(inputs), backward_fn)
+    if tape is not None and requires:
+        tape._record(out, inputs, backward_fn)
     return out
 
 
@@ -292,9 +339,10 @@ class Workspace(threading.local):
     al. 2018, arXiv:1802.04799), and every later step of the kind hands
     request *i* its planned view: it allocates nothing from the heap and
     faults no page in. The arena holds the largest plan, the step's peak
-    live set, which stays small because the tape drops each record once its
-    backward has run; it grows when a plan needs more and is never freed
-    while its thread lives. The workspace keeps the last ``_PLANS`` plans.
+    live set, which stays small because a record keeps only what its
+    backward reads and the tape drops each record once its backward has
+    run; it grows when a plan needs more and is never freed while its
+    thread lives. The workspace keeps the last ``_PLANS`` plans.
 
     A step that leaves its plan's sequence gets fresh arrays from there on,
     and the next step of its kind records again. A step repeats its
@@ -537,25 +585,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             or (bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2])):
         raise DimensionError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
     out = _new(ad.shape[:-1] + bd.shape[-1:], _dtype(ad, bd))
+    a_shape, b_shape = ad.shape, bd.shape
+    # each gradient reads the other operand
+    a_read = ad if b.requires_grad else None
+    b_read = bd if a.requires_grad else None
     if bd.ndim > 2:
         def backward_stack(g):
-            return (np.matmul(g, _swap(bd), _new(ad.shape, _dtype(g, bd)))
-                    if a.requires_grad else None,
-                    np.matmul(_swap(ad), g, _new(bd.shape, _dtype(ad, g)))
-                    if b.requires_grad else None)
+            return (None if b_read is None else
+                    np.matmul(g, _swap(b_read), _new(a_shape, _dtype(g, b_read))),
+                    None if a_read is None else
+                    np.matmul(_swap(a_read), g, _new(b_shape, _dtype(a_read, g))))
 
         return custom_op(np.matmul(ad, bd, out), (a, b), backward_stack, "matmul")
-    rows = _rows(ad)
-    np.matmul(rows, bd, _rows(out))
+    np.matmul(_rows(ad), bd, _rows(out))
+    rows = None if a_read is None else _rows(a_read)
 
     def backward(g):
         g2 = _rows(g)
         ga = gb = None
-        if a.requires_grad:
-            ga = _new(ad.shape, _dtype(g2, bd))
-            np.matmul(g2, bd.T, _rows(ga))
-        if b.requires_grad:
-            gb = np.matmul(rows.T, g2, _new(bd.shape, _dtype(rows, g2)))
+        if b_read is not None:
+            ga = _new(a_shape, _dtype(g2, b_read))
+            np.matmul(g2, b_read.T, _rows(ga))
+        if rows is not None:
+            gb = np.matmul(rows.T, g2, _new(b_shape, _dtype(rows, g2)))
         return (ga, gb)
 
     return custom_op(out, (a, b), backward, "matmul")
@@ -582,10 +634,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape and (not 0 < b.data.ndim < a.data.ndim
                                or a.shape[-b.data.ndim:] != b.shape):
         raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    ad, bd, b_shape = a.data, b.data, b.shape
+    ad, bd, b_shape, b_grad = a.data, b.data, b.shape, b.requires_grad
 
     def backward(g):
-        return (g, _lead_sum(g, b_shape) if b.requires_grad else None)
+        return (g, _lead_sum(g, b_shape) if b_grad else None)
 
     return custom_op(np.add(ad, bd, _out(ad.shape, ad, bd)), (a, b),
                      backward, "add")
@@ -596,10 +648,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"mul shape mismatch: {a.shape} vs {b.shape}")
     ad, bd = a.data, b.data
+    # each gradient reads the other operand
+    a_read = ad if b.requires_grad else None
+    b_read = bd if a.requires_grad else None
 
     def backward(g):
-        return (np.multiply(g, bd, _out(g.shape, g, bd)),
-                np.multiply(g, ad, _out(g.shape, g, ad)))
+        return (None if b_read is None else np.multiply(g, b_read, _out(g.shape, g, b_read)),
+                None if a_read is None else np.multiply(g, a_read, _out(g.shape, g, a_read)))
 
     return custom_op(np.multiply(ad, bd, _out(ad.shape, ad, bd)),
                      (a, b), backward, "mul")
@@ -620,15 +675,16 @@ def scale_by(a: Tensor, s: Tensor) -> Tensor:
     """Multiply by a scalar tensor (gradient flows into both operands)."""
     if s.data.size != 1:
         raise DimensionError(f"scale_by expects a scalar tensor, got {s.shape}")
-    ad, sd = a.data, s.data
+    ad, sd, a_grad = a.data, s.data, a.requires_grad
     sv = sd.reshape(-1)[0]
+    a_read = ad if s.requires_grad else None
 
     def backward(g):
         ga = gs = tmp = None
-        if s.requires_grad:
-            tmp = np.multiply(g, ad, _out(g.shape, g, ad))
+        if a_read is not None:
+            tmp = np.multiply(g, a_read, _out(g.shape, g, a_read))
             gs = np.full_like(sd, tmp.sum())
-        if a.requires_grad:
+        if a_grad:
             ga = np.multiply(g, sv, tmp if tmp is not None else _out(g.shape, g, sd))
         return (ga, gs)
 
@@ -646,13 +702,15 @@ def div_by(a: Tensor, s: Tensor) -> Tensor:
                              f"entry per matrix of {a.shape}, got {s.shape}")
     # the axes one entry of s divides: all of a's, or one matrix's
     axes = tuple(range(ad.ndim)) if sd.size == 1 else (-2, -1)
+    a_grad = a.requires_grad
+    a_read = ad if s.requires_grad else None
 
     def backward(g):
         ga = gs = None
-        if a.requires_grad:
+        if a_grad:
             ga = np.divide(g, sd, _out(g.shape, g, sd))
-        if s.requires_grad:
-            tmp = np.multiply(g, ad, _out(g.shape, g, ad))
+        if a_read is not None:
+            tmp = np.multiply(g, a_read, _out(g.shape, g, a_read))
             gs = (-tmp.sum(axis=axes, keepdims=True) / (sd * sd)).reshape(sd.shape)
         return (ga, gs)
 
@@ -665,10 +723,10 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
     if x.data.ndim < 2 or v.shape != (1, x.shape[-1]):
         raise DimensionError(f"add_rowvec shape mismatch: {x.shape} + {v.shape}")
 
-    xd, vd = x.data, v.data
+    xd, vd, v_grad = x.data, v.data, v.requires_grad
 
     def backward(g):
-        return (g, _rows(g).sum(axis=0, keepdims=True))
+        return (g, _rows(g).sum(axis=0, keepdims=True) if v_grad else None)
 
     return custom_op(np.add(xd, vd, _out(xd.shape, xd, vd)), (x, v),
                      backward, "add_rowvec")
@@ -690,12 +748,13 @@ def _slice(a: Tensor, start: int, stop: int, axis: int, name: str) -> Tensor:
         raise DimensionError(f"{name} [{start}:{stop}] out of range for {a.shape}")
 
     index = (..., slice(start, stop)) + (slice(None),) * (-1 - axis)
+    shape, dtype = a.shape, a.dtype
 
     def backward(g):
-        gx = _out(a.shape, a.data)
-        if gx is None:
-            gx = np.zeros_like(a.data)
+        if _ACTIVE_WORKSPACE.get() is None:
+            gx = np.zeros(shape, dtype)
         else:
+            gx = _new(shape, dtype)
             gx.fill(0.0)
         gx[index] = g
         return (gx,)
@@ -760,9 +819,10 @@ def sum_all(a: Tensor) -> Tensor:
     ad = a.data
     if ad.ndim < 2:
         raise DimensionError(f"sum_all expects at least 2-D, got {a.shape}")
+    shape = ad.shape
 
     def backward(g):
-        return (np.broadcast_to(g, ad.shape),)
+        return (np.broadcast_to(g, shape),)
 
     return custom_op(ad.sum(axis=(-2, -1), keepdims=True), (a,), backward, "sum_all")
 
@@ -825,7 +885,8 @@ def softmax_rows(x: Tensor) -> Tensor:
 # score stacks the backward holds instead (two-head groups at batch 8)
 # trained no faster. Two or more groups run on two cores (see
 # :func:`_run`), which trained ``train-large-f32`` about 10% faster; the
-# calling thread still takes every group's arrays, in the groups' order.
+# calling thread still takes every group's arrays, in the groups' order,
+# but the backward's scratch only once for each of the two threads.
 _HEAD_GROUP_BYTES = 2 * 1024 * 1024
 
 
@@ -843,18 +904,24 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
     those of the chain of slice ops, ``matmul``, ``scale``,
     ``softmax_rows`` and ``matmul`` per head: each head's parts are
     C-contiguous copies, as the slices made (BLAS rounds by layout), and
-    the tape keeps the weights and no scores. The backward copies the
-    parts it needs again rather than keeping them from the forward. The
-    copies, the backward's stacked temporaries and the gradients it
-    returns come from :func:`_new`, so a train step plans them into its
-    workspace.
+    the backward keeps the weights and, of ``q``, ``kt`` and ``v``, the
+    arrays its gradients read; no score and no head result. The backward
+    copies the parts it needs again rather than keeping them from the
+    forward, the keys' block into the bytes of the values' block and the
+    queries' block into those of the output gradient, once each is read.
+    The outputs, the gradients it returns, and the copies and stacked
+    temporaries (a group's scratch) come from :func:`_new`, so a train
+    step plans them into its workspace.
 
-    The forward and the backward each take every group's arrays, and
-    make its copies, on the calling thread first, group by group; then
-    :func:`_run` runs the groups' kernels, on two cores when there are two
-    or more groups. A kernel writes only into the arrays it was given, its
-    own heads' arrays and columns, so the floats do not depend on which
-    thread ran it.
+    The forward takes every group's arrays, and makes its copies, on the
+    calling thread first, group by group; the backward takes its
+    gradients and one scratch set per thread that may run kernels (two
+    for two or more groups, else one). Then :func:`_run` runs the groups'
+    kernels, on two cores when there are two or more groups. A backward
+    kernel writes its whole scratch before it reads it, and every kernel
+    writes otherwise only its own heads' arrays and columns, so the floats
+    do not depend on which thread ran it or which set it used, and the
+    requests not on whether the worker ran.
     """
     qd, kd, vd = q.data, kt.data, v.data
     if (qd.ndim < 2 or kd.ndim != qd.ndim or vd.ndim != qd.ndim
@@ -897,21 +964,50 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
         weights.extend(y)
         groups.append((g, y))
     _run(tasks)
+    stack = (min(step, heads),) + lead  # a backward scratch set fits the first, largest group
+
+    # what the backward reads: flags and shapes, the weights, and the
+    # operands its gradients need
+    q_grad, kt_grad, v_grad = q.requires_grad, kt.requires_grad, v.requires_grad
+    scores = q_grad or kt_grad
+    q_read = qd if kt_grad else None
+    k_read = kd if q_grad else None
+    v_read = vd if scores else None
 
     def backward(grads):
         g_outs, g_weights = grads[:heads], grads[heads:]
-        scores = q.requires_grad or kt.requires_grad
-        values = v.requires_grad and any(gi is not None for gi in g_outs)
-        gq = _new(lead + (n, d), dtype) if q.requires_grad else None
-        gkt = _new(lead + (d, m), dtype) if kt.requires_grad else None
+        outs_read = any(gi is not None for gi in g_outs)
+        values = v_grad and outs_read
+        gq = _new(lead + (n, d), dtype) if q_grad else None
+        gkt = _new(lead + (d, m), dtype) if kt_grad else None
         gv = _new(lead + (m, d), dtype) if values else None
 
-        def group(g, y, go, gy, vh, gs, kh, qh):
+        sets = []  # per thread that may run kernels: go, gy, vh, gs, kh, qh
+        for _ in groups[:2]:
+            go = _new(stack + (n, dk), dtype) if outs_read else None
+            gy = vh = gs = kh = qh = None
+            if scores:
+                gy = _new(stack + (n, m), dtype)
+                if outs_read:
+                    vh = _new(stack + (m, dk), v_read.dtype)
+                gs = _new(stack + (n, m), dtype)
+                # a group copies kh once it has read vh, and qh once it has
+                # read go, so each may take the other's bytes
+                if q_grad:
+                    kh = _reuse(vh, stack + (dk, m), k_read.dtype)
+                if kt_grad:
+                    qh = _reuse(go, stack + (n, dk), q_read.dtype)
+            sets.append((go, gy, vh, gs, kh, qh))
+
+        def group(g, y, thread):
             """Group ``g``'s share of ``gq``, ``gkt`` and ``gv``."""
             hs = range(heads)[g]
-            if go is not None:
+            go, gy, vh, gs, kh, qh = (None if a is None else a[:len(y)] for a in sets[thread])
+            if any(g_outs[h] is not None for h in hs):
                 for i, h in enumerate(hs):
                     go[i] = 0.0 if g_outs[h] is None else g_outs[h]
+            else:
+                go = None
             if values:
                 if go is None:
                     split_cols(gv, m)[g] = 0.0
@@ -921,6 +1017,7 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
                 return
             # the weights' gradient: the values' term plus the weights' own
             if go is not None:
+                np.copyto(vh, split_cols(v_read, m)[g])
                 np.matmul(go, _swap(vh), out=gy)
             for i, h in enumerate(hs):
                 gw = g_weights[h]
@@ -932,34 +1029,29 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
             _softmax_backward(y, gy, gs)
             gs *= c
             if gq is not None:
+                np.copyto(kh, split_rows(k_read)[g])
                 np.matmul(gs, _swap(kh), out=split_cols(gq, n)[g])
             if gkt is not None:
+                np.copyto(qh, split_cols(q_read, n)[g])
                 np.matmul(_swap(qh), gs, out=split_rows(gkt)[g])
 
-        tasks = []
-        for g, y in groups:
-            go = gy = vh = gs = kh = qh = None
-            if any(gi is not None for gi in g_outs[g]):
-                go = _new(y.shape[:-1] + (dk,), dtype)
-            if scores:
-                gy = _new(y.shape, dtype)
-                if go is not None:
-                    vh = _copy(split_cols(vd, m)[g])
-                gs = _new(y.shape, dtype)
-                if gq is not None:
-                    kh = _copy(split_rows(kd)[g])
-                if gkt is not None:
-                    qh = _copy(split_cols(qd, n)[g])
-            tasks.append(functools.partial(group, g, y, go, gy, vh, gs, kh, qh))
-        _run(tasks)
+        _run([functools.partial(group, g, y) for g, y in groups])
         return (gq, gkt, gv)
 
     return custom_op(tuple(outs + weights), (q, kt, v), backward, "multi_head_attention")
 
 
-def _attend(qh, kh, vh, c, y, out):
+def _reuse(a, shape, dtype):
+    """The bytes of ``a``, which has as many elements, as a ``shape`` array
+    if ``a`` is one of ``dtype``; else a new array from :func:`_new`."""
+    if a is not None and a.dtype == dtype:
+        return a.reshape(shape)
+    return _new(shape, dtype)
+
+
+def _attend(qh, kh, vh, c, y, out, thread):
     """One head group's weights ``softmax(c * qh @ kh)`` into ``y``, and
-    its results ``y @ vh`` into ``out``."""
+    its results ``y @ vh`` into ``out``, on either thread."""
     np.matmul(qh, kh, y)
     y *= c
     # a -inf score would leave an exact 0 after the softmax; the scaled
@@ -1014,7 +1106,7 @@ def _help(job):
     with np.errstate(call=job.errcall, **job.errstate):
         while (task := job.claim(True)) is not None:
             try:
-                task()
+                task(1)
             except BaseException as e:  # raised again on the caller
                 job.error = e
                 job.stop()
@@ -1077,24 +1169,26 @@ _alone_until = 0.0  # time.monotonic() until which calls run alone
 
 
 def _run(tasks):
-    """Call every kernel of ``tasks``, each writing only into arrays it was
-    given. Two or more run on the calling thread and on one worker thread,
-    when the process may use two CPUs and no calling thread has been kept
-    off its core of late: both take kernels by a shared index, so if
-    the worker's core is busy the caller runs the rest itself, and the
-    caller waits only for a kernel the worker has started. An error is
-    raised here once that kernel has finished."""
+    """Call every kernel of ``tasks`` with the index of the thread that runs
+    it, 0 for the calling thread and 1 for the worker; a kernel writes only
+    into arrays it was given, and uses the scratch of its thread's index.
+    Two or more run on the calling thread and on one worker thread, when
+    the process may use two CPUs and no calling thread has been kept off
+    its core of late: both take kernels by a shared index, so if the
+    worker's core is busy the caller runs the rest itself, and the caller
+    waits only for a kernel the worker has started. An error is raised
+    here once that kernel has finished."""
     global _alone_until
     if len(tasks) < 2 or _cores() < 2 or time.monotonic() < _alone_until:
         for task in tasks:
-            task()
+            task(0)
         return
     job = _Job(tasks)
     _worker().put(job)
     try:
         wall, cpu = time.perf_counter(), time.thread_time()
         while (task := job.claim(False)) is not None:
-            task()
+            task(0)
         if time.perf_counter() - wall > _SHARED * (time.thread_time() - cpu):
             _alone_until = time.monotonic() + _ALONE_S
     finally:
@@ -1123,21 +1217,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     np.multiply(xhat, gain.data, out=out)
     out += bias.data
 
+    gd = gain.data
+    x_grad, gain_grad, bias_grad = x.requires_grad, gain.requires_grad, bias.requires_grad
+
     def backward(g):
         # standard layer-norm backward, all per-row, in two full-size arrays
         gx = ggain = gbias = tmp = None
-        if gain.requires_grad:
+        if gain_grad:
             tmp = np.multiply(g, xhat, _out(g.shape, g, xhat))
             ggain = _rows(tmp).sum(axis=0, keepdims=True)
-        if x.requires_grad:
-            dxhat = np.multiply(g, gain.data, _out(g.shape, g, gain.data))
+        if x_grad:
+            dxhat = np.multiply(g, gd, _out(g.shape, g, gd))
             m1 = dxhat.mean(axis=-1, keepdims=True)
             tmp = np.multiply(dxhat, xhat, tmp if tmp is not None else _out(g.shape, dxhat, xhat))
             m2 = tmp.mean(axis=-1, keepdims=True)
             dxhat -= m1
             gx = np.subtract(dxhat, np.multiply(xhat, m2, out=tmp), out=tmp)
             gx *= inv
-        if bias.requires_grad:
+        if bias_grad:
             gbias = _rows(g).sum(axis=0, keepdims=True)
         return (gx, ggain, gbias)
 
@@ -1209,8 +1306,10 @@ def pool_grid(x: Tensor, side: int, window: int) -> Tensor:
     np.mean(x.data[..., keep:, :].reshape(blocks_shape), axis=(-4, -2),
             out=out[..., keep:, :].reshape(lead + (g2, g2, d)))
 
+    shape = x.shape
+
     def backward(g):
-        gx = _new(x.shape, g.dtype)
+        gx = _new(shape, g.dtype)
         gx[..., :keep, :] = g[..., :keep, :]
         # splitting only the row axis keeps the reshape a view of gx
         np.divide(g[..., keep:, :].reshape(lead + (g2, 1, g2, 1, d)), window * window,

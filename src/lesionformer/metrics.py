@@ -54,7 +54,11 @@ def precision_macro(confusion: np.ndarray) -> float:
 
 
 def f1_macro(confusion: np.ndarray) -> float:
-    p, r = _precision_recall(confusion)
+    return _f1_macro(*_precision_recall(confusion))
+
+
+def _f1_macro(p, r) -> float:
+    """The mean per-class F1 of per-class precision ``p`` and recall ``r``."""
     s = p + r
     return float(np.mean(np.divide(2 * p * r, s, out=np.zeros_like(s), where=s > 0)))
 
@@ -104,11 +108,12 @@ def report(probs, labels, k: int, strict_auc: bool = True) -> MetricsReport:
         if strict_auc:
             raise
         auc = float("nan")
+    precision, recall = _precision_recall(cm)
     return MetricsReport(
         acc=accuracy(cm),
         auc_macro=auc,
-        f1_macro=f1_macro(cm),
-        precision_macro=precision_macro(cm),
+        f1_macro=_f1_macro(precision, recall),
+        precision_macro=float(np.mean(precision)),
         confusion=cm,
         n=len(y),
     )

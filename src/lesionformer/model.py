@@ -255,8 +255,9 @@ def forward(params: dict[str, Tensor], image: np.ndarray, cfg: ModelConfig) -> F
     """Full forward pass for one H x W x C image or a B x H x W x C stack,
     with its attention tensors and focus map."""
     dtype = params["pos"].dtype
-    patches = patchify(np.asarray(image, dtype=dtype), cfg)
-    z = embed(params, Tensor(patches), cfg)
+    # no name holds the patches: they die with the embedding's tensor unless
+    # its matmul's backward reads them
+    z = embed(params, Tensor(patchify(np.asarray(image, dtype=dtype), cfg)), cfg)
     attns = []
     blocks = range(cfg.layers)
     for i in blocks[:-1]:

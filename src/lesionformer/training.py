@@ -388,7 +388,7 @@ def load_checkpoint(path) -> Checkpoint:
     arrays = []
     for name, shape in layout:
         count = math.prod(shape)
-        start = pos + len(_frame(name, 0))
+        start = pos + 4 + len(name.encode("utf-8")) + 8  # the end of its _frame
         end = start + count * dtype.itemsize
         # the size test first: it also refuses a count past 64 bits, which
         # has no frame, before anything is allocated

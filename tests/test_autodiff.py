@@ -282,6 +282,54 @@ class TestBackward:
             assert np.array_equal(tape.grad(x), (y3 + y3) * 3.0)
 
 
+class TestRecordsHoldNodes:
+    """A record holds its tensors' nodes and each backward only the arrays it
+    reads, so an output no backward reads dies once the caller drops it,
+    while its record is still on the tape."""
+
+    # op(x, y, z, w, row) on (2, 4, 4) stacks x, y, z, a 4 x 3 weight w and
+    # a 1 x 4 row; the first output is the one no backward reads
+    UNREAD = {
+        "add": lambda x, y, z, w, row: ad.add(x, y),
+        "add_rowvec": lambda x, y, z, w, row: ad.add_rowvec(x, row),
+        "scale": lambda x, y, z, w, row: ad.scale(x, 3.0),
+        "reshape": lambda x, y, z, w, row: ad.reshape(x, (4, 8)),
+        "slice_rows": lambda x, y, z, w, row: ad.slice_rows(x, 1, 3),
+        "slice_cols": lambda x, y, z, w, row: ad.slice_cols(x, 1, 3),
+        "concat_rows": lambda x, y, z, w, row: ad.concat_rows([x, row]),
+        "concat_cols": lambda x, y, z, w, row: ad.concat_cols([x, y]),
+        "transpose": lambda x, y, z, w, row: ad.transpose(x),
+        "sum_all": lambda x, y, z, w, row: ad.sum_all(x),
+        "pool_grid": lambda x, y, z, w, row: ad.pool_grid(x, 2, 2),
+        "matmul": lambda x, y, z, w, row: ad.matmul(x, w),
+        # the heads' results, then their weights, which the backward reads
+        "multi_head_attention": lambda x, y, z, w, row: ad.multi_head_attention(
+            x, y, z, 2, 0.5),
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNREAD))
+    def test_an_output_no_backward_reads_dies_with_its_tensor(self, name):
+        def run(drop):
+            rng = np.random.default_rng(3)
+            inputs = [t(rng.standard_normal(s)) for s in ((2, 4, 4),) * 3 + ((4, 3), (1, 4))]
+            with Tape() as tape:
+                outs = self.UNREAD[name](*inputs)
+                outs = outs if type(outs) is tuple else (outs,)
+                arr = outs[0].data
+                freed = weakref.ref(arr if arr.base is None else arr.base)
+                loss = reduce(ad.add, map(weighted_sum, outs))
+                del arr
+                if drop:
+                    del outs
+                dead = freed() is None
+                tape.backward(loss)
+                return dead, [tape.grad(x).tobytes() for x in inputs]
+
+        (dropped_dead, dropped), (kept_dead, kept) = run(True), run(False)
+        assert dropped_dead and not kept_dead
+        assert dropped == kept
+
+
 class TestTapePerThread:
     def test_nested_tape_in_one_thread_rejected(self):
         with Tape():
@@ -1564,16 +1612,58 @@ class TestHeadGroupsOnTwoCores:
         assert len(takers) == 3 * 2 * cfg.layers * cfg.scales
         assert all(caller in ids and len(set(ids)) == 2 for ids in takers)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_three_or_more_groups_make_the_same_requests_however_they_run(
+            self, dtype, monkeypatch):
+        # four one-head groups: the worker takes the second, or is off, or
+        # every call runs alone after a caller was kept off its core
+        monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", 1)
+        take, requests = ad.Workspace.take, []
+
+        def spy(ws, shape, dt):
+            requests[-1].append((shape, np.dtype(dt)))
+            return take(ws, shape, dt)
+
+        monkeypatch.setattr(ad.Workspace, "take", spy)
+        lead, (n, m) = (2,), (9, 5)
+
+        def run():
+            requests.append([])
+            rng = np.random.default_rng(5)
+            q, kt, v = (Tensor(rng.standard_normal(lead + s).astype(dtype), requires_grad=True)
+                        for s in ((n, 8), (8, m), (m, 8)))
+            with Tape(ad.Workspace()) as tape:
+                outs = ad.multi_head_attention(q, kt, v, 4, 0.5)
+                tape.backward(reduce(ad.add, map(weighted_sum, outs)))
+                return [a.tobytes() for a in [o.data for o in outs]
+                        + [tape.grad(x) for x in (q, kt, v)]]
+
+        with monkeypatch.context() as shared:
+            takers = worker_takes_the_second_group(shared)
+            bits = run()
+            assert len(takers) == 2 and all(len(set(ids)) == 2 for ids in takers)
+        with monkeypatch.context() as off:
+            off.setattr(ad, "_cores", lambda: 1)
+            assert run() == bits
+        with monkeypatch.context() as alone:
+            alone.setattr(ad, "_cores", lambda: 2)
+            alone.setattr(ad, "_alone_until", math.inf)
+            assert run() == bits
+        assert requests[0] == requests[1] == requests[2]
+        # score stacks: each group's weights, and two scratch sets' gy and gs
+        scores = ((1,) + lead + (n, m), np.dtype(dtype))
+        assert requests[0].count(scores) == 4 + 2 * 2
+
     def test_a_caller_kept_off_its_core_runs_the_next_calls_alone(self, monkeypatch):
         # a kernel that sleeps keeps wall time past the caller's CPU time,
         # as a caller taking turns with the worker on one core does
         monkeypatch.setattr(ad, "_cores", lambda: 2)
         monkeypatch.setattr(ad, "_alone_until", 0.0)
-        ad._run([lambda: time.sleep(0.02)] * 2)
+        ad._run([lambda thread: time.sleep(0.02)] * 2)
         assert ad._alone_until > time.monotonic()
         takers = []
-        ad._run([lambda: takers.append(threading.get_ident())] * 4)
-        assert takers == [threading.get_ident()] * 4
+        ad._run([lambda thread: takers.append((threading.get_ident(), thread))] * 4)
+        assert takers == [(threading.get_ident(), 0)] * 4
 
     def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", 1)
