@@ -30,11 +30,12 @@ pass goes.
 
 Memory: the ops take their output and gradient arrays from one allocator,
 ``_new(shape, dtype)``, directly or as NumPy's ``out=``, and always on the
-calling thread: ``multi_head_attention`` takes every head group's arrays
-in its forward, and in its backward the gradients and one scratch set per
-thread that may run its groups, before any group's kernel runs, and a
-kernel on its worker thread writes only into arrays it was given (see
-:func:`_run`). With no workspace
+calling thread: ``multi_head_attention`` takes its operands' head copies
+and every head group's arrays in its forward, and in its backward the
+gradients and one scratch set per thread that may run its groups, before
+any group's kernel runs, and a kernel on its worker thread writes only
+into arrays it was given (see :func:`_run`); its backward reads the
+forward's key and value copies. With no workspace
 active that is a fresh array, as NumPy would allocate it. A tape opened on
 a :class:`Workspace` takes every one of them from one arena per thread
 instead, planned from the step's recorded lifetimes and sized to its peak
@@ -751,11 +752,8 @@ def _slice(a: Tensor, start: int, stop: int, axis: int, name: str) -> Tensor:
     shape, dtype = a.shape, a.dtype
 
     def backward(g):
-        if _ACTIVE_WORKSPACE.get() is None:
-            gx = np.zeros(shape, dtype)
-        else:
-            gx = _new(shape, dtype)
-            gx.fill(0.0)
+        gx = _new(shape, dtype)
+        gx.fill(0.0)
         gx[index] = g
         return (gx,)
 
@@ -860,13 +858,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax with row-max subtraction for stability."""
     if x.data.ndim < 2:
         raise DimensionError(f"softmax_rows expects at least 2-D, got {x.shape}")
-    xd = x.data
-    y = _out(xd.shape, xd)
-    if y is None:
-        y = xd.copy()
-    else:
-        np.copyto(y, xd)
-    _softmax(y)
+    y = _softmax(_copy(x.data))
 
     def backward(g):
         return (_softmax_backward(y, g, _out(g.shape, g, y)),)
@@ -885,8 +877,9 @@ def softmax_rows(x: Tensor) -> Tensor:
 # score stacks the backward holds instead (two-head groups at batch 8)
 # trained no faster. Two or more groups run on two cores (see
 # :func:`_run`), which trained ``train-large-f32`` about 10% faster; the
-# calling thread still takes every group's arrays, in the groups' order,
-# but the backward's scratch only once for each of the two threads.
+# calling thread takes the operands' copies once for all groups, then
+# every group's arrays in the groups' order, and the backward's scratch
+# once for each of the two threads.
 _HEAD_GROUP_BYTES = 2 * 1024 * 1024
 
 
@@ -903,17 +896,18 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
     is one head's view of its group's stack, heads on axis 0. The floats are
     those of the chain of slice ops, ``matmul``, ``scale``,
     ``softmax_rows`` and ``matmul`` per head: each head's parts are
-    C-contiguous copies, as the slices made (BLAS rounds by layout), and
-    the backward keeps the weights and, of ``q``, ``kt`` and ``v``, the
-    arrays its gradients read; no score and no head result. The backward
-    copies the parts it needs again rather than keeping them from the
-    forward, the keys' block into the bytes of the values' block and the
-    queries' block into those of the output gradient, once each is read.
-    The outputs, the gradients it returns, and the copies and stacked
-    temporaries (a group's scratch) come from :func:`_new`, so a train
-    step plans them into its workspace.
+    C-contiguous copies, as the slices made (BLAS rounds by layout). The
+    forward copies each operand once, every head's block with the heads on
+    axis 0, and a group reads a slice of each copy. The backward keeps the
+    weights, the key and value copies, and ``q`` if the keys' gradient
+    needs it; no score and no head result. It copies the queries' block
+    again, into the bytes of the output gradient once that is read: ``q``
+    is shared by every scale's call, so keeping it costs nothing. A head
+    output with no gradient counts as zeros. The outputs, the gradients it
+    returns, and the copies and stacked temporaries (a group's scratch)
+    come from :func:`_new`, so a train step plans them into its workspace.
 
-    The forward takes every group's arrays, and makes its copies, on the
+    The forward makes its copies and takes every group's arrays on the
     calling thread first, group by group; the backward takes its
     gradients and one scratch set per thread that may run kernels (two
     for two or more groups, else one). Then :func:`_run` runs the groups'
@@ -949,88 +943,62 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
         """The heads' row blocks of (*lead, D, m) ``a``: (heads, *lead, dk, m)."""
         return a.reshape(lead + (heads, dk, m)).transpose(rows_first)
 
+    # every head's block of each operand, copied once: a group's blocks are
+    # [g] slices, C-contiguous as each head's own copy would be
+    qs = _copy(split_cols(qd, n))
+    ks = _copy(split_rows(kd))
+    vs = _copy(split_cols(vd, m))
     step = max(1, _HEAD_GROUP_BYTES // max(1, math.prod(lead) * n * m * dtype.itemsize))
     groups, outs, weights = [], [], []  # per group: its heads and their weights
     tasks = []  # per group: its kernel, with its arrays
     for lo in range(0, heads, step):
         g = slice(lo, min(lo + step, heads))
-        qh = _copy(split_cols(qd, n)[g])
-        kh = _copy(split_rows(kd)[g])
-        vh = _copy(split_cols(vd, m)[g])
-        y = _new(qh.shape[:-1] + kh.shape[-1:], _dtype(qh, kh))
-        out = _new(y.shape[:-1] + vh.shape[-1:], _dtype(y, vh))
-        tasks.append(functools.partial(_attend, qh, kh, vh, c, y, out))
+        y = _new(qs[g].shape[:-1] + (m,), _dtype(qs, ks))
+        out = _new(y.shape[:-1] + (dk,), _dtype(y, vs))
+        tasks.append(functools.partial(_attend, qs[g], ks[g], vs[g], c, y, out))
         outs.extend(out)
         weights.extend(y)
         groups.append((g, y))
     _run(tasks)
     stack = (min(step, heads),) + lead  # a backward scratch set fits the first, largest group
 
-    # what the backward reads: flags and shapes, the weights, and the
-    # operands its gradients need
+    # what the backward reads besides the weights and the key and value
+    # copies: the flags, and the queries if the keys' gradient needs them
     q_grad, kt_grad, v_grad = q.requires_grad, kt.requires_grad, v.requires_grad
-    scores = q_grad or kt_grad
     q_read = qd if kt_grad else None
-    k_read = kd if q_grad else None
-    v_read = vd if scores else None
 
     def backward(grads):
         g_outs, g_weights = grads[:heads], grads[heads:]
-        outs_read = any(gi is not None for gi in g_outs)
-        values = v_grad and outs_read
         gq = _new(lead + (n, d), dtype) if q_grad else None
         gkt = _new(lead + (d, m), dtype) if kt_grad else None
-        gv = _new(lead + (m, d), dtype) if values else None
-
-        sets = []  # per thread that may run kernels: go, gy, vh, gs, kh, qh
+        gv = _new(lead + (m, d), dtype) if v_grad else None
+        sets = []  # per thread that may run kernels: go, gy, gs, qh
         for _ in groups[:2]:
-            go = _new(stack + (n, dk), dtype) if outs_read else None
-            gy = vh = gs = kh = qh = None
-            if scores:
-                gy = _new(stack + (n, m), dtype)
-                if outs_read:
-                    vh = _new(stack + (m, dk), v_read.dtype)
-                gs = _new(stack + (n, m), dtype)
-                # a group copies kh once it has read vh, and qh once it has
-                # read go, so each may take the other's bytes
-                if q_grad:
-                    kh = _reuse(vh, stack + (dk, m), k_read.dtype)
-                if kt_grad:
-                    qh = _reuse(go, stack + (n, dk), q_read.dtype)
-            sets.append((go, gy, vh, gs, kh, qh))
+            go = _new(stack + (n, dk), dtype)
+            gy = _new(stack + (n, m), dtype)
+            gs = _new(stack + (n, m), dtype)
+            # a group copies qh once it has read go, so qh may take go's bytes
+            qh = None if q_read is None else _reuse(go, stack + (n, dk), q_read.dtype)
+            sets.append((go, gy, gs, qh))
 
         def group(g, y, thread):
             """Group ``g``'s share of ``gq``, ``gkt`` and ``gv``."""
             hs = range(heads)[g]
-            go, gy, vh, gs, kh, qh = (None if a is None else a[:len(y)] for a in sets[thread])
-            if any(g_outs[h] is not None for h in hs):
-                for i, h in enumerate(hs):
-                    go[i] = 0.0 if g_outs[h] is None else g_outs[h]
-            else:
-                go = None
-            if values:
-                if go is None:
-                    split_cols(gv, m)[g] = 0.0
-                else:  # matmul's backward
-                    np.matmul(_swap(y), go, out=split_cols(gv, m)[g])
-            if not scores:
-                return
-            # the weights' gradient: the values' term plus the weights' own
-            if go is not None:
-                np.copyto(vh, split_cols(v_read, m)[g])
-                np.matmul(go, _swap(vh), out=gy)
+            go, gy, gs, qh = (None if a is None else a[:len(y)] for a in sets[thread])
             for i, h in enumerate(hs):
-                gw = g_weights[h]
-                if go is None:
-                    gy[i] = 0.0 if gw is None else gw
-                elif gw is not None:
-                    np.add(gy[i], gw, out=gy[i])
+                go[i] = 0.0 if g_outs[h] is None else g_outs[h]
+            if gv is not None:  # matmul's backward
+                np.matmul(_swap(y), go, out=split_cols(gv, m)[g])
+            # the weights' gradient: the values' term plus the weights' own
+            np.matmul(go, _swap(vs[g]), out=gy)
+            for i, h in enumerate(hs):
+                if g_weights[h] is not None:
+                    np.add(gy[i], g_weights[h], out=gy[i])
             # softmax, then scale, then matmul backward, in the chain's order
             _softmax_backward(y, gy, gs)
             gs *= c
             if gq is not None:
-                np.copyto(kh, split_rows(k_read)[g])
-                np.matmul(gs, _swap(kh), out=split_cols(gq, n)[g])
+                np.matmul(gs, _swap(ks[g]), out=split_cols(gq, n)[g])
             if gkt is not None:
                 np.copyto(qh, split_cols(q_read, n)[g])
                 np.matmul(_swap(qh), gs, out=split_rows(gkt)[g])

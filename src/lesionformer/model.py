@@ -214,16 +214,19 @@ def multi_scale_attention(params: dict[str, Tensor], layer: int, x: Tensor,
     v = matmul(x, params[pre + "wv"])
     w = softmax_rows(params[pre + "scale_logits"])  # 1 x S
     # per scale: transposed keys (D x n_s) and values (n_s x D); pool_grid
-    # passes the class row through and pools the patch rows
-    keys_t, values = [transpose(k)], [v]
+    # passes the class row through and pools the patch rows. A scale's pair
+    # leaves the list as it attends and no name holds k or v, so its arrays
+    # are freed once its attention has copied them (its backward reads the
+    # copies)
+    pairs = [(transpose(k), v)]
     for s in range(1, S):
-        keys_t.append(transpose(pool_grid(k, G, 2 ** s)))
-        values.append(pool_grid(v, G, 2 ** s))
+        pairs.append((transpose(pool_grid(k, G, 2 ** s)), pool_grid(v, G, 2 ** s)))
+    del k, v
 
     attns = [[] for _ in range(H)]
     fused = None
-    for s, (kt, vs) in enumerate(zip(keys_t, values)):
-        outs = multi_head_attention(q, kt, vs, H, 1.0 / math.sqrt(dk))
+    for s in range(S):
+        outs = multi_head_attention(q, *pairs.pop(0), H, 1.0 / math.sqrt(dk))
         for head_attns, attn in zip(attns, outs[H:]):
             head_attns.append(attn)
         out_s = scale_by(concat_cols(outs[:H]), slice_cols(w, s, s + 1))

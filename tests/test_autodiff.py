@@ -1468,6 +1468,17 @@ class TestBackwardScratch:
             assert g.dtype == dtype and np.shares_memory(g, ws._arena)
             assert not any(np.shares_memory(g, a) for a in temps)
 
+    def test_the_backward_reads_the_forwards_copy_of_the_values(
+            self, head_groups, rng, monkeypatch):
+        # n = 9 query rows and m = 5 key rows, so no other array of the step
+        # is m x dk = 5 x 4, as a values head block is
+        take, requests = ad.Workspace.take, []
+        monkeypatch.setattr(ad.Workspace, "take",
+                            lambda ws, shape, dt: requests.append(shape) or take(ws, shape, dt))
+        self.gradients(rng, workspace=ad.Workspace())
+        # the forward's one copy of both heads' blocks, and no copy from the backward
+        assert [s for s in requests if s[-2:] == (5, 4)] == [(2, 2, 5, 4)]
+
     def test_a_second_backward_leaves_the_first_gradients_as_they_were(
             self, head_groups, rng):
         first = self.gradients(rng)

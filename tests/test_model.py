@@ -1,6 +1,7 @@
 import importlib.util
 import re
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +369,26 @@ class TestForward:
                                                np.ones(mat.shape[0]), atol=1e-6)
         assert np.all(res.focus.data >= 0)
         assert abs(res.focus.data.sum() - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("overrides", [dict(scales=2), dict(patch=2, scales=3)])
+    def test_each_scale_frees_its_keys_and_values_before_the_next_attends(
+            self, overrides, rng, monkeypatch):
+        # with no tape no backward keeps them, so nothing may hold the keys
+        # and values a scale attended over once its attention has run
+        cfg = tiny_config(layers=2, **overrides)
+        p = init_params(cfg)
+        attend, probes = model.multi_head_attention, []
+
+        def probe(q, kt, v, *args):
+            assert all(ref() is None for ref in probes)
+            outs = attend(q, kt, v, *args)
+            probes.extend((weakref.ref(kt.data), weakref.ref(v.data)))
+            return outs
+
+        monkeypatch.setattr(model, "multi_head_attention", probe)
+        forward(p, rng.random((8, 8, 1)), cfg)
+        assert len(probes) == 2 * cfg.layers * cfg.scales
+        assert all(ref() is None for ref in probes)
 
     @pytest.mark.parametrize("overrides", [
         dict(scales=1), dict(scales=2, layers=2), dict(heads=4, embed_dim=8),
