@@ -1167,6 +1167,17 @@ def _run(tasks):
         raise error
 
 
+def _row_mean(a):
+    """``a.mean(axis=-1, keepdims=True)`` bitwise, without NumPy's Python-level
+    ``mean`` wrapper: the same pairwise sum, then one division by the row
+    length. ``mean`` divides a float32 sum in float64 and rounds back, which
+    gives the same float32 quotient, since a double carries more than
+    2 * 24 + 2 bits."""
+    out = np.add.reduce(a, axis=-1, keepdims=True)
+    out /= a.shape[-1]
+    return out
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row normalization (eps 1e-5), then per-column gain and bias (1 x d each)."""
     if x.data.ndim < 2:
@@ -1177,10 +1188,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             f"layer_norm gain/bias must be (1, {d}), got {gain.shape}/{bias.shape}")
     # two full-size arrays: xhat, and out (which first holds the squares)
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
+    mu = _row_mean(xd)
     xhat = np.subtract(xd, mu, _out(xd.shape, xd, mu))
     out = np.multiply(xhat, xhat, _out(xhat.shape, xhat))
-    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + 1e-5)
+    inv = 1.0 / np.sqrt(_row_mean(out) + 1e-5)
     xhat *= inv
     np.multiply(xhat, gain.data, out=out)
     out += bias.data
@@ -1196,9 +1207,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             ggain = _rows(tmp).sum(axis=0, keepdims=True)
         if x_grad:
             dxhat = np.multiply(g, gd, _out(g.shape, g, gd))
-            m1 = dxhat.mean(axis=-1, keepdims=True)
+            m1 = _row_mean(dxhat)
             tmp = np.multiply(dxhat, xhat, tmp if tmp is not None else _out(g.shape, dxhat, xhat))
-            m2 = tmp.mean(axis=-1, keepdims=True)
+            m2 = _row_mean(tmp)
             dxhat -= m1
             gx = np.subtract(dxhat, np.multiply(xhat, m2, out=tmp), out=tmp)
             gx *= inv

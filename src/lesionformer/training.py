@@ -12,13 +12,13 @@ import dataclasses
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import zip_longest
 
 import numpy as np
 
 from . import losses, metrics
-from .autodiff import NumericError, Tape, Tensor, Workspace, _new, reshape
+from .autodiff import DimensionError, NumericError, Tape, Tensor, Workspace, _new, reshape
 from .data import class_frequencies, mask_to_patch_grid
 from .model import ModelConfig, forward, param_shapes
 
@@ -69,9 +69,20 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
+    """Adam's first and second moments by parameter name, and its step count.
+
+    :func:`adam_step` keeps the parameters and moments it updates in a
+    private flat store: one buffer each for the parameters, ``m`` and
+    ``v`` in the params dict's order, and two scratch buffers for the
+    gathered gradient and the step. Each ``Tensor.data``, ``m[name]`` and
+    ``v[name]`` is a view into its kind's buffer, with the values it had.
+    Assigning a new array to any of them is allowed: the next step takes
+    its values back into the store, as it does for a copied or unpickled
+    state, which has no store."""
     m: dict
     v: dict
     t: int = 0
+    _flat: _Flat | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def init_adam(params: dict[str, Tensor]) -> AdamState:
@@ -80,49 +91,114 @@ def init_adam(params: dict[str, Tensor]) -> AdamState:
                      t=0)
 
 
+class _Flat:
+    """The flat store of :class:`AdamState`: the buffers ``p``, ``m``, ``v``
+    and the scratch ``g`` and ``step``, and by name, in the params dict's
+    order, the ``(parameter, m, v, gradient)`` views it handed out."""
+
+    __slots__ = ("p", "m", "v", "g", "step", "views")
+
+    def __init__(self, params, state):
+        """Copy the values of ``params`` and ``state``'s moments in, then
+        point each ``Tensor.data`` and moment at its view. Every array must
+        have its parameter's shape and the first parameter's dtype; else
+        this raises before anything changes."""
+        dtype = next(iter(params.values())).data.dtype if params else np.float64
+        for name, t in params.items():
+            for kind, a in (("parameter", t.data), ("m", state.m[name]), ("v", state.v[name])):
+                if a.shape != t.data.shape:
+                    raise DimensionError(f"Adam's {kind} for parameter {name} has shape "
+                                         f"{a.shape}, expected {t.data.shape}")
+                if a.dtype != dtype:
+                    raise TypeError(f"Adam's {kind} for parameter {name} is {a.dtype}; "
+                                    f"every parameter and moment must be {dtype}")
+        n = sum(t.data.size for t in params.values())
+        self.p, self.m, self.v, self.g, self.step = (np.empty(n, dtype) for _ in range(5))
+        self.views = {}
+        lo = 0
+        for name, t in params.items():
+            hi = lo + t.data.size
+            views = tuple(buf[lo:hi].reshape(t.data.shape)
+                          for buf in (self.p, self.m, self.v, self.g))
+            for view, a in zip(views, (t.data, state.m[name], state.v[name])):
+                np.copyto(view, a)
+            t.data, state.m[name], state.v[name] = views[:3]
+            self.views[name] = views
+            lo = hi
+
+    def __reduce__(self):
+        # a copy or pickle of the views would not be views of a copied
+        # buffer: a copied state gets no store, and its next step packs one
+        return type(None), ()
+
+    def holds(self, params, state):
+        """Whether every parameter and moment of ``params`` and ``state`` is
+        still the view this store handed out, in the same order."""
+        return len(params) == len(self.views) and all(
+            name == key and t.data is p and state.m.get(name) is m and state.v.get(name) is v
+            for (name, t), (key, (p, m, v, _)) in zip(params.items(), self.views.items()))
+
+
 def adam_step(params: dict[str, Tensor], grads: dict, state: AdamState,
               cfg: TrainConfig, lr: float | None = None):
     """Standard Adam with bias correction; mutates params and state.
 
-    A gradient with a NaN or +/-Inf entry, or with an entry whose square
-    overflows, raises ``NumericError`` naming its parameter before any
-    parameter, moment or ``state.t`` changes. Each parameter's update runs
-    in two scratch arrays, with the same operations in the same order as
+    On the first step for ``params``, and on any step after a parameter's
+    ``.data`` or a moment was replaced, the values are copied into
+    ``state``'s flat store (see :class:`AdamState`). Each gradient is then
+    copied into the store's gradient buffer, rounded to its parameter's
+    dtype, so the caller's arrays are read only here. A gradient whose
+    shape is not its parameter's raises ``DimensionError``, and one with a
+    NaN or +/-Inf entry, or with an entry whose square overflows, raises
+    ``NumericError``; both name the parameter, and are raised before any
+    parameter, moment or ``state.t`` changes. The update runs once over
+    the flat buffers, with the same operations in the same order as
     ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-    p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``.
+    p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``: elementwise, so each
+    parameter gets the floats of its own update.
     """
     if lr is None:
         lr = cfg.learning_rate
-    for name in params:
-        _check_gradient(name, grads[name])
+    flat = state._flat
+    if flat is None or not flat.holds(params, state):
+        flat = state._flat = _Flat(params, state)
+    for name, (p, _, _, gv) in flat.views.items():
+        g = grads[name]
+        if np.shape(g) != p.shape:
+            raise DimensionError(f"gradient for parameter {name} has shape "
+                                 f"{np.shape(g)}, expected {p.shape}")
+        np.copyto(gv, g)
+    g = flat.g
+    if not math.isfinite(np.vdot(g, g)):
+        for name, views in flat.views.items():
+            _check_gradient(name, views[3])
     state.t += 1
     b1, b2 = cfg.beta1, cfg.beta2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        step = np.multiply(g, 1.0 - b1)
-        m *= b1
-        m += step
-        np.multiply(g, g, out=step)
-        step *= 1.0 - b2
-        v *= b2
-        v += step
-        np.divide(m, bc1, out=step)
-        step *= lr
-        denom = np.divide(v, bc2)
-        np.sqrt(denom, out=denom)
-        denom += cfg.adam_eps
-        step /= denom
-        p.data -= step
+    m, v, step = flat.m, flat.v, flat.step
+    np.multiply(g, 1.0 - b1, out=step)
+    m *= b1
+    m += step
+    np.multiply(g, g, out=step)
+    step *= 1.0 - b2
+    v *= b2
+    v += step
+    np.divide(m, bc1, out=step)
+    step *= lr
+    denom = np.divide(v, bc2, out=g)  # the gradient is read no more
+    np.sqrt(denom, out=denom)
+    denom += cfg.adam_eps
+    step /= denom
+    flat.p -= step
 
 
 def _check_gradient(name, g):
     """Raise ``NumericError`` unless every entry of ``g`` and its square is
     finite. A finite sum of squares proves both, so only a non-finite one
-    takes the full scan, and no square is computed there."""
+    takes the full scan, and no square is computed there. :func:`adam_step`
+    calls this for each parameter's view of its gradient buffer, only when
+    the whole buffer's sum of squares is not finite."""
     if math.isfinite(np.vdot(g, g)):
         return
     if not np.isfinite(g).all():
@@ -190,8 +266,9 @@ def train_step(params: dict[str, Tensor], model_cfg: ModelConfig, train_cfg: Tra
     The regulariser takes the stack of every image's focus map, with one
     mask or None per image: an image without a mask, and a model without
     encoder layers (so without a focus map), add nothing. The step's arrays
-    come from the thread's ``step_workspace``, so the gradients handed to
-    :func:`adam_step` are valid until the thread's next step. The batch
+    come from the thread's ``step_workspace``; :func:`adam_step` copies the
+    gradients, views into that arena, into its own buffer, so no arena
+    array reaches Adam's state or outlives the step through it. The batch
     size and whether the regulariser runs name the step's kind; steps of
     one kind run the same ops on the same shapes wherever their unmasked
     images fall, so they share one plan."""

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import os
 import struct
 import threading
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lesionformer.autodiff import NumericError, Tensor
+from lesionformer.autodiff import DimensionError, NumericError, Tensor
 from lesionformer.data import SynthConfig, Sample, synth_generate
 from lesionformer.losses import class_weights
 from lesionformer.model import ModelConfig, grad_cam, init_params
@@ -187,6 +188,122 @@ class TestAdam:
         adam_step(p, {"x": np.array([[1.0]])}, state, TrainConfig(learning_rate=0.5),
                   lr=0.0)
         assert p["x"].data[0, 0] == 0.0
+
+    SHAPES = {"a": (5, 7), "b": (3, 5, 7), "c": (1, 4)}
+
+    @classmethod
+    def hand_built(cls, dtype, seed=4):
+        """Params, a state at ``t=4`` and two steps' gradients for ``SHAPES``."""
+        rng = np.random.default_rng(seed)
+        draw = lambda: {k: rng.standard_normal(s).astype(dtype) for k, s in cls.SHAPES.items()}
+        params = {k: Tensor(a, requires_grad=True) for k, a in draw().items()}
+        state = AdamState(m=draw(), v={k: np.abs(a) for k, a in draw().items()}, t=4)
+        return params, state, [draw(), draw()]
+
+    @staticmethod
+    def state_arrays(params, state):
+        return [a for k, p in params.items() for a in (p.data, state.m[k], state.v[k])]
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_multi_parameter_step_matches_the_plain_expressions_bitwise(self, dtype, order):
+        params, state, grads = self.hand_built(dtype)
+        if order == "F":
+            grads = [{k: np.asfortranarray(g) for k, g in gs.items()} for gs in grads]
+        ref = [a.copy() for a in self.state_arrays(params, state)]
+        cfg = TrainConfig()
+        for step, (gs, lr) in enumerate(zip(grads, (3e-3, 1.7e-3)), start=5):
+            adam_step(params, gs, state, cfg, lr)
+            for i, g in enumerate(gs.values()):
+                self.adam_ref(*ref[3 * i:3 * i + 3], g, step, cfg, lr)
+        assert state.t == 6
+        for got, want in zip(self.state_arrays(params, state), ref):
+            assert got.dtype == dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_a_step_leaves_each_kind_in_one_buffer_in_dict_order(self):
+        params, state, grads = self.hand_built(np.float64)
+        adam_step(params, grads[0], state, TrainConfig())
+        kinds = ([p.data for p in params.values()], list(state.m.values()),
+                 list(state.v.values()))
+        bases = [views[0].base for views in kinds]
+        assert len({id(b) for b in bases}) == 3
+        for views, base in zip(kinds, bases):
+            assert base.size == sum(math.prod(s) for s in self.SHAPES.values())
+            start = base.__array_interface__["data"][0]
+            for view in views:
+                assert view.base is base and view.flags.c_contiguous
+                assert view.__array_interface__["data"][0] == start
+                start += view.nbytes
+
+    @pytest.mark.parametrize("kind", ["param", "m", "v"])
+    def test_an_array_replaced_between_steps_is_taken_back(self, kind):
+        params, state, grads = self.hand_built(np.float64)
+        twin, twin_state, _ = self.hand_built(np.float64)
+        cfg = TrainConfig()
+        for p, s in ((params, state), (twin, twin_state)):
+            adam_step(p, grads[0], s, cfg)
+        new = np.full(self.SHAPES["b"], 0.25)
+        if kind == "param":
+            params["b"].data = new
+        else:
+            getattr(state, kind)["b"] = new
+        # the twin takes the same values in place, through its views
+        {"param": twin["b"].data, "m": twin_state.m["b"], "v": twin_state.v["b"]}[kind][...] = new
+        for p, s in ((params, state), (twin, twin_state)):
+            adam_step(p, grads[1], s, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(self.state_arrays(params, state),
+                                                         self.state_arrays(twin, twin_state)))
+        assert params["b"].data.base is params["a"].data.base
+        assert state.m["b"].base is state.m["a"].base
+        assert state.v["b"].base is state.v["a"].base
+
+    def test_a_deep_copy_of_a_state_steps_to_the_same_bytes(self):
+        params, state, grads = self.hand_built(np.float32)
+        cfg = TrainConfig()
+        adam_step(params, grads[0], state, cfg)
+        params2, state2 = copy.deepcopy((params, state))
+        for p, s in ((params, state), (params2, state2)):
+            adam_step(p, grads[1], s, cfg)
+        assert state2.t == state.t == 6
+        assert [a.tobytes() for a in self.state_arrays(params2, state2)] == \
+            [a.tobytes() for a in self.state_arrays(params, state)]
+
+    @pytest.mark.parametrize("stepped", [False, True], ids=["first-step", "later-step"])
+    def test_a_gradient_of_the_wrong_shape_changes_nothing(self, stepped):
+        rng = np.random.default_rng(2)
+        params = {"a": Tensor(rng.standard_normal((2, 2)), requires_grad=True),
+                  "w": Tensor(rng.standard_normal((3, 2)), requires_grad=True)}
+        state = init_adam(params)
+        grads = {"a": np.ones((2, 2)), "w": np.ones((3, 2))}
+        if stepped:
+            adam_step(params, grads, state, TrainConfig())
+        before = [a.copy() for a in self.state_arrays(params, state)]
+        t = state.t
+        with pytest.raises(DimensionError, match=r"parameter w has shape \(1, 2\)"):
+            adam_step(params, {"a": np.ones((2, 2)), "w": np.ones((1, 2))}, state,
+                      TrainConfig())
+        assert state.t == t
+        assert all(np.array_equal(a, b) for a, b in zip(self.state_arrays(params, state), before))
+
+    def test_a_moment_of_another_dtype_is_refused_before_anything_changes(self):
+        params, state, grads = self.hand_built(np.float64)
+        state.v["c"] = state.v["c"].astype(np.float32)
+        before = [a.copy() for a in self.state_arrays(params, state)]
+        with pytest.raises(TypeError, match="v for parameter c is float32"):
+            adam_step(params, grads[0], state, TrainConfig())
+        assert state.t == 4
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                   for a, b in zip(self.state_arrays(params, state), before))
+
+    def test_a_float64_gradient_is_rounded_to_a_float32_parameter(self):
+        params, state, grads = self.hand_built(np.float32)
+        ref, ref_state, _ = self.hand_built(np.float32)
+        wide = {k: g.astype(np.float64) + 1e-12 for k, g in grads[0].items()}
+        adam_step(params, wide, state, TrainConfig())
+        adam_step(ref, {k: g.astype(np.float32) for k, g in wide.items()}, ref_state,
+                  TrainConfig())
+        assert all(np.array_equal(params[k].data, ref[k].data) for k in params)
 
 
 class TestTrainLoop:

@@ -19,7 +19,15 @@ runs ``WARMUP`` train steps on one batch, then prints one line with:
   on the first image above its start, after one warm-up call;
 - ``threads``: ``threading.active_count()`` after the config's steps, 2
   once attention's worker thread has started (it runs head groups on a
-  second core when one call has two or more).
+  second core when one call has two or more);
+- ``worker_share``: the share, to two decimals, of the
+  ``multi_head_attention`` calls with two or more head groups over the
+  ``STEPS`` steps in which the worker thread ran a group, counted by
+  patching ``autodiff._run`` and ``autodiff._Job`` here; ``-`` for a tree
+  without ``autodiff._Job``, or a config whose calls each have one group.
+  A train-step throughput gain from the worker shows only where this is
+  high: on a 2-core host whose second core was only sometimes free, about
+  10 of 200 ``train-large-f32`` calls had the worker's help (0.05).
 
 A step that reuses its arrays takes almost no faults and a peak far below
 its arrays' size. Compare two trees the way ``float_digests.py`` does:
@@ -30,6 +38,7 @@ its arrays' size. Compare two trees the way ``float_digests.py`` does:
 
 from __future__ import annotations
 
+import contextlib
 import os
 import resource
 import sys
@@ -68,13 +77,42 @@ def traced_peak(fn):
             tracemalloc.stop()
 
 
+@contextlib.contextmanager
+def worker_counts(autodiff):
+    """Count, while open, the attention calls with two or more head groups
+    and those in which the worker ran a group: yields ``[calls, helped]``,
+    or None for a tree without ``autodiff._Job``."""
+    if not hasattr(autodiff, "_Job"):
+        yield None
+        return
+    run, job, counts, jobs = autodiff._run, autodiff._Job, [0, 0], []
+
+    def counted_run(tasks):
+        counts[0] += len(tasks) >= 2
+        return run(tasks)
+
+    class CountedJob(job):
+        def __init__(self, tasks):
+            super().__init__(tasks)
+            jobs.append(self)
+
+    autodiff._run, autodiff._Job = counted_run, CountedJob
+    try:
+        yield counts
+    finally:
+        autodiff._run, autodiff._Job = run, job
+        # a job's flag is final once its call has returned
+        counts[1] = sum(j.helped for j in jobs)
+
+
 def measure(model_cfg, dtype, batch, warmup, steps):
     """``(faults per step, step peak bytes, arena bytes, Grad-CAM peak
-    bytes, threads)`` of ``steps`` train steps on one batch of ``batch``
-    synthetic images, after ``warmup`` steps, then of one ``grad_cam`` call
-    after one warm-up call; threads are counted after the steps.
-    ``lesionformer`` must already be importable."""
-    from lesionformer import data, losses, model, training
+    bytes, threads, worker share)`` of ``steps`` train steps on one batch of
+    ``batch`` synthetic images, after ``warmup`` steps, then of one
+    ``grad_cam`` call after one warm-up call; threads are counted after the
+    steps, and the worker share (None when it has no calls to count) over
+    them. ``lesionformer`` must already be importable."""
+    from lesionformer import autodiff, data, losses, model, training
 
     samples = data.synth_generate(batch, data.SynthConfig(
         height=model_cfg.image_h, width=model_cfg.image_w,
@@ -91,10 +129,12 @@ def measure(model_cfg, dtype, batch, warmup, steps):
 
     for _ in range(warmup):
         step()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    for _ in range(steps):
-        step()
-    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps
+    with worker_counts(autodiff) as counts:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(steps):
+            step()
+        faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / steps
+    share = counts[1] / counts[0] if counts and counts[0] else None
     peak = traced_peak(step)
     threads = threading.active_count()
     workspace = getattr(training, "step_workspace", None)
@@ -104,7 +144,7 @@ def measure(model_cfg, dtype, batch, warmup, steps):
 
     cam()
     arena = 0 if workspace is None else workspace.nbytes
-    return faults, peak, arena, traced_peak(cam), threads
+    return faults, peak, arena, traced_peak(cam), threads, share
 
 
 def main(argv=None) -> int:
@@ -125,11 +165,11 @@ def main(argv=None) -> int:
               f"{lesionformer.__file__}", file=sys.stderr)
         return 2
     for name, (overrides, dtype, batch) in CONFIGS.items():
-        faults, peak, arena, cam, threads = measure(ModelConfig(**overrides), dtype, batch,
-                                                    WARMUP, STEPS)
+        faults, peak, arena, cam, threads, share = measure(
+            ModelConfig(**overrides), dtype, batch, WARMUP, STEPS)
         print(f"{name} minflt_per_step={faults:.2f} step_peak_mb={peak / 2**20:.2f} "
               f"arena_mb={arena / 2**20:.2f} gradcam_peak_mb={cam / 2**20:.3f} "
-              f"threads={threads}")
+              f"threads={threads} worker_share={'-' if share is None else f'{share:.2f}'}")
     return 0
 
 
