@@ -29,35 +29,29 @@ run, so forward arrays that only that backward read are freed as the
 pass goes.
 
 Memory: the ops take their output and gradient arrays from one allocator,
-``_new(shape, dtype)``, directly or as NumPy's ``out=``, and always on the
-calling thread: ``multi_head_attention`` takes its operands' head copies
-and every head group's arrays in its forward, and in its backward the
-gradients and one scratch set per thread that may run its groups, before
-any group's kernel runs, and a kernel on its worker thread writes only
-into arrays it was given (see :func:`_run`); its backward reads the
-forward's key and value copies. With no workspace
-active that is a fresh array, as NumPy would allocate it. A tape opened on
-a :class:`Workspace` takes every one of them from one arena per thread
-instead, planned from the step's recorded lifetimes and sized to its peak
-live set, and never freed while the thread lives. The arena's arrays are
-row-major like every other, so a step on a workspace has the floats of the
-same step on a plain tape. Training opens each step's tape on a workspace;
-``evaluate``, ``grad_cam`` and a bare ``forward`` allocate as before.
-Reductions to one value per row, column or matrix still come from the
-heap.
+``_new(shape, dtype)``, directly or as NumPy's ``out=``, on the calling
+thread, which runs every op: ``multi_head_attention`` takes its operands'
+head copies and every head group's arrays in its forward, and in its
+backward the gradients and one scratch set that its groups reuse in turn,
+before any group's kernel runs; its backward reads the forward's key and
+value copies. With no workspace active that is a fresh array, as NumPy
+would allocate it. A tape opened on a :class:`Workspace` takes every one
+of them from one arena per thread instead, planned from the step's
+recorded lifetimes and sized to its peak live set, and never freed while
+the thread lives. The arena's arrays are row-major like every other, so a
+step on a workspace has the floats of the same step on a plain tape.
+Training opens each step's tape on a workspace; ``evaluate``, ``grad_cam``
+and a bare ``forward`` allocate as before. Reductions to one value per
+row, column or matrix still come from the heap.
 """
 
 from __future__ import annotations
 
 import contextvars
-import functools
 import math
 import operator
-import os
-import queue
 import sys
 import threading
-import time
 import weakref
 
 import numpy as np
@@ -875,11 +869,8 @@ def softmax_rows(x: Tensor) -> Tensor:
 # one head per group, where one four-head group (4.2 MB) made the op's
 # forward 5% and its forward and backward 8% slower. Bounding the three
 # score stacks the backward holds instead (two-head groups at batch 8)
-# trained no faster. Two or more groups run on two cores (see
-# :func:`_run`), which trained ``train-large-f32`` about 10% faster; the
-# calling thread takes the operands' copies once for all groups, then
-# every group's arrays in the groups' order, and the backward's scratch
-# once for each of the two threads.
+# trained no faster. The groups run in turn on the calling thread, and the
+# backward reuses one scratch set, sized for the first group, for them all.
 _HEAD_GROUP_BYTES = 2 * 1024 * 1024
 
 
@@ -907,15 +898,10 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
     returns, and the copies and stacked temporaries (a group's scratch)
     come from :func:`_new`, so a train step plans them into its workspace.
 
-    The forward makes its copies and takes every group's arrays on the
-    calling thread first, group by group; the backward takes its
-    gradients and one scratch set per thread that may run kernels (two
-    for two or more groups, else one). Then :func:`_run` runs the groups'
-    kernels, on two cores when there are two or more groups. A backward
-    kernel writes its whole scratch before it reads it, and every kernel
-    writes otherwise only its own heads' arrays and columns, so the floats
-    do not depend on which thread ran it or which set it used, and the
-    requests not on whether the worker ran.
+    The groups run in turn on the calling thread. The backward takes its
+    gradients and one scratch set that fits the largest group before any
+    group runs; each group writes the whole scratch before it reads it, and
+    otherwise only its own heads' arrays and columns.
     """
     qd, kd, vd = q.data, kt.data, v.data
     if (qd.ndim < 2 or kd.ndim != qd.ndim or vd.ndim != qd.ndim
@@ -950,16 +936,14 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
     vs = _copy(split_cols(vd, m))
     step = max(1, _HEAD_GROUP_BYTES // max(1, math.prod(lead) * n * m * dtype.itemsize))
     groups, outs, weights = [], [], []  # per group: its heads and their weights
-    tasks = []  # per group: its kernel, with its arrays
     for lo in range(0, heads, step):
         g = slice(lo, min(lo + step, heads))
         y = _new(qs[g].shape[:-1] + (m,), _dtype(qs, ks))
         out = _new(y.shape[:-1] + (dk,), _dtype(y, vs))
-        tasks.append(functools.partial(_attend, qs[g], ks[g], vs[g], c, y, out))
+        _attend(qs[g], ks[g], vs[g], c, y, out)
         outs.extend(out)
         weights.extend(y)
         groups.append((g, y))
-    _run(tasks)
     stack = (min(step, heads),) + lead  # a backward scratch set fits the first, largest group
 
     # what the backward reads besides the weights and the key and value
@@ -972,19 +956,18 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
         gq = _new(lead + (n, d), dtype) if q_grad else None
         gkt = _new(lead + (d, m), dtype) if kt_grad else None
         gv = _new(lead + (m, d), dtype) if v_grad else None
-        sets = []  # per thread that may run kernels: go, gy, gs, qh
-        for _ in groups[:2]:
-            go = _new(stack + (n, dk), dtype)
-            gy = _new(stack + (n, m), dtype)
-            gs = _new(stack + (n, m), dtype)
-            # a group copies qh once it has read go, so qh may take go's bytes
-            qh = None if q_read is None else _reuse(go, stack + (n, dk), q_read.dtype)
-            sets.append((go, gy, gs, qh))
+        # the scratch every group reuses: go, gy, gs, qh
+        go = _new(stack + (n, dk), dtype)
+        gy = _new(stack + (n, m), dtype)
+        gs = _new(stack + (n, m), dtype)
+        # a group copies qh once it has read go, so qh may take go's bytes
+        qh = None if q_read is None else _reuse(go, stack + (n, dk), q_read.dtype)
+        scratch = (go, gy, gs, qh)
 
-        def group(g, y, thread):
+        def group(g, y):
             """Group ``g``'s share of ``gq``, ``gkt`` and ``gv``."""
             hs = range(heads)[g]
-            go, gy, gs, qh = (None if a is None else a[:len(y)] for a in sets[thread])
+            go, gy, gs, qh = (None if a is None else a[:len(y)] for a in scratch)
             for i, h in enumerate(hs):
                 go[i] = 0.0 if g_outs[h] is None else g_outs[h]
             if gv is not None:  # matmul's backward
@@ -1003,7 +986,8 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
                 np.copyto(qh, split_cols(q_read, n)[g])
                 np.matmul(_swap(qh), gs, out=split_rows(gkt)[g])
 
-        _run([functools.partial(group, g, y) for g, y in groups])
+        for g, y in groups:
+            group(g, y)
         return (gq, gkt, gv)
 
     return custom_op(tuple(outs + weights), (q, kt, v), backward, "multi_head_attention")
@@ -1017,9 +1001,9 @@ def _reuse(a, shape, dtype):
     return _new(shape, dtype)
 
 
-def _attend(qh, kh, vh, c, y, out, thread):
+def _attend(qh, kh, vh, c, y, out):
     """One head group's weights ``softmax(c * qh @ kh)`` into ``y``, and
-    its results ``y @ vh`` into ``out``, on either thread."""
+    its results ``y @ vh`` into ``out``."""
     np.matmul(qh, kh, y)
     y *= c
     # a -inf score would leave an exact 0 after the softmax; the scaled
@@ -1028,143 +1012,6 @@ def _attend(qh, kh, vh, c, y, out, thread):
         raise NumericError("non-finite values produced by multi_head_attention")
     _softmax(y)
     np.matmul(y, vh, out)
-
-
-# ---------------------------------------------------------------------------
-# head groups on two cores
-
-
-class _Job:
-    """One op's group kernels, taken by a shared index by the calling
-    thread and the worker."""
-
-    __slots__ = ("tasks", "next", "lock", "helped", "done", "error", "errcall", "errstate")
-
-    def __init__(self, tasks):
-        self.tasks = tasks
-        self.next = 0                   # the index of the next group to take
-        self.lock = threading.Lock()
-        self.helped = False             # the worker has taken a group
-        self.done = threading.Event()   # set once a worker that helped takes no more
-        self.error = None               # what a group raised on the worker
-        self.errcall, self.errstate = np.geterrcall(), np.geterr()
-
-    def claim(self, worker):
-        """The next group's kernel, or None once every group is taken."""
-        with self.lock:
-            i = self.next
-            if i >= len(self.tasks):
-                return None
-            self.next = i + 1
-            self.helped = self.helped or worker
-            return self.tasks[i]
-
-    def stop(self):
-        """Let no thread take another group, and drop the kernels; True if
-        the worker took one."""
-        with self.lock:
-            self.tasks = ()
-            return self.helped
-
-
-def _help(job):
-    """The worker's share of ``job``, under its caller's ``np.errstate``.
-    A group that raises stops the job; the caller raises the error. The
-    worker drops each kernel, and so its arrays, before it sets ``done``."""
-    with np.errstate(call=job.errcall, **job.errstate):
-        while (task := job.claim(True)) is not None:
-            try:
-                task(1)
-            except BaseException as e:  # raised again on the caller
-                job.error = e
-                job.stop()
-    if job.helped:
-        job.done.set()
-
-
-def _serve(inbox):
-    """The worker thread: every job put on ``inbox``, until the process exits."""
-    while True:
-        _help(inbox.get())
-
-
-_inbox = None  # the worker's queue of jobs, once it runs
-_inbox_lock = threading.Lock()
-
-
-def _worker():
-    """The worker's queue, starting the worker on first use."""
-    global _inbox
-    with _inbox_lock:
-        if _inbox is None:
-            inbox = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(inbox,), name="head-groups",
-                             daemon=True).start()
-            _inbox = inbox
-        return _inbox
-
-
-def _forget_worker():
-    """A forked child has no worker thread: it starts its own."""
-    global _inbox
-    _inbox = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _cores():
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
-
-
-# When the scheduler puts the worker on the calling thread's core (a
-# busy-loop process on the other core of a 2-core host made it do so for
-# 182 of 185 groups), the two take turns on one core and the op runs no
-# faster, and up to 15% slower. The calling thread sees this as wall time
-# past its CPU time while it runs kernels: past ``_SHARED`` times, every
-# call runs on the calling thread alone for ``_ALONE_S`` seconds, and then
-# the worker is tried again. That kept the step level with the worker off
-# under one busy process, and used the worker for 200 of 200 calls on a
-# quiet host.
-_SHARED = 1.5
-_ALONE_S = 0.25
-_alone_until = 0.0  # time.monotonic() until which calls run alone
-
-
-def _run(tasks):
-    """Call every kernel of ``tasks`` with the index of the thread that runs
-    it, 0 for the calling thread and 1 for the worker; a kernel writes only
-    into arrays it was given, and uses the scratch of its thread's index.
-    Two or more run on the calling thread and on one worker thread, when
-    the process may use two CPUs and no calling thread has been kept off
-    its core of late: both take kernels by a shared index, so if the
-    worker's core is busy the caller runs the rest itself, and the caller
-    waits only for a kernel the worker has started. An error is raised
-    here once that kernel has finished."""
-    global _alone_until
-    if len(tasks) < 2 or _cores() < 2 or time.monotonic() < _alone_until:
-        for task in tasks:
-            task(0)
-        return
-    job = _Job(tasks)
-    _worker().put(job)
-    try:
-        wall, cpu = time.perf_counter(), time.thread_time()
-        while (task := job.claim(False)) is not None:
-            task(0)
-        if time.perf_counter() - wall > _SHARED * (time.thread_time() - cpu):
-            _alone_until = time.monotonic() + _ALONE_S
-    finally:
-        if job.stop():
-            job.done.wait()
-        error, job.error = job.error, None
-    if error is not None:
-        raise error
 
 
 def _row_mean(a):

@@ -1,9 +1,7 @@
 import dataclasses
 import math
-import os
 import sys
 import threading
-import time
 import warnings
 import weakref
 from functools import reduce
@@ -1281,56 +1279,13 @@ def heads_chain(q, kt, v, heads, c):
     return tuple(out for out, _ in pairs) + tuple(w for _, w in pairs)
 
 
-def never_alone(monkeypatch):
-    """Let every multi-group call share its groups with the worker, on a
-    host of two or more CPUs, even after a call whose calling thread was
-    kept off its core."""
-    monkeypatch.setattr(ad, "_ALONE_S", 0.0)
-    monkeypatch.setattr(ad, "_alone_until", 0.0)
-
-
-@pytest.fixture(params=["grouped", "one_head_per_group", "one_head_per_group_worker_off"])
+@pytest.fixture(params=["grouped", "one_head_per_group"])
 def head_groups(request, monkeypatch):
     """Every case runs with the default head groups, and again with a group
-    bound so small that each head is a group of its own: with the groups
-    shared with the worker thread on a host of two or more CPUs, and with
-    the worker off, every group on the calling thread."""
+    bound so small that each head is a group of its own."""
     if request.param != "grouped":
         monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", 1)
-    if request.param == "one_head_per_group":
-        never_alone(monkeypatch)
-    if request.param == "one_head_per_group_worker_off":
-        monkeypatch.setattr(ad, "_cores", lambda: 1)
     return request.param
-
-
-def worker_takes_the_second_group(monkeypatch):
-    """Make each multi-group call give its first group to the calling
-    thread and its second to the worker, on any host; return a list that
-    gets, per call, the idents of the threads that took its groups."""
-    monkeypatch.setattr(ad, "_cores", lambda: 2)
-    never_alone(monkeypatch)  # the caller waits for the worker here
-    claim, turns, takers = ad._Job.claim, {}, []
-
-    def handshake(job, worker):
-        if job not in turns:
-            turns[job] = (threading.Event(), threading.Event())
-            takers.append([])
-        first, second = turns[job]
-        if worker and not second.is_set():
-            assert first.wait(timeout=30)
-        task = claim(job, worker)
-        if task is not None:
-            takers[list(turns).index(job)].append(threading.get_ident())
-        if worker:
-            second.set()
-        elif not first.is_set():
-            first.set()
-            assert second.wait(timeout=30)
-        return task
-
-    monkeypatch.setattr(ad._Job, "claim", handshake)
-    return takers
 
 
 class TestMultiHeadAttention:
@@ -1491,12 +1446,9 @@ class TestBackwardScratch:
     def test_threads_running_grad_cam_and_train_steps_give_the_serial_bytes(
             self, groups, monkeypatch):
         # more threads than cores, switching often, each on its own parameters;
-        # one thread's batch size differs, so its steps' arrays differ too.
-        # With one head per group every thread's attention shares the one
-        # worker, and the serial bytes are those of the worker off.
+        # one thread's batch size differs, so its steps' arrays differ too
         if groups == "one_head_per_group":
             monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", 1)
-            never_alone(monkeypatch)
         cfg, tcfg = model.ModelConfig(), TrainConfig()
         weights = losses.class_weights([0.5, 0.25, 0.25], tcfg.weight_epsilon)
         runs = ((1, tcfg.batch_size), (2, tcfg.batch_size), (3, tcfg.batch_size), (4, 5))
@@ -1513,9 +1465,7 @@ class TestBackwardScratch:
                 train_step(params, cfg, tcfg, batch, state, weights, tcfg.learning_rate)
             return [a.tobytes() for a in got + [p.data for p in params.values()]]
 
-        with monkeypatch.context() as serially:
-            serially.setattr(ad, "_cores", lambda: 1)
-            serial = [work(*run) for run in runs]
+        serial = [work(*run) for run in runs]
         barrier, results = threading.Barrier(len(runs)), [None] * len(runs)
 
         def run(i):
@@ -1535,57 +1485,111 @@ class TestBackwardScratch:
         assert results == serial
 
 
-class TestHeadGroupsOnTwoCores:
-    """Two or more head groups run on the calling thread and one worker
-    thread, with the bytes of the calling thread alone."""
+class TestHeadGroupsInTurn:
+    """The heads run in groups of as many heads as the bound allows, one
+    after another on the calling thread; the last group may be smaller, and
+    the backward's one scratch set fits the first."""
+
+    N, M, D = 9, 5, 16  # no other array of a call is (..., N, M) with a heads axis
+
+    @classmethod
+    def bound(cls, step, lead, dtype):
+        """A ``_HEAD_GROUP_BYTES`` that fits the scores of ``step`` heads."""
+        return step * math.prod(lead) * cls.N * cls.M * np.dtype(dtype).itemsize
+
+    @classmethod
+    def inputs(cls, lead, dtype):
+        rng = np.random.default_rng(5)
+        return [Tensor(rng.standard_normal(lead + s).astype(dtype), requires_grad=True)
+                for s in ((cls.N, cls.D), (cls.D, cls.M), (cls.M, cls.D))]
 
     @staticmethod
-    def run(lead=(2,), dtype=np.float64):
-        """The op's outputs and gradients for four one-head groups."""
-        rng = np.random.default_rng(5)
-        q, kt, v = (Tensor(rng.standard_normal(lead + s).astype(dtype), requires_grad=True)
-                    for s in ((9, 8), (8, 5), (5, 8)))
-        with Tape() as tape:
-            outs = ad.multi_head_attention(q, kt, v, 4, 0.5)
-            tape.backward(reduce(ad.add, map(weighted_sum, outs)))
-            return [a.tobytes() for a in [o.data for o in outs]
-                    + [tape.grad(x) for x in (q, kt, v)]]
+    def loss(outs):
+        """A scalar of ``outs`` with fixed random weights of their dtype, so
+        every gradient the op gets is of its own dtype, as in a step."""
+        rng = np.random.default_rng(11)
+        return reduce(ad.add, (ad.sum_all(ad.reshape(ad.mul(
+            o, Tensor(rng.standard_normal(o.shape).astype(o.data.dtype))), (1, -1)))
+            for o in outs))
 
+    @staticmethod
+    def group_sizes(monkeypatch):
+        """A list that gets the heads of each group the forward attends."""
+        attend, sizes = ad._attend, []
+
+        def counted(qh, *rest):
+            sizes.append(len(qh))
+            return attend(qh, *rest)
+
+        monkeypatch.setattr(ad, "_attend", counted)
+        return sizes
+
+    @pytest.mark.parametrize("heads, step", [(4, 1), (4, 2), (4, 3), (4, 4),
+                                             (8, 1), (8, 3), (8, 5), (8, 7), (8, 8)])
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["matrix", "stack"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_the_worker_runs_a_group_with_the_bytes_of_the_worker_off(
-            self, dtype, monkeypatch):
-        monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", 1)
-        takers = worker_takes_the_second_group(monkeypatch)
-        shared = self.run(dtype=dtype)
-        me = threading.get_ident()
-        assert len(takers) == 2  # the forward's groups, then the backward's
-        assert all(len(ids) == 4 and ids[0] == me and ids[1] != me for ids in takers)
-        monkeypatch.setattr(ad, "_cores", lambda: 1)
-        assert self.run(dtype=dtype) == shared
-        assert len(takers) == 2  # no job with the worker off
+    def test_every_group_size_gives_the_bytes_of_the_chain(self, dtype, lead, heads, step,
+                                                           monkeypatch):
+        monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", self.bound(step, lead, dtype))
+        sizes = self.group_sizes(monkeypatch)
+        results = []
+        for op in (ad.multi_head_attention, heads_chain):
+            inputs = self.inputs(lead, dtype)
+            with Tape() as tape:
+                outs = op(*inputs, heads, 0.5)
+                tape.backward(self.loss(outs))
+                results.append([o.data for o in outs] + [tape.grad(x) for x in inputs])
+        assert sizes == [step] * (heads // step) + [heads % step] * (heads % step > 0)
+        assert len(results[0]) == 2 * heads + 3
+        for fused, chain in zip(*results):
+            assert fused.dtype == chain.dtype == dtype
+            assert fused.tobytes() == chain.tobytes()
 
-    def test_an_overflow_on_the_worker_raises_only_the_numeric_error(self, monkeypatch):
-        # head 1, the worker's group, overflows; head 0 is finite
+    @pytest.mark.parametrize("step", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_the_backward_takes_one_scratch_set_for_the_first_group(self, dtype, step,
+                                                                     monkeypatch):
+        lead = (2,)
+        monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", self.bound(step, lead, dtype))
+        take, scores = ad.Workspace.take, []
+
+        def spy(ws, shape, dt):
+            if len(shape) == len(lead) + 3 and shape[-2:] == (self.N, self.M):
+                scores.append((shape[0], np.dtype(dt)))
+            return take(ws, shape, dt)
+
+        monkeypatch.setattr(ad.Workspace, "take", spy)
+        inputs = self.inputs(lead, dtype)
+        with Tape(ad.Workspace()) as tape:
+            outs = ad.multi_head_attention(*inputs, 4, 0.5)
+            tape.backward(self.loss(outs))
+        # each group's weights, then the one scratch set's gy and gs
+        groups = [min(step, 4 - lo) for lo in range(0, 4, step)]
+        assert scores == [(k, np.dtype(dtype)) for k in groups + [step, step]]
+
+    @pytest.mark.parametrize("head", range(4))
+    def test_an_overflow_in_any_group_stops_the_call_with_the_numeric_error(
+            self, head, monkeypatch):
+        # one head per group; only head ``head``'s scores overflow
         monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", 1)
-        takers = worker_takes_the_second_group(monkeypatch)
-        q = t([[1.0, 1.0, 1e300, 1.0], [1.0, 1.0, 1.0, 1.0]])
-        kt = t([[1.0, 0.5], [0.5, 1.0], [1e300, 1.0], [1.0, 1.0]])
-        v = t(np.ones((2, 4)))
+        sizes = self.group_sizes(monkeypatch)
+        q, kt = t(np.ones((2, 4))), t(np.full((4, 3), 0.5))
+        q.data[0, head] = kt.data[head, 0] = 1e300
+        v = t(np.ones((3, 4)))
         with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="multi_head_attention"):
-                ad.multi_head_attention(q, kt, v, 2, 0.5)
-            q.data[0, 2] = 1.0
-            kt.data[2, 0] = 1.0
-            outs = ad.multi_head_attention(q, kt, v, 2, 0.5)
+                ad.multi_head_attention(q, kt, v, 4, 0.5)
+            assert sizes == [1] * (head + 1)  # no group after it ran
+            q.data[0, head] = kt.data[head, 0] = 1.0
+            outs = ad.multi_head_attention(q, kt, v, 4, 0.5)
         assert all(ad.all_finite(o.data) for o in outs)
-        me = threading.get_ident()
-        assert [ids[1] != me for ids in takers] == [True, True]
 
-    def test_a_train_step_takes_every_array_on_the_calling_thread(self, monkeypatch):
+    def test_train_steps_with_one_head_per_group_follow_the_first_steps_plan(
+            self, monkeypatch):
         from lesionformer import training
         monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", 1)
-        takers = worker_takes_the_second_group(monkeypatch)
+        sizes = self.group_sizes(monkeypatch)
         cfg, tcfg = model.ModelConfig(), TrainConfig()
         batch = synth_generate(tcfg.batch_size, SynthConfig(seed=4))
         weights = losses.class_weights([0.5, 0.25, 0.25], tcfg.weight_epsilon)
@@ -1593,8 +1597,7 @@ class TestHeadGroupsOnTwoCores:
 
         def spy(ws, shape, dtype):
             arr = take(ws, shape, dtype)
-            taken[-1].append((threading.get_ident(), ws._arena is not None
-                              and np.shares_memory(arr, ws._arena)))
+            taken[-1].append(ws._arena is not None and np.shares_memory(arr, ws._arena))
             return arr
 
         monkeypatch.setattr(ad.Workspace, "take", spy)
@@ -1607,83 +1610,32 @@ class TestHeadGroupsOnTwoCores:
                 taken.append([])
                 train_step(params, cfg, tcfg, batch, state, weights, tcfg.learning_rate)
                 arenas.add(id(training.step_workspace._arena))
-            return threading.get_ident(), len(training.step_workspace._plans), len(arenas)
+            return len(training.step_workspace._plans), len(arenas)
 
         out = []
         th = threading.Thread(target=lambda: out.append(steps()))
         th.start()
         th.join(timeout=120)
-        assert not th.is_alive() and len(out) == 1
-        caller, plans, arenas = out[0]
-        assert plans == arenas == 1 and len(taken[0]) == len(taken[1]) == len(taken[2]) > 0
-        assert all(ident == caller for step in taken for ident, _ in step)
-        # the later steps follow the first step's plan
-        assert all(in_arena for step in taken[1:] for _, in_arena in step)
-        # every attention call of every step shared its groups with the worker
-        assert len(takers) == 3 * 2 * cfg.layers * cfg.scales
-        assert all(caller in ids and len(set(ids)) == 2 for ids in takers)
+        assert not th.is_alive() and out == [(1, 1)]
+        assert len(taken[0]) == len(taken[1]) == len(taken[2]) > 0
+        assert all(in_arena for step in taken[1:] for in_arena in step)
+        # every attention call of every step attended its heads one at a time
+        assert sizes == [1] * (3 * cfg.layers * cfg.scales * cfg.heads)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_three_or_more_groups_make_the_same_requests_however_they_run(
-            self, dtype, monkeypatch):
-        # four one-head groups: the worker takes the second, or is off, or
-        # every call runs alone after a caller was kept off its core
-        monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", 1)
-        take, requests = ad.Workspace.take, []
 
-        def spy(ws, shape, dt):
-            requests[-1].append((shape, np.dtype(dt)))
-            return take(ws, shape, dt)
-
-        monkeypatch.setattr(ad.Workspace, "take", spy)
-        lead, (n, m) = (2,), (9, 5)
-
-        def run():
-            requests.append([])
-            rng = np.random.default_rng(5)
-            q, kt, v = (Tensor(rng.standard_normal(lead + s).astype(dtype), requires_grad=True)
-                        for s in ((n, 8), (8, m), (m, 8)))
-            with Tape(ad.Workspace()) as tape:
-                outs = ad.multi_head_attention(q, kt, v, 4, 0.5)
-                tape.backward(reduce(ad.add, map(weighted_sum, outs)))
-                return [a.tobytes() for a in [o.data for o in outs]
-                        + [tape.grad(x) for x in (q, kt, v)]]
-
-        with monkeypatch.context() as shared:
-            takers = worker_takes_the_second_group(shared)
-            bits = run()
-            assert len(takers) == 2 and all(len(set(ids)) == 2 for ids in takers)
-        with monkeypatch.context() as off:
-            off.setattr(ad, "_cores", lambda: 1)
-            assert run() == bits
-        with monkeypatch.context() as alone:
-            alone.setattr(ad, "_cores", lambda: 2)
-            alone.setattr(ad, "_alone_until", math.inf)
-            assert run() == bits
-        assert requests[0] == requests[1] == requests[2]
-        # score stacks: each group's weights, and two scratch sets' gy and gs
-        scores = ((1,) + lead + (n, m), np.dtype(dtype))
-        assert requests[0].count(scores) == 4 + 2 * 2
-
-    def test_a_caller_kept_off_its_core_runs_the_next_calls_alone(self, monkeypatch):
-        # a kernel that sleeps keeps wall time past the caller's CPU time,
-        # as a caller taking turns with the worker on one core does
-        monkeypatch.setattr(ad, "_cores", lambda: 2)
-        monkeypatch.setattr(ad, "_alone_until", 0.0)
-        ad._run([lambda thread: time.sleep(0.02)] * 2)
-        assert ad._alone_until > time.monotonic()
-        takers = []
-        ad._run([lambda thread: takers.append((threading.get_ident(), thread))] * 4)
-        assert takers == [(threading.get_ident(), 0)] * 4
-
-    def test_one_usable_cpu_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(ad, "_HEAD_GROUP_BYTES", 1)
-        never_alone(monkeypatch)
-        monkeypatch.setattr(ad, "_inbox", None)  # as if no worker had started yet
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        before = threading.active_count()
-        self.run()
-        assert ad._inbox is None and threading.active_count() == before
+def test_attention_starts_no_thread(monkeypatch):
+    before = threading.active_count()
+    with monkeypatch.context() as one_head_per_group:
+        one_head_per_group.setattr(ad, "_HEAD_GROUP_BYTES", 1)
+        TestBackwardScratch.gradients(np.random.default_rng(5), workspace=ad.Workspace())
+    # a train-large-f32 step: its 4 x 257 x 257 float32 scores run one head per group
+    cfg = model.ModelConfig(image_h=64, image_w=64, embed_dim=64, heads=4, scales=3, layers=2)
+    tcfg = TrainConfig(dtype="float32", batch_size=4)
+    batch = synth_generate(tcfg.batch_size, SynthConfig(height=64, width=64))
+    params = model.init_params(cfg, tcfg.np_dtype)
+    weights = losses.class_weights([0.5, 0.25, 0.25], tcfg.weight_epsilon)
+    train_step(params, cfg, tcfg, batch, init_adam(params), weights, tcfg.learning_rate)
+    assert threading.active_count() == before
 
 
 def handing_back(x, g):
