@@ -6,10 +6,11 @@ row-major view or broadcast. Every op acts on the trailing two axes
 (rows, columns); any leading axes form a stack of matrices, such as a
 batch of images. Broadcasting is limited to a scalar constant, the
 explicit row-vector ops, and the stated cases of ``matmul``, ``add``,
-``concat_rows`` and ``div_by``; any other shape adaptation is done with
-reshape/slice/concat so every forward value is bit-reproducible. Every
-gradient is a dense array of its tensor's shape; a slice's backward
-returns zeros with the slice's gradient at the slice. The tape sums a
+``concat_rows``, ``concat_cols`` and ``div_by``; any other shape
+adaptation is done with reshape/slice/concat so every forward value is
+bit-reproducible. Every gradient is a dense array of its tensor's shape;
+a slice's backward returns zeros with the slice's gradient at the slice,
+and a concat's hands each part a view of its gradient. The tape sums a
 tensor's gradients into new arrays (see :meth:`Tape.backward`), so a
 gradient may be shared or read-only, and no backward writes into the one
 it receives. An op may have several outputs (see :func:`custom_op`). A
@@ -318,7 +319,6 @@ def custom_op(out_data, inputs, backward_fn, name):
 # memory
 
 _ALIGN = 64   # bytes: every arena view starts on a cache line
-_PLANS = 16   # plans a workspace keeps, the least recently used dropped first
 
 
 class Workspace(threading.local):
@@ -337,18 +337,19 @@ class Workspace(threading.local):
     live set, which stays small because a record keeps only what its
     backward reads and the tape drops each record once its backward has
     run; it grows when a plan needs more and is never freed while its
-    thread lives. The workspace keeps the last ``_PLANS`` plans.
+    thread lives. Every plan's views share that arena, so a kept plan costs
+    only its list of views.
 
-    A step that leaves its plan's sequence gets fresh arrays from there on,
-    and the next step of its kind records again. A step repeats its
-    lifetimes if it runs the same ops with the same requests, which holds
-    for a train step: every step of one batch size and regulariser setting
-    runs the same ops on the same shapes, wherever its unmasked images
-    fall. An array of one step must not outlive the thread's next step; if
-    one is still referenced when a step begins, the plans move to a new
-    arena and leave the old one to its holders.
-    The arena's arrays are row-major, so a step has the floats of the same
-    step on a plain tape.
+    The workspace keeps a kind's plan until a step of the kind leaves its
+    sequence: that step gets fresh arrays from there on, and the next step
+    of its kind records again. A step repeats its lifetimes if it runs the
+    same ops with the same requests, which holds for a train step: every
+    step of one batch size and regulariser setting runs the same ops on the
+    same shapes, wherever its unmasked images fall. An array of one step
+    must not outlive the thread's next step; if one is still referenced
+    when a step begins, the plans move to a new arena and leave the old one
+    to its holders. The arena's arrays are row-major, so a step has the
+    floats of the same step on a plain tape.
 
     Two layouts were measured in prototypes and rejected. A workspace per
     training state (``AdamState``) raised the benchmark's ``peak_rss_mb``
@@ -360,7 +361,7 @@ class Workspace(threading.local):
     """
 
     def __init__(self):
-        self._plans = {}          # name -> _Plan, least recently used first
+        self._plans = {}          # name -> _Plan
         self._name = None         # the current step's kind
         self._plan = None         # the plan the current or last step follows
         self._keys = self._views = ()  # that plan's entries and their views
@@ -407,10 +408,13 @@ class Workspace(threading.local):
             self._log.append([name, None, None, None])
 
     def _leave(self):
-        """The step leaves its plan (if it follows one): fresh arrays from
-        here on, and the next step of its kind records again."""
-        if self._plan is not None:
-            self._drop(self._name)
+        """The step leaves its plan (if it follows one), which is dropped:
+        fresh arrays from here on, and the next step of its kind records
+        again."""
+        plan = self._plan
+        if plan is not None:
+            del self._plans[self._name]
+            self._refs -= len(plan.arrays)  # each view holds the arena
             self._plan = None
             self._keys = self._views = ()
             self._size = 0
@@ -422,13 +426,12 @@ class Workspace(threading.local):
             self._arena = None  # an array of the last step outlived it
             self._build(list(self._plans.values()))
         self._name, self._next = name, 0
-        plan = self._plan = self._plans.pop(name, None)
+        plan = self._plan = self._plans.get(name)
         if plan is None:
             self._keys = self._views = ()
             self._size = 0
             self._log = []
         else:
-            self._plans[name] = plan  # now the most recently used
             self._keys, self._views, self._size = plan.keys, plan.views, len(plan.keys)
 
     def _end(self, ok):
@@ -438,27 +441,18 @@ class Workspace(threading.local):
         n = len(log)
         plan = _Plan([(e[0], e[1]) for e in log])
         plan.offsets = _plan(plan.sizes, [n if e[2] is None else e[2] for e in log])
-        while len(self._plans) >= _PLANS:
-            self._drop(next(iter(self._plans)))
         self._plans[self._name] = plan
         self._build([plan])
 
-    def _drop(self, name):
-        plan = self._plans.pop(name, None)
-        if plan is not None and plan.arrays:
-            self._refs -= len(plan.arrays)  # each view holds the arena
-
     def _build(self, plans):
         """``plans``' views, in the arena or, if there is none or it is too
-        small, in a new one with every plan's views."""
-        end = max((max(map(operator.add, p.offsets, p.sizes), default=0) for p in plans),
-                  default=0)
+        small for every plan kept, in a new one with every plan's views."""
+        end = max((max(map(operator.add, p.offsets, p.sizes), default=0)
+                   for p in self._plans.values()), default=0)
         if self._arena is None or self._arena.nbytes < end + _ALIGN:
             plans = list(self._plans.values())
             for p in plans:
                 p.views = p.arrays = ()
-            end = max((max(map(operator.add, p.offsets, p.sizes), default=0) for p in plans),
-                      default=0)
             self._arena = np.empty(end + _ALIGN, np.uint8)
             self._refs = sys.getrefcount(self._arena)
         base = -self._arena.__array_interface__["data"][0] % _ALIGN
@@ -584,8 +578,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     # each gradient reads the other operand
     a_read = ad if b.requires_grad else None
     b_read = bd if a.requires_grad else None
+    # BLAS rounds a strided operand differently, so each backward reads a
+    # strided gradient (such as a column slice from concat_cols) row-major
     if bd.ndim > 2:
         def backward_stack(g):
+            if not g.flags.c_contiguous:
+                g = _copy(g)
             return (None if b_read is None else
                     np.matmul(g, _swap(b_read), _new(a_shape, _dtype(g, b_read))),
                     None if a_read is None else
@@ -596,7 +594,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     rows = None if a_read is None else _rows(a_read)
 
     def backward(g):
-        g2 = _rows(g)
+        g2 = _rows(g)  # a copy if g's leading axes do not fold into its rows
+        if not g2.flags.c_contiguous:
+            g2 = _copy(g2)
         ga = gb = None
         if b_read is not None:
             ga = _new(a_shape, _dtype(g2, b_read))
@@ -762,47 +762,42 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     return _slice(a, start, stop, -1, "slice_cols")
 
 
-def concat_rows(parts) -> Tensor:
-    """Stack rows; a 2-D part is repeated over the other parts' leading axes."""
+def _concat(parts, axis: int, name: str) -> Tensor:
+    """``parts`` joined along trailing axis ``axis`` (-2 rows, -1 columns);
+    a 2-D part is repeated over the other parts' leading axes."""
     parts = list(parts)
     if not parts:
-        raise DimensionError("concat_rows of empty list")
-    sizes = [p.shape[-2] for p in parts]
+        raise DimensionError(f"{name} of empty list")
     arrays = [p.data for p in parts]
-    lead = max(arrays, key=np.ndim).shape[:-2]
-    shared = [bool(lead) and a.ndim == 2 for a in arrays]
+    shapes = [a.shape for a in arrays]
+    sizes = [s[axis] for s in shapes]
+    lead = max(shapes, key=len)[:-2]
+    shared = [bool(lead) and len(s) == 2 for s in shapes]
     if lead:
         arrays = [np.broadcast_to(a, lead + a.shape) if sh else a
                   for a, sh in zip(arrays, shared)]
+    tail = (slice(None),) * (-1 - axis)
 
     def backward(g):
         out, off = [], 0
         for s, sh in zip(sizes, shared):
-            gp = g[..., off:off + s, :]
+            gp = g[(..., slice(off, off + s)) + tail]
             out.append(_lead_sum(gp, gp.shape[-2:]) if sh else gp)
             off += s
         return tuple(out)
 
-    out = _out(lead + (sum(sizes), arrays[0].shape[-1]), *arrays)
-    return custom_op(np.concatenate(arrays, axis=-2, out=out), parts, backward, "concat_rows")
+    shape = list(arrays[0].shape)
+    shape[axis] = sum(sizes)
+    out = _out(tuple(shape), *arrays)
+    return custom_op(np.concatenate(arrays, axis=axis, out=out), parts, backward, name)
+
+
+def concat_rows(parts) -> Tensor:
+    return _concat(parts, -2, "concat_rows")
 
 
 def concat_cols(parts) -> Tensor:
-    parts = list(parts)
-    if not parts:
-        raise DimensionError("concat_cols of empty list")
-    sizes = [p.shape[-1] for p in parts]
-
-    def backward(g):
-        out, off = [], 0
-        for s in sizes:
-            out.append(g[..., off:off + s])
-            off += s
-        return tuple(out)
-
-    arrays = [p.data for p in parts]
-    out = _out(arrays[0].shape[:-1] + (sum(sizes),), *arrays)
-    return custom_op(np.concatenate(arrays, axis=-1, out=out), parts, backward, "concat_cols")
+    return _concat(parts, -1, "concat_cols")
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -900,8 +895,8 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
 
     The groups run in turn on the calling thread. The backward takes its
     gradients and one scratch set that fits the largest group before any
-    group runs; each group writes the whole scratch before it reads it, and
-    otherwise only its own heads' arrays and columns.
+    group runs; each group writes its share of the scratch before it reads
+    it, and otherwise only its own heads' arrays and columns.
     """
     qd, kd, vd = q.data, kt.data, v.data
     if (qd.ndim < 2 or kd.ndim != qd.ndim or vd.ndim != qd.ndim
@@ -956,18 +951,15 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
         gq = _new(lead + (n, d), dtype) if q_grad else None
         gkt = _new(lead + (d, m), dtype) if kt_grad else None
         gv = _new(lead + (m, d), dtype) if v_grad else None
-        # the scratch every group reuses: go, gy, gs, qh
-        go = _new(stack + (n, dk), dtype)
-        gy = _new(stack + (n, m), dtype)
-        gs = _new(stack + (n, m), dtype)
-        # a group copies qh once it has read go, so qh may take go's bytes
-        qh = None if q_read is None else _reuse(go, stack + (n, dk), q_read.dtype)
-        scratch = (go, gy, gs, qh)
-
-        def group(g, y):
-            """Group ``g``'s share of ``gq``, ``gkt`` and ``gv``."""
+        # the scratch every group reuses, sized for the first; a group
+        # copies its queries once it has read go, so qhs may take go's bytes
+        gos = _new(stack + (n, dk), dtype)
+        gys = _new(stack + (n, m), dtype)
+        gss = _new(stack + (n, m), dtype)
+        qhs = None if q_read is None else _reuse(gos, stack + (n, dk), q_read.dtype)
+        for g, y in groups:  # group g's share of gq, gkt and gv
             hs = range(heads)[g]
-            go, gy, gs, qh = (None if a is None else a[:len(y)] for a in scratch)
+            go, gy, gs = gos[:len(hs)], gys[:len(hs)], gss[:len(hs)]
             for i, h in enumerate(hs):
                 go[i] = 0.0 if g_outs[h] is None else g_outs[h]
             if gv is not None:  # matmul's backward
@@ -983,11 +975,9 @@ def multi_head_attention(q: Tensor, kt: Tensor, v: Tensor, heads: int, c: float)
             if gq is not None:
                 np.matmul(gs, _swap(ks[g]), out=split_cols(gq, n)[g])
             if gkt is not None:
+                qh = qhs[:len(hs)]
                 np.copyto(qh, split_cols(q_read, n)[g])
                 np.matmul(_swap(qh), gs, out=split_rows(gkt)[g])
-
-        for g, y in groups:
-            group(g, y)
         return (gq, gkt, gv)
 
     return custom_op(tuple(outs + weights), (q, kt, v), backward, "multi_head_attention")

@@ -52,6 +52,34 @@ class TestMatmul:
         err = finite_difference_check(f, t(rng.standard_normal((3, 4))))
         assert err < 1e-6
 
+    # (x's shape, w's shape, y's columns, dtype): shapes at which OpenBLAS
+    # rounded the products of a column-slice gradient differently from those
+    # of the same gradient row-major
+    @pytest.mark.parametrize("x_shape, w_shape, q, dtype", [
+        ((27, 32), (32, 1), 32, np.float64),
+        ((3, 1), (1, 5), 35, np.float32),
+        ((27, 22, 1), (27, 1, 1), 21, np.float32),
+    ], ids=["matrix", "matrix_one_column", "stack_times_stack"])
+    def test_a_column_slice_gradient_gives_the_row_major_bits(self, x_shape, w_shape, q,
+                                                             dtype, rng):
+        x, w = (Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+                for s in (x_shape, w_shape))
+        p = w_shape[-1]
+        y = Tensor(rng.standard_normal(x_shape[:-1] + (q,)).astype(dtype))
+        c = rng.standard_normal(x_shape[:-1] + (p + q,)).astype(dtype)
+
+        def grads(sliced):
+            with Tape() as tape:
+                h = ad.matmul(x, w)
+                if sliced:  # h's gradient is a column slice of the concat's
+                    out, weights = ad.concat_cols([h, y]), c
+                else:
+                    out, weights = h, np.ascontiguousarray(c[..., :p])
+                tape.backward(ad.sum_all(ad.reshape(ad.mul(out, Tensor(weights)), (1, -1))))
+                return [tape.grad(v).tobytes() for v in (x, w)]
+
+        assert grads(True) == grads(False)
+
 
 class TestSoftmaxRows:
     def test_uniform_row(self):
@@ -411,6 +439,15 @@ class TestWorkspace:
             fresh += not np.shares_memory(g, ws._arena)
             del g
         assert fresh == 3  # each kind's first step, which records
+
+    def test_a_kind_keeps_its_plan_while_twenty_kinds_step(self, rng):
+        ws = ad.Workspace()
+        for rows in range(1, 21):
+            self.step(*self.inputs(rng, rows), ws, rows)
+        x, w = self.inputs(rng, 1)
+        g = self.step(x, w, ws, 1)
+        assert np.shares_memory(g, ws._arena)
+        assert g.tobytes() == self.step(x, w).tobytes()
 
     def test_a_step_that_leaves_its_plan_gets_fresh_arrays_and_the_next_records(self, rng):
         ws = ad.Workspace()
@@ -855,6 +892,7 @@ class TestStackedOps:
         "slice_cols": lambda x, y: ad.slice_cols(x, 1, 3),
         "concat_rows_shared": lambda x, y: ad.concat_rows([t(TestStackedOps.ROW), x]),
         "concat_cols": lambda x, y: ad.concat_cols([x, ad.scale(x, 2.0)]),
+        "concat_cols_shared": lambda x, y: ad.concat_cols([t(TestStackedOps.MAT), x]),
         "pool_grid": lambda x, y: ad.pool_grid(x, 2, 2),
         "softmax_rows": lambda x, y: ad.softmax_rows(x),
         "layer_norm": lambda x, y: ad.layer_norm(x, t(TestStackedOps.GAIN),
@@ -890,7 +928,8 @@ class TestStackedOps:
         lambda x, p: ad.concat_rows([p, x, p]),
         lambda x, p: ad.layer_norm(x, ad.slice_rows(p, 0, 1), ad.slice_rows(p, 1, 2)),
         lambda x, p: ad.add_rowvec(x, ad.slice_rows(p, 2, 3)),
-    ], ids=["add", "concat_rows", "layer_norm_gain_bias", "add_rowvec"])
+        lambda x, p: ad.concat_cols([x, p]),
+    ], ids=["add", "concat_rows", "layer_norm_gain_bias", "add_rowvec", "concat_cols"])
     def test_shared_operand_gradient_sums_over_the_stack(self, build, rng):
         x = Tensor(rng.standard_normal((2, 4, 3)))
         p = t(rng.standard_normal((4, 3)))
